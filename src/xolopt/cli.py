@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,12 +29,7 @@ from .dataio import (
 )
 from .distortion import DistortionMeasure, normal_quantile, parse_measure
 from .errors import LossParseError, XoloptError
-from .inference import (
-    estimate_decreasing,
-    estimate_sd,
-    estimate_sharpe,
-    retention_curve,
-)
+from .inference import _estimate, retention_curve
 from .montecarlo import (
     McConfig,
     insolvency_probability,
@@ -43,7 +38,7 @@ from .montecarlo import (
     replicate_table2,
 )
 from .retention import (
-    ConstantLoading,
+    _RULES,
     DecreasingLoading,
     SharpeLoading,
     StdDevLoading,
@@ -147,24 +142,13 @@ def _build_model(args, parser: _Parser):
 
 
 def _build_rule(args, parser: _Parser):
-    name = args.rule
-    if name == "constant":
-        if args.rho is None:
-            parser.error("--rule constant requires --rho")
-        return ConstantLoading(args.rho)
-    if name == "decreasing":
-        if args.delta is None:
-            parser.error("--rule decreasing requires --delta")
-        return DecreasingLoading(args.delta)
-    if name == "stddev":
-        if args.rho0 is None:
-            parser.error("--rule stddev requires --rho0")
-        return StdDevLoading(args.rho0)
-    if name == "sharpe":
-        if args.rho0 is None:
-            parser.error("--rule sharpe requires --rho0")
-        return SharpeLoading(args.rho0)
-    parser.error(f"unknown rule {name!r}")
+    """The loading rule named by --rule, from the flag of its one parameter."""
+    cls = _RULES[args.rule]
+    (param,) = fields(cls)
+    value = getattr(args, param.name)
+    if value is None:
+        parser.error(f"--rule {args.rule} requires --{param.name}")
+    return cls(value)
 
 
 def _measure_from(args) -> DistortionMeasure:
@@ -188,7 +172,7 @@ def cmd_optimize(args, parser: _Parser) -> int:
         measure = _measure_from(args)
         n = args.n
         if n is None:
-            if args.rule in ("constant", "decreasing"):
+            if not rule.spread_dependent:
                 parser.error(f"--rule {args.rule} requires --N")
             n = 100
         result = solve_retention(model, rule, measure, n).to_json_dict()
@@ -203,22 +187,12 @@ def cmd_optimize(args, parser: _Parser) -> int:
 # ------------------------------------------------------------- estimate
 
 
-_ESTIMATORS = {
-    "decreasing": lambda x, a, m: estimate_decreasing(x, a.delta, m, a.level),
-    "stddev": lambda x, a, m: estimate_sd(x, a.rho0, m, a.level, a.bandwidth),
-    "sharpe": lambda x, a, m: estimate_sharpe(x, a.rho0, m, a.level, a.bandwidth),
-}
-
-
 def cmd_estimate(args, parser: _Parser) -> int:
     losses = read_loss_csv(args.input)
     digest = content_digest(args.input)
-    if args.rule in ("decreasing",) and args.delta is None:
-        parser.error("--rule decreasing requires --delta")
-    if args.rule in ("stddev", "sharpe") and args.rho0 is None:
-        parser.error(f"--rule {args.rule} requires --rho0")
+    rule = _build_rule(args, parser)
     measure = _measure_from(args)
-    result = _ESTIMATORS[args.rule](losses, args, measure).to_json_dict()
+    result = _estimate(losses, rule, measure, args.level, args.bandwidth).to_json_dict()
     _print_json(result)
     out = _resolve_out(args)
     if out is not None:
@@ -230,19 +204,16 @@ def cmd_estimate(args, parser: _Parser) -> int:
 # ------------------------------------------------------------- simulate
 
 
-def _sim_config(args) -> McConfig:
-    b = 50000 if args.full_scale else 20000
-    m = 5000 if args.full_scale else 500
-    if args.mc_b is not None:
-        b = args.mc_b
-    if args.mc_m is not None:
-        m = args.mc_m
-    return McConfig(b=b, m=m, seed=args.seed)
-
-
 def cmd_simulate(args, parser: _Parser) -> int:
     model = ParetoII(args.alpha, args.lam)
-    cfg = _sim_config(args)
+    cfg = McConfig(seed=args.seed)
+    if args.full_scale:
+        cfg = cfg.full_scale()
+    if args.mc_b is not None:
+        cfg = replace(cfg, b=args.mc_b)
+    # only the estimator study has outer replications
+    if args.mc_m is not None and args.study == "table2":
+        cfg = replace(cfg, m=args.mc_m)
     out = _resolve_out(args) or Path(".")
     if args.study == "table1":
         rows = replicate_table1(
@@ -257,8 +228,7 @@ def cmd_simulate(args, parser: _Parser) -> int:
         target = out / "table1.csv"
     elif args.study == "table2":
         rows = replicate_table2(
-            model, cfg, p=args.p, delta=args.delta, rho0=args.rho0,
-            threads=args.threads, only=args.only,
+            model, cfg, p=args.p, delta=args.delta, rho0=args.rho0, only=args.only,
         )
         header = (
             "rule", "n", "d_true", "mean_d_hat", "bias_pct",
@@ -299,6 +269,8 @@ def _sweep_grid(args, parser: _Parser) -> np.ndarray:
             parser.error(f"bad --grid {args.grid!r}, expected lo:hi:count")
         if not (0.0 < lo < hi and count >= 1):
             parser.error(f"bad --grid range {args.grid!r}")
+        if args.sweep == "p" and not hi < 1.0:
+            parser.error(f"bad --grid {args.grid!r}: risk levels must lie in (0, 1)")
         if args.sweep == "rho":
             return np.geomspace(lo, hi, count)
         return np.linspace(lo, hi, count)
@@ -511,7 +483,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"xolopt {__version__}")
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="root seed for anything random")
-    common.add_argument("--threads", type=int, default=1, help="worker threads where supported")
     common.add_argument("--out", help="directory for file outputs")
     common.add_argument("--json", action="store_true", help="machine-readable stdout")
 
@@ -520,7 +491,7 @@ def build_parser() -> _Parser:
     opt = sub.add_parser("optimize", parents=[common], help="model-based optimal retention")
     _add_model_flags(opt)
     opt.add_argument("--rule", required=True,
-                     choices=("constant", "decreasing", "stddev", "sharpe", "sl"))
+                     choices=(*_RULES, "sl"))
     _add_rule_params(opt)
     opt.add_argument("--p", type=float, default=0.75, help="risk level")
     opt.add_argument("--N", dest="n", type=int, help="portfolio size")
@@ -549,7 +520,8 @@ def build_parser() -> _Parser:
                      help="portfolio sizes for the insolvency study")
     sim.add_argument("--only", help="restrict table rows to one rule")
     sim.add_argument("--B", dest="mc_b", type=int, help="simulated portfolios per quantile")
-    sim.add_argument("--M", dest="mc_m", type=int, help="outer replications")
+    sim.add_argument("--M", dest="mc_m", type=int,
+                     help="outer replications of the table2 study")
     sim.add_argument("--full-scale", action="store_true",
                      help="B=50000, M=5000 instead of desk scale")
     sim.set_defaults(func=cmd_simulate)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -99,11 +100,15 @@ def write_json_atomic(path, obj) -> None:
 
 
 def write_csv_atomic(path, header, rows) -> None:
-    """Write a CSV (header plus iterable of row tuples) atomically."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a CSV (header plus iterable of row tuples) atomically.
+
+    Cells holding a comma, quote or line break are quoted.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(c) for c in row] for row in rows)
+    _atomic_write_text(path, buf.getvalue())
 
 
 def _format_cell(c) -> str:

@@ -11,7 +11,7 @@ Sharpe-ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,13 +22,16 @@ from .errors import (
     DomainError,
     NoInteriorMinimum,
     NumericalFailure,
+    XoloptError,
 )
 from .numerics import expand_and_solve, grid_then_golden, log_spaced_grid
 from .retention import (
+    _RULES,
     DecreasingLoading,
     LoadingRule,
     SharpeLoading,
     StdDevLoading,
+    _phi_or_raise,
     condition_report,
 )
 from .severity import EmpiricalLosses, kde_density
@@ -52,11 +55,9 @@ class EstimationResult:
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        from .retention import _rule_params
-
         return {
             "rule": self.rule.name,
-            "rule_params": _rule_params(self.rule),
+            "rule_params": asdict(self.rule),
             "measure": self.measure.describe(),
             "n": self.n,
             "d_hat": self.d_hat,
@@ -99,11 +100,7 @@ def estimate_decreasing(
     emp = _as_empirical(losses)
     rule = DecreasingLoading(delta)
     checks = condition_report(emp, rule, measure, emp.n)
-    phi = measure.phi_normal()
-    if phi <= 0.0:
-        from .errors import NonpositivePhi
-
-        raise NonpositivePhi(f"phi_h(Z) = {phi:g} must be positive")
+    phi = _phi_or_raise(measure)
     q = (delta / phi) ** 2
     atom_level = delta * delta / (delta * delta + phi * phi)
     if not checks["atom_condition"]:
@@ -154,12 +151,7 @@ def _covariance(z: np.ndarray) -> np.ndarray:
     return centered.T @ centered / z.shape[0]
 
 
-def _plug_in_minimum(
-    emp: EmpiricalLosses,
-    objective_grid,
-    objective_scalar,
-    grid_size: int = 1000,
-) -> float:
+def _plug_in_minimum(emp: EmpiricalLosses, objective_grid, grid_size: int = 1000) -> float:
     lo = emp.min_positive()
     hi = emp.quantile(0.999)
     if not hi > lo:
@@ -167,37 +159,14 @@ def _plug_in_minimum(
             f"degenerate search range [{lo:g}, {hi:g}] for the plug-in objective"
         )
     grid = log_spaced_grid(lo, hi, grid_size)
-    values = objective_grid(grid)
-    res = grid_then_golden(objective_scalar, grid, values)
+    res = grid_then_golden(
+        lambda d: float(objective_grid(np.array([d]))[0]), grid, objective_grid(grid)
+    )
     if res.at_boundary:
         raise NoInteriorMinimum(
             f"plug-in objective minimised at the search boundary d={res.x:g}"
         )
     return res.x
-
-
-def _sd_sharpe_common(emp: EmpiricalLosses, d_hat: float, bandwidth: float):
-    tm = emp.truncated_moments(d_hat)
-    var_mu = tm.mu2 - tm.mu1 ** 2
-    var_nu = tm.nu2 - tm.nu1 ** 2
-    if var_mu <= 0.0 or var_nu <= 0.0:
-        raise DegenerateVariance(
-            f"capped or ceded spread vanishes at d={d_hat:g}"
-        )
-    x = emp.losses
-    excess = np.maximum(x - d_hat, 0.0)
-    z = np.column_stack(
-        [
-            (x > d_hat).astype(float),
-            np.minimum(x, d_hat),
-            np.minimum(x * x, d_hat * d_hat),
-            excess,
-            excess * excess,
-        ]
-    )
-    sigma = _covariance(z)
-    fhat = kde_density(x, d_hat, bandwidth)
-    return tm, var_mu, var_nu, sigma, float(fhat)
 
 
 def estimate_sd(
@@ -208,62 +177,7 @@ def estimate_sd(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the standard-deviation loading."""
-    emp = _as_empirical(losses)
-    rule = StdDevLoading(rho0)
-    checks = condition_report(emp, rule, measure, emp.n)
-    phi = measure.phi_normal()
-    if phi <= 0.0:
-        from .errors import NonpositivePhi
-
-        raise NonpositivePhi(f"phi_h(Z) = {phi:g} must be positive")
-
-    def grid_values(grid: np.ndarray) -> np.ndarray:
-        g = emp.moment_grid(grid)
-        with np.errstate(invalid="ignore"):
-            return phi * np.sqrt(g["mu2"] - g["mu1"] ** 2) + rho0 * g["nu1"] * np.sqrt(
-                g["nu2"] - g["nu1"] ** 2
-            )
-
-    d_hat = _plug_in_minimum(
-        emp, grid_values, lambda d: float(grid_values(np.array([d]))[0])
-    )
-    tm, var_mu, var_nu, sigma, fhat = _sd_sharpe_common(emp, d_hat, bandwidth)
-    sbar, cdf = tm.sbar, 1.0 - tm.sbar
-    sd_mu, sd_nu = math.sqrt(var_mu), math.sqrt(var_nu)
-    gap = d_hat - tm.mu1
-    b1 = phi * gap / sd_mu - rho0 * sd_nu + rho0 * tm.nu1 ** 2 / sd_nu
-    b2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * gap / sd_mu ** 3)
-    b3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
-    b4 = rho0 * tm.nu1 * (
-        sbar / sd_nu - 2.0 * cdf / sd_nu - cdf * tm.nu1 ** 2 / sd_nu ** 3
-    )
-    b5 = rho0 * (-sbar / (2.0 * sd_nu) + cdf * tm.nu1 ** 2 / (2.0 * sd_nu ** 3))
-    b0 = (
-        phi * sbar / sd_mu
-        - b1 * fhat
-        + b2 * sbar
-        + b3 * 2.0 * d_hat * sbar
-        + b4 * (-sbar)
-        + b5 * (-2.0 * tm.nu1)
-    )
-    bvec = np.array([b1, b2, b3, b4, b5])
-    inner = float(bvec @ sigma @ bvec)
-    if inner < 0.0 or b0 == 0.0:
-        raise DegenerateVariance("stationarity linearisation is degenerate")
-    se = math.sqrt(inner) / (abs(b0) * math.sqrt(emp.n))
-    warnings = _condition_warnings(checks)
-    return EstimationResult(
-        d_hat=d_hat,
-        std_error=se,
-        ci=_wald_ci(d_hat, se, level),
-        level=level,
-        rule=rule,
-        measure=measure,
-        n=emp.n,
-        coefficients={"b0": b0, "b1": b1, "b2": b2, "b3": b3, "b4": b4, "b5": b5},
-        sigma_hat=sigma,
-        warnings=warnings,
-    )
+    return _estimate_spread_rule(losses, StdDevLoading(rho0), measure, level, bandwidth, "b")
 
 
 def estimate_sharpe(
@@ -274,52 +188,71 @@ def estimate_sharpe(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the Sharpe-ratio loading."""
-    emp = _as_empirical(losses)
-    rule = SharpeLoading(rho0)
-    checks = condition_report(emp, rule, measure, emp.n)
-    phi = measure.phi_normal()
-    if phi <= 0.0:
-        from .errors import NonpositivePhi
+    return _estimate_spread_rule(losses, SharpeLoading(rho0), measure, level, bandwidth, "a")
 
-        raise NonpositivePhi(f"phi_h(Z) = {phi:g} must be positive")
+
+def _estimate_spread_rule(
+    losses,
+    rule: LoadingRule,
+    measure: DistortionMeasure,
+    level: float,
+    bandwidth: float,
+    prefix: str,
+) -> EstimationResult:
+    """Plug-in estimate under a spread-dependent rule.
+
+    The standard error linearises the stationarity function in the five
+    moments (sbar, mu1, mu2, nu1, nu2), with the rule supplying the gradient
+    of its marginal load; the coefficients are reported as prefix0..prefix5.
+    """
+    emp = _as_empirical(losses)
+    checks = condition_report(emp, rule, measure, emp.n)
+    phi = _phi_or_raise(measure)
 
     def grid_values(grid: np.ndarray) -> np.ndarray:
         g = emp.moment_grid(grid)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            spread = np.sqrt(g["nu2"] - g["nu1"] ** 2)
-            load = np.where(spread > 0.0, rho0 * g["nu1"] / spread, np.inf)
-            load = np.where(g["nu1"] == 0.0, np.inf, load)
-            # the ratio degenerates once no loss exceeds d; exclude that range
+        with np.errstate(invalid="ignore"):
+            # a ratio load is infinite once no loss exceeds d, which
+            # excludes that range
+            load = rule.load(g["nu1"], np.sqrt(g["nu2"] - g["nu1"] ** 2))
             return phi * np.sqrt(g["mu2"] - g["mu1"] ** 2) + load
 
-    d_hat = _plug_in_minimum(
-        emp, grid_values, lambda d: float(grid_values(np.array([d]))[0])
-    )
-    tm, var_mu, var_nu, sigma, fhat = _sd_sharpe_common(emp, d_hat, bandwidth)
-    sbar, cdf = tm.sbar, 1.0 - tm.sbar
-    sd_mu, sd_nu = math.sqrt(var_mu), math.sqrt(var_nu)
+    d_hat = _plug_in_minimum(emp, grid_values)
+    tm = emp.truncated_moments(d_hat)
+    var_mu = tm.mu2 - tm.mu1 ** 2
+    if var_mu <= 0.0 or tm.nu2 - tm.nu1 ** 2 <= 0.0:
+        raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")
+    x = emp.losses
+    excess = np.maximum(x - d_hat, 0.0)
+    sigma = _covariance(np.column_stack([
+        (x > d_hat).astype(float),
+        np.minimum(x, d_hat),
+        np.minimum(x * x, d_hat * d_hat),
+        excess,
+        excess * excess,
+    ]))
+    fhat = float(kde_density(x, d_hat, bandwidth))
+    sbar = tm.sbar
+    sd_mu = math.sqrt(var_mu)
     gap = d_hat - tm.mu1
-    a1 = phi * gap / sd_mu - rho0 * tm.nu2 / sd_nu ** 3
-    a2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * gap / sd_mu ** 3)
-    a3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
-    a4 = rho0 * tm.nu1 * (
-        (2.0 * cdf - sbar) / sd_nu ** 3 + 3.0 * cdf * tm.nu1 ** 2 / sd_nu ** 5
-    )
-    a5 = rho0 * (sbar / (2.0 * sd_nu ** 3) - 1.5 * cdf * tm.nu1 ** 2 / sd_nu ** 5)
-    a0 = (
+    load_sbar, load_nu1, load_nu2 = rule.load_gradient(sbar, tm.nu1, tm.nu2)
+    c1 = phi * gap / sd_mu + load_sbar
+    c2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * gap / sd_mu ** 3)
+    c3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
+    # d/dd of the stationarity function through each moment
+    c0 = (
         phi * sbar / sd_mu
-        - a1 * fhat
-        + a2 * sbar
-        + a3 * 2.0 * d_hat * sbar
-        + a4 * (-sbar)
-        + a5 * (-2.0 * tm.nu1)
+        - c1 * fhat
+        + c2 * sbar
+        + c3 * 2.0 * d_hat * sbar
+        + load_nu1 * (-sbar)
+        + load_nu2 * (-2.0 * tm.nu1)
     )
-    avec = np.array([a1, a2, a3, a4, a5])
-    inner = float(avec @ sigma @ avec)
-    if inner < 0.0 or a0 == 0.0:
+    cvec = np.array([c1, c2, c3, load_nu1, load_nu2])
+    inner = float(cvec @ sigma @ cvec)
+    if inner < 0.0 or c0 == 0.0:
         raise DegenerateVariance("stationarity linearisation is degenerate")
-    se = math.sqrt(inner) / (abs(a0) * math.sqrt(emp.n))
-    warnings = _condition_warnings(checks)
+    se = math.sqrt(inner) / (abs(c0) * math.sqrt(emp.n))
     return EstimationResult(
         d_hat=d_hat,
         std_error=se,
@@ -328,9 +261,9 @@ def estimate_sharpe(
         rule=rule,
         measure=measure,
         n=emp.n,
-        coefficients={"a0": a0, "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5},
+        coefficients={f"{prefix}{i}": float(c) for i, c in enumerate([c0, *cvec])},
         sigma_hat=sigma,
-        warnings=warnings,
+        warnings=_condition_warnings(checks),
     )
 
 
@@ -351,11 +284,24 @@ class CurvePoint:
     error: str | None = None
 
 
-_FAMILIES = {
-    "decreasing": estimate_decreasing,
-    "stddev": estimate_sd,
-    "sharpe": estimate_sharpe,
+# each rule's estimator; the lambdas look the estimator up by its module name
+# when called, so a rebound name (a test double, a tracer) is the one that runs
+_ESTIMATE = {
+    DecreasingLoading: lambda x, rule, m, level, bw: estimate_decreasing(x, rule.delta, m, level),
+    StdDevLoading: lambda x, rule, m, level, bw: estimate_sd(x, rule.rho0, m, level, bw),
+    SharpeLoading: lambda x, rule, m, level, bw: estimate_sharpe(x, rule.rho0, m, level, bw),
 }
+
+
+def _estimate(
+    losses,
+    rule: LoadingRule,
+    measure: DistortionMeasure,
+    level: float = 0.95,
+    bandwidth: float = 0.1,
+) -> EstimationResult:
+    """Plug-in estimate under any rule that has an estimator."""
+    return _ESTIMATE[type(rule)](losses, rule, measure, level, bandwidth)
 
 
 def retention_curve(
@@ -371,27 +317,29 @@ def retention_curve(
 
     sweep='rho' varies the effective loading at fixed risk level p=fixed;
     sweep='p' varies the risk level at fixed effective loading rho=fixed.
-    Failed points become gap markers carrying the error text.
+    Points that fail with a domain error become gap markers carrying the
+    error text.
     """
-    if family not in _FAMILIES:
+    cls = _RULES.get(family)
+    if cls not in _ESTIMATE:
         raise DomainError(f"unknown rule family {family!r}")
     if sweep not in ("rho", "p"):
         raise DomainError(f"sweep must be 'rho' or 'p', got {sweep!r}")
     emp = _as_empirical(losses)
     points: list[CurvePoint] = []
-    rho0_guess: float | None = None
+    param_guess: float | None = None
     for value in np.asarray(grid, dtype=float):
         rho = float(value) if sweep == "rho" else float(fixed)
         p = float(fixed) if sweep == "rho" else float(value)
         try:
             measure = DistortionMeasure.var(p)
-            result, rho0_guess = _estimate_at_effective_rho(
-                emp, family, rho, measure, level, bandwidth, rho0_guess
+            result, param_guess = _estimate_at_effective_rho(
+                emp, cls, rho, measure, level, bandwidth, param_guess
             )
             points.append(
                 CurvePoint(float(value), result.d_hat, result.ci[0], result.ci[1])
             )
-        except Exception as exc:  # gap marker, sweep continues
+        except XoloptError as exc:  # gap marker, sweep continues
             points.append(
                 CurvePoint(float(value), float("nan"), float("nan"), float("nan"),
                            error=f"{type(exc).__name__}: {exc}")
@@ -399,27 +347,32 @@ def retention_curve(
     return points
 
 
+def _param_at_rate(cls, rho: float, n: int, spread: float | None = None) -> float:
+    """Parameter of the rule in family cls whose rate is rho (every rate is
+    proportional to the rule's one parameter)."""
+    return float(rho / cls(1.0).rate(n, spread))
+
+
 def _estimate_at_effective_rho(
     emp: EmpiricalLosses,
-    family: str,
+    cls,
     rho: float,
     measure: DistortionMeasure,
     level: float,
     bandwidth: float,
-    rho0_guess: float | None,
+    param_guess: float | None,
 ):
     """Map a target effective loading to the rule parameter and estimate.
 
-    The decreasing rule maps directly (delta = rho * sqrt(n)).  The other
-    two depend on the solved retention, so a damped fixed-point iteration
-    aligns the rule parameter with the target.
+    A flat rate maps directly.  A spread-dependent rate depends on the
+    solved retention, so a damped fixed-point iteration aligns the rule
+    parameter with the target.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     n = emp.n
-    sqrt_n = math.sqrt(n)
-    if family == "decreasing":
-        return estimate_decreasing(emp, rho * sqrt_n, measure, level), None
+    if not cls.spread_dependent:
+        return _estimate(emp, cls(_param_at_rate(cls, rho, n)), measure, level), None
 
     def spread_at(d: float) -> float:
         tm = emp.truncated_moments(d)
@@ -429,21 +382,13 @@ def _estimate_at_effective_rho(
         return math.sqrt(s2)
 
     # initialise from the spread at the sample median
-    start = spread_at(emp.quantile(0.5))
-    if family == "stddev":
-        rho0 = rho0_guess or rho * sqrt_n / start
-        estimator = estimate_sd
-    else:
-        rho0 = rho0_guess or rho * sqrt_n * start
-        estimator = estimate_sharpe
-    result = None
+    param = param_guess or _param_at_rate(cls, rho, n, spread_at(emp.quantile(0.5)))
     for _ in range(100):
-        result = estimator(emp, rho0, measure, level, bandwidth)
-        s = spread_at(result.d_hat)
-        target = rho * sqrt_n / s if family == "stddev" else rho * sqrt_n * s
-        if abs(target - rho0) <= 1e-8 * max(1.0, abs(rho0)):
-            return result, rho0
-        rho0 = 0.5 * rho0 + 0.5 * target
+        result = _estimate(emp, cls(param), measure, level, bandwidth)
+        target = _param_at_rate(cls, rho, n, spread_at(result.d_hat))
+        if abs(target - param) <= 1e-8 * max(1.0, abs(param)):
+            return result, param
+        param = 0.5 * param + 0.5 * target
     raise NumericalFailure(
         f"effective-loading fixed point did not converge for rho={rho:g}"
     )

@@ -6,20 +6,20 @@ the approximation and estimation study tables, and runs the insolvency and
 turning-point analyses for small portfolios.
 
 Every operation derives its randomness from named substreams of the config
-seed, so results are bit-identical across runs and thread counts.
+seed, so results are bit-identical across runs, and a table row does not
+depend on which other rows the table holds.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distortion import DistortionMeasure
 from .errors import DomainError, GridBoundaryMinimum, NotBracketed, XoloptError
-from .inference import estimate_decreasing, estimate_sd, estimate_sharpe
+from .inference import _estimate
 from .numerics import grid_then_golden, log_spaced_grid
 from .retention import (
     ConstantLoading,
@@ -345,28 +345,21 @@ def replicate_table1(
 ) -> list[McTableRow]:
     """Actual-vs-approximate optima across rules, sizes, and orders."""
     measure = DistortionMeasure.var(p)
-    rules: list[tuple[str, LoadingRule]] = [
-        ("constant", ConstantLoading(rho)),
-        ("decreasing", DecreasingLoading(delta)),
-        ("stddev", StdDevLoading(rho0)),
-        ("sharpe", SharpeLoading(rho0)),
-    ]
-    if only is not None:
-        rules = [rl for rl in rules if rl[0] == only]
-        if not rules:
-            raise DomainError(f"unknown rule filter {only!r}")
+    constant = ConstantLoading(rho)
+    rules = _only([constant, DecreasingLoading(delta), StdDevLoading(rho0),
+                   SharpeLoading(rho0)], only)
     rows: list[McTableRow] = []
-    for name, rule in rules:
+    for rule in rules:
         for n in n_values:
             actual = brute_force_optimal(model, rule, n, p, cfg).d_actual
             approx = [solve_retention(model, rule, measure, n).d_star]
-            if name == "constant":
-                approx.append(solve_retention_edgeworth(model, rule, p, n, 2).d_star)
-                approx.append(solve_retention_edgeworth(model, rule, p, n, 3).d_star)
+            if rule is constant:  # the Edgeworth refinements exist for it alone
+                approx += [solve_retention_edgeworth(model, rule, p, n, order).d_star
+                           for order in (2, 3)]
             for order, d_approx in zip(_TABLE1_ORDERS, approx):
                 rows.append(
                     McTableRow(
-                        rule=name,
+                        rule=rule.name,
                         n=n,
                         approx_order=order,
                         d_actual=actual,
@@ -377,23 +370,26 @@ def replicate_table1(
     return rows
 
 
+def _only(rules: list[LoadingRule], only: str | None) -> list[LoadingRule]:
+    """The rules named by a row filter (all of them for None)."""
+    if only is None:
+        return rules
+    kept = [rule for rule in rules if rule.name == only]
+    if not kept:
+        raise DomainError(f"unknown rule filter {only!r}")
+    return kept
+
+
 def _estimate_once(
     model: SeverityModel,
-    family: str,
-    param: float,
+    rule: LoadingRule,
     measure: DistortionMeasure,
     n: int,
     seed: int,
     rep: int,
 ) -> tuple[float, float, float, float]:
-    rng = substream(seed, _STREAM_ESTIMATION, _RULE_STREAM[family], n, rep)
-    x = model.sample_rng(n, rng)
-    if family == "decreasing":
-        r = estimate_decreasing(x, param, measure)
-    elif family == "stddev":
-        r = estimate_sd(x, param, measure)
-    else:
-        r = estimate_sharpe(x, param, measure)
+    rng = substream(seed, _STREAM_ESTIMATION, _RULE_STREAM[rule.name], n, rep)
+    r = _estimate(model.sample_rng(n, rng), rule, measure)
     return r.d_hat, r.std_error, r.ci[0], r.ci[1]
 
 
@@ -404,46 +400,30 @@ def replicate_table2(
     n_values: tuple[int, ...] = (500, 2000, 10000),
     delta: float = 0.5,
     rho0: float = 0.5,
-    threads: int = 1,
     only: str | None = None,
 ) -> list[McEstimateRow]:
     """Bias, SE agreement, and CI coverage of the nonparametric estimators.
 
     Each replication draws a fresh sample from its own substream keyed by
-    (rule, n, replication), so the table is identical for any thread count.
+    (rule, n, replication), so a row is the same whatever else the table
+    holds.
     """
     measure = DistortionMeasure.var(p)
-    families: list[tuple[str, LoadingRule, float]] = [
-        ("decreasing", DecreasingLoading(delta), delta),
-        ("stddev", StdDevLoading(rho0), rho0),
-        ("sharpe", SharpeLoading(rho0), rho0),
-    ]
-    if only is not None:
-        families = [fm for fm in families if fm[0] == only]
-        if not families:
-            raise DomainError(f"unknown rule filter {only!r}")
+    rules = _only([DecreasingLoading(delta), StdDevLoading(rho0), SharpeLoading(rho0)], only)
     rows: list[McEstimateRow] = []
-    for family, rule, param in families:
+    for rule in rules:
         for n in n_values:
             d_true = solve_retention(model, rule, measure, n).d_star
-            results: list[tuple[float, float, float, float] | None] = [None] * cfg.m
-
-            def run(rep: int):
+            kept = []
+            for rep in range(cfg.m):
                 try:
-                    return _estimate_once(model, family, param, measure, n, cfg.seed, rep)
+                    kept.append(_estimate_once(model, rule, measure, n, cfg.seed, rep))
                 except XoloptError:
-                    return None
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(run, range(cfg.m)))
-            else:
-                results = [run(rep) for rep in range(cfg.m)]
-            kept = [r for r in results if r is not None]
+                    pass
             failures = cfg.m - len(kept)
             if not kept:
                 raise XoloptError(
-                    f"all {cfg.m} replications failed for {family} at n={n}"
+                    f"all {cfg.m} replications failed for {rule.name} at n={n}"
                 )
             arr = np.asarray(kept)
             d_hat, se, lo, hi = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
@@ -452,7 +432,7 @@ def replicate_table2(
             emp = float(d_hat.std(ddof=1))
             rows.append(
                 McEstimateRow(
-                    rule=family,
+                    rule=rule.name,
                     n=n,
                     d_true=d_true,
                     mean_d_hat=mean_d,

@@ -15,14 +15,12 @@ coefficient multiplies the volatility term of every objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .distortion import DistortionMeasure, normal_quantile
 from .errors import (
-    AtomConditionViolated,
     ConditionNotMet,
     ConditionViolated,
     DomainError,
@@ -47,59 +45,117 @@ SKEW_TERM_SIGN = 1.0
 HERMITE_AT_RISK_LEVEL = True
 
 
+class LoadingRule:
+    """A premium principle: the loading rate on the ceded layer as a
+    function of the portfolio size N and the ceded spread (standard
+    deviation).  Each rule has one positive parameter.
+
+    A flat rate ignores the spread, and the optimum is the root of a
+    stationarity quadratic.  A spread-dependent rate is solved by a scan of
+    the objective, and its rule defines:
+
+    - load(nu1, spread): the ceded loading sqrt(N) * rate * nu1, free of N
+      (infinite where a ratio load meets a layer without spread);
+    - marginal_load(sbar, nu1, nu2): the derivative of the load in d,
+      written in the moments at d (at d = 0 it decides the atom condition);
+    - load_gradient(sbar, nu1, nu2): the gradient of the marginal load in
+      those three moments, for the delta-method standard error;
+    - tail_check: the name and open range of its tail-index condition.
+    """
+
+    spread_dependent = False
+
+    def __post_init__(self):
+        (param,) = fields(self)
+        value = getattr(self, param.name)
+        if not value > 0.0:
+            raise DomainError(f"{param.name} must be positive, got {value}")
+
+    def rate(self, n: int, spread=None):
+        """Loading rate on the ceded mean at portfolio size n."""
+        return self.load(1.0, spread) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
-class ConstantLoading:
+class ConstantLoading(LoadingRule):
     """Premium loading that stays fixed as the portfolio grows."""
 
     rho: float
 
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise DomainError(f"loading must be positive, got {self.rho}")
-
     name = "constant"
+
+    def rate(self, n: int, spread=None) -> float:
+        return self.rho
 
 
 @dataclass(frozen=True)
-class DecreasingLoading:
+class DecreasingLoading(LoadingRule):
     """Loading delta/sqrt(N), vanishing as the portfolio grows."""
 
     delta: float
 
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
-
     name = "decreasing"
+
+    def rate(self, n: int, spread=None) -> float:
+        return self.delta / math.sqrt(n)
 
 
 @dataclass(frozen=True)
-class StdDevLoading:
+class StdDevLoading(LoadingRule):
     """Loading proportional to the ceded standard deviation."""
 
     rho0: float
 
-    def __post_init__(self):
-        if not self.rho0 > 0.0:
-            raise DomainError(f"rho0 must be positive, got {self.rho0}")
-
     name = "stddev"
+    spread_dependent = True
+    tail_check = ("tail_index_gt_2", 2.0, math.inf)
+
+    def load(self, nu1, spread):
+        return self.rho0 * nu1 * spread
+
+    def marginal_load(self, sbar, nu1, nu2):
+        spread = np.sqrt(nu2 - nu1 ** 2)
+        return -self.rho0 * sbar * spread - self.rho0 * (1.0 - sbar) * nu1 ** 2 / spread
+
+    def load_gradient(self, sbar, nu1, nu2) -> tuple[float, float, float]:
+        cdf, sd = 1.0 - sbar, math.sqrt(nu2 - nu1 ** 2)
+        return (
+            -self.rho0 * sd + self.rho0 * nu1 ** 2 / sd,
+            self.rho0 * nu1 * (sbar / sd - 2.0 * cdf / sd - cdf * nu1 ** 2 / sd ** 3),
+            self.rho0 * (-sbar / (2.0 * sd) + cdf * nu1 ** 2 / (2.0 * sd ** 3)),
+        )
 
 
 @dataclass(frozen=True)
-class SharpeLoading:
+class SharpeLoading(LoadingRule):
     """Loading that fixes the Sharpe ratio of the ceded premium."""
 
     rho0: float
 
-    def __post_init__(self):
-        if not self.rho0 > 0.0:
-            raise DomainError(f"rho0 must be positive, got {self.rho0}")
-
     name = "sharpe"
+    spread_dependent = True
+    tail_check = ("tail_index_in_2_4", 2.0, 4.0)
+
+    def load(self, nu1, spread):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(spread > 0.0, self.rho0 * nu1 / spread, np.inf)
+
+    def marginal_load(self, sbar, nu1, nu2):
+        spread = np.sqrt(nu2 - nu1 ** 2)
+        return -self.rho0 * sbar / spread + self.rho0 * (1.0 - sbar) * nu1 ** 2 / spread ** 3
+
+    def load_gradient(self, sbar, nu1, nu2) -> tuple[float, float, float]:
+        cdf, sd = 1.0 - sbar, math.sqrt(nu2 - nu1 ** 2)
+        return (
+            -self.rho0 * nu2 / sd ** 3,
+            self.rho0 * nu1 * ((2.0 * cdf - sbar) / sd ** 3 + 3.0 * cdf * nu1 ** 2 / sd ** 5),
+            self.rho0 * (sbar / (2.0 * sd ** 3) - 1.5 * cdf * nu1 ** 2 / sd ** 5),
+        )
 
 
-LoadingRule = Union[ConstantLoading, DecreasingLoading, StdDevLoading, SharpeLoading]
+#: The loading rules by name.
+_RULES = {cls.name: cls for cls in (ConstantLoading, DecreasingLoading, StdDevLoading,
+                                    SharpeLoading)}
 
 
 @dataclass(frozen=True)
@@ -128,7 +184,7 @@ class RetentionSolution:
             "d_star": self.d_star,
             "objective_value": self.objective_value,
             "rule": self.rule.name,
-            "rule_params": _rule_params(self.rule),
+            "rule_params": asdict(self.rule),
             "measure": self.measure.describe(),
             "n_contracts": self.n_contracts,
             "diagnostics": {
@@ -143,14 +199,6 @@ class RetentionSolution:
         }
 
 
-def _rule_params(rule: LoadingRule) -> dict:
-    if isinstance(rule, ConstantLoading):
-        return {"rho": rule.rho}
-    if isinstance(rule, DecreasingLoading):
-        return {"delta": rule.delta}
-    return {"rho0": rule.rho0}
-
-
 def _phi_or_raise(measure: DistortionMeasure) -> float:
     phi = measure.phi_normal()
     if phi <= 0.0:
@@ -161,28 +209,15 @@ def _phi_or_raise(measure: DistortionMeasure) -> float:
     return phi
 
 
-def _root_scale_group(rule: LoadingRule, n: int) -> float:
-    """The sqrt(N)-scaled loading that drives the stationarity quadratic."""
-    if isinstance(rule, ConstantLoading):
-        return math.sqrt(n) * rule.rho
-    if isinstance(rule, DecreasingLoading):
-        return rule.delta
-    raise DomainError("root-based solving applies to constant/decreasing rules")
-
-
 def effective_rho(model: SeverityModel, rule: LoadingRule, n: int, d: float) -> float:
     """Premium loading actually applied at retention d."""
-    if isinstance(rule, ConstantLoading):
-        return rule.rho
-    if isinstance(rule, DecreasingLoading):
-        return rule.delta / math.sqrt(n)
+    if not rule.spread_dependent:
+        return rule.rate(n)
     tm = model.truncated_moments(d)
     spread = tm.nu2 - tm.nu1 ** 2
     if spread <= 0.0:
         raise DomainError(f"ceded layer at d={d:g} has no spread")
-    if isinstance(rule, StdDevLoading):
-        return rule.rho0 * math.sqrt(spread) / math.sqrt(n)
-    return rule.rho0 / (math.sqrt(n) * math.sqrt(spread))
+    return float(rule.rate(n, math.sqrt(spread)))
 
 
 def objective(
@@ -203,20 +238,14 @@ def objective(
     g = model.moment_grid(d_arr)
     mean = model.mean()
     sd_capped = np.sqrt(np.maximum(g["mu2"] - g["mu1"] ** 2, 0.0))
-    if isinstance(rule, (ConstantLoading, DecreasingLoading)):
-        rho = rule.rho if isinstance(rule, ConstantLoading) else rule.delta / math.sqrt(n)
-        out = n * mean + n * rho * g["nu1"] + math.sqrt(n) * sd_capped * phi
-    else:
+    if rule.spread_dependent:
         spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
-        if isinstance(rule, StdDevLoading):
-            load = rule.rho0 * g["nu1"] * spread
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                load = np.where(spread > 0.0, rule.rho0 * g["nu1"] / spread, np.inf)
-            # a fully ceded-degenerate layer carries no spread but no claim
-            # either; the objective continuously approaches the capped term
-            load = np.where(g["nu1"] == 0.0, 0.0, load)
+        # a fully ceded-degenerate layer carries no spread but no claim
+        # either; the objective continuously approaches the capped term
+        load = np.where(g["nu1"] == 0.0, 0.0, rule.load(g["nu1"], spread))
         out = n * mean + math.sqrt(n) * (phi * sd_capped + load)
+    else:
+        out = n * mean + n * rule.rate(n) * g["nu1"] + math.sqrt(n) * sd_capped * phi
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
@@ -227,8 +256,8 @@ def stationarity_function(
     n: int,
     d,
 ):
-    """Function whose root (constant/decreasing) or zero crossing of the
-    scaled objective derivative (stddev/sharpe) marks the optimal retention.
+    """Function whose root (flat rates) or zero crossing of the scaled
+    objective derivative (spread-dependent rates) marks the optimal retention.
 
     Vectorised over d.
     """
@@ -236,23 +265,14 @@ def stationarity_function(
     phi = _phi_or_raise(measure)
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     g = model.moment_grid(d_arr)
-    if isinstance(rule, (ConstantLoading, DecreasingLoading)):
-        s = _root_scale_group(rule, n)
-        q = (s / phi) ** 2
+    if not rule.spread_dependent:
+        q = (math.sqrt(n) * rule.rate(n) / phi) ** 2
         out = (d_arr - g["mu1"]) ** 2 - q * (g["mu2"] - g["mu1"] ** 2)
     else:
-        sbar = g["sbar"]
-        cdf = 1.0 - sbar
         with np.errstate(divide="ignore", invalid="ignore"):
             sd_capped = np.sqrt(g["mu2"] - g["mu1"] ** 2)
-            spread = np.sqrt(g["nu2"] - g["nu1"] ** 2)
-            lead = phi * sbar * (d_arr - g["mu1"]) / sd_capped
-            if isinstance(rule, StdDevLoading):
-                out = lead - rule.rho0 * sbar * spread \
-                    - rule.rho0 * cdf * g["nu1"] ** 2 / spread
-            else:
-                out = lead - rule.rho0 * sbar / spread \
-                    + rule.rho0 * cdf * g["nu1"] ** 2 / spread ** 3
+            lead = phi * g["sbar"] * (d_arr - g["mu1"]) / sd_capped
+            out = lead + rule.marginal_load(g["sbar"], g["nu1"], g["nu2"])
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
@@ -262,7 +282,8 @@ def _validate_n(n: int) -> None:
 
 
 def _atom_level(rule: LoadingRule, measure: DistortionMeasure, n: int) -> float:
-    s = _root_scale_group(rule, n)
+    """Largest mass at zero that leaves a flat-rate rule a stationary root."""
+    s = math.sqrt(n) * rule.rate(n)
     phi = _phi_or_raise(measure)
     return s * s / (s * s + phi * phi)
 
@@ -281,30 +302,21 @@ def condition_report(
     phi = measure.phi_normal()
     checks: dict = {"phi_positive": bool(phi > 0.0)}
     p0 = model.prob_zero()
-    if isinstance(rule, (ConstantLoading, DecreasingLoading)):
-        if phi > 0.0:
-            checks["atom_condition"] = bool(p0 < _atom_level(rule, measure, n))
-        else:
-            checks["atom_condition"] = False
+    if not rule.spread_dependent:
+        checks["atom_condition"] = bool(phi > 0.0 and p0 < _atom_level(rule, measure, n))
         return checks
+    name, lo, hi = rule.tail_check
     tail = model.shape if isinstance(model, ParetoII) else None
-    if isinstance(rule, StdDevLoading):
-        checks["tail_index_gt_2"] = None if tail is None else bool(tail > 2.0)
-    else:
-        checks["tail_index_in_2_4"] = None if tail is None else bool(2.0 < tail < 4.0)
+    checks[name] = None if tail is None else bool(lo < tail < hi)
     if p0 <= 0.0:
         checks["atom_condition"] = True
         return checks
-    mean = model.mean()
-    m2 = model.second_moment()
-    var = m2 - mean * mean
+    # the stationarity function just above d = 0 must be negative: the
+    # capped term's slope there against the marginal load of the whole loss
     sbar0 = 1.0 - p0
     lhs = phi * math.sqrt(sbar0 * p0)
-    if isinstance(rule, StdDevLoading):
-        rhs = rule.rho0 * sbar0 * math.sqrt(var) + rule.rho0 * p0 * mean ** 2 / math.sqrt(var)
-    else:
-        rhs = rule.rho0 * sbar0 / math.sqrt(var) - rule.rho0 * p0 * mean ** 2 / var ** 1.5
-    checks["atom_condition"] = bool(lhs < rhs)
+    load = rule.marginal_load(sbar0, model.mean(), model.second_moment())
+    checks["atom_condition"] = bool(lhs < -load)
     return checks
 
 
@@ -328,7 +340,7 @@ def solve_retention(
     phi = _phi_or_raise(measure)
     checks = condition_report(model, rule, measure, n)
 
-    if isinstance(rule, (ConstantLoading, DecreasingLoading)):
+    if not rule.spread_dependent:
         if not checks["atom_condition"]:
             raise ConditionViolated(
                 "mass at zero is too large for a stationary retention: "

@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     NonfiniteMoment,
 )
-from .numerics import integrate_finite
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,10 @@ class SeverityModel:
         raise NotImplementedError
 
     def truncated_moments(self, d: float) -> TruncatedMoments:
-        raise NotImplementedError
+        if d < 0.0:
+            raise DomainError(f"retention must be nonnegative, got {d}")
+        g = self.moment_grid(np.array([d], dtype=float))
+        return TruncatedMoments(d=float(d), **{k: float(v[0]) for k, v in g.items()})
 
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         """Vectorised truncated moments over an array of retentions."""
@@ -177,19 +179,6 @@ class ParetoII(SeverityModel):
                 f"second moment requires shape > 2, got {self.shape}"
             )
         return 2.0 * self.scale ** 2 / ((self.shape - 1.0) * (self.shape - 2.0))
-
-    def truncated_moments(self, d: float) -> TruncatedMoments:
-        if d < 0.0:
-            raise DomainError(f"retention must be nonnegative, got {d}")
-        g = self.moment_grid(np.array([d], dtype=float))
-        return TruncatedMoments(
-            d=float(d),
-            sbar=float(g["sbar"][0]),
-            mu1=float(g["mu1"][0]),
-            mu2=float(g["mu2"][0]),
-            nu1=float(g["nu1"][0]),
-            nu2=float(g["nu2"][0]),
-        )
 
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         a, lam = self.shape, self.scale
@@ -323,19 +312,6 @@ class EmpiricalLosses(SeverityModel):
         if pos.size == 0:
             raise AllZero("all losses are zero")
         return float(pos[0])
-
-    def truncated_moments(self, d: float) -> TruncatedMoments:
-        if d < 0.0:
-            raise DomainError(f"retention must be nonnegative, got {d}")
-        g = self.moment_grid(np.array([d], dtype=float))
-        return TruncatedMoments(
-            d=float(d),
-            sbar=float(g["sbar"][0]),
-            mu1=float(g["mu1"][0]),
-            mu2=float(g["mu2"][0]),
-            nu1=float(g["nu1"][0]),
-            nu2=float(g["nu2"][0]),
-        )
 
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         d = np.asarray(d, dtype=float)

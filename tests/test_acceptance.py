@@ -164,7 +164,7 @@ def test_criterion_4_small_portfolio_insolvency(capsys):
 def test_criterion_5_estimator_bias_se_coverage(capsys):
     """500 replications at sample size 2000 for all three estimators."""
     start = time.perf_counter()
-    rows = replicate_table2(MODEL, DESK, n_values=(2000,), threads=4)
+    rows = replicate_table2(MODEL, DESK, n_values=(2000,))
     elapsed = time.perf_counter() - start
     bias_tol = {"decreasing": 1.0, "stddev": 1.0, "sharpe": 2.0}
     problems = []
@@ -191,7 +191,7 @@ def test_criterion_5_estimator_bias_se_coverage(capsys):
 
 def test_criterion_6_structural_properties(capsys):
     """Moment identities, derivatives, equivariance, monotonicity,
-    stationarity uniqueness, and thread-independent determinism."""
+    stationarity uniqueness, and rows independent of the table around them."""
     checks = {}
 
     worst = 0.0
@@ -255,9 +255,9 @@ def test_criterion_6_structural_properties(capsys):
     checks["unique stationary point"] = all(unique)
 
     small = McConfig(b=2000, m=100, seed=11)
-    serial = replicate_table2(MODEL, small, n_values=(500,), threads=1, only="decreasing")
-    threaded = replicate_table2(MODEL, small, n_values=(500,), threads=3, only="decreasing")
-    checks["thread-independent determinism"] = serial == threaded
+    (alone,) = replicate_table2(MODEL, small, n_values=(500,), only="decreasing")
+    table = replicate_table2(MODEL, small, n_values=(200, 500))
+    checks["row independent of the table around it"] = alone in table
 
     failed = [name for name, ok in checks.items() if not ok]
     ok = not failed

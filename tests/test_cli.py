@@ -86,6 +86,17 @@ class TestExitCodes:
         )
         assert code == 64
 
+    def test_p_grid_reaching_one_is_usage(self, capsys, tmp_path):
+        """A risk level of 1 has no quantile: the grid is rejected up front,
+        not turned into a gap row."""
+        code, out = run_cli(
+            capsys, "analyze", "--synthetic", "--sweep", "p", "--grid", "0.9:1.0:3",
+            "--families", "decreasing", "--out", str(tmp_path / "ana"),
+        )
+        assert code == 64
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert not (tmp_path / "ana").exists()
+
     def test_version_flag(self, capsys):
         code, out = run_cli(capsys, "--version")
         assert code == 0
@@ -165,6 +176,16 @@ class TestSimulate:
         assert [r["n"] for r in rows] == [2, 3]
         assert all(r["prob"] == 0.0 for r in rows)
         assert (out_dir / "insolvency.csv").exists()
+
+    def test_replication_count_reaches_table2_only(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "simulate", "insolvency", "--N", "2", "--B", "1000", "--M", "50",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        code, out = run_cli(capsys, "simulate", "table2", "--M", "50", "--out", str(tmp_path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DomainError"
 
     def test_table1_reruns_identically(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

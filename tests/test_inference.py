@@ -154,6 +154,16 @@ class TestRetentionCurve:
         assert points[0].error is None and np.isfinite(points[0].d_hat)
         assert points[2].error is None and np.isfinite(points[2].d_hat)
 
+    def test_programming_error_is_not_a_gap(self, big_sample, monkeypatch):
+        from xolopt import inference
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken estimator")
+
+        monkeypatch.setattr(inference, "estimate_decreasing", broken)
+        with pytest.raises(TypeError, match="broken estimator"):
+            retention_curve(big_sample[:2000], "decreasing", "rho", [0.01], 0.9)
+
     def test_rejects_unknown_family_and_sweep(self, big_sample):
         with pytest.raises(DomainError):
             retention_curve(big_sample, "banana", "rho", [0.01], 0.9)

@@ -164,11 +164,13 @@ class TestReplicateTable1:
 
 
 class TestReplicateTable2:
-    def test_thread_count_does_not_change_results(self):
-        kwargs = dict(n_values=(500,), only="decreasing")
-        serial = replicate_table2(MODEL, SMALL, threads=1, **kwargs)
-        threaded = replicate_table2(MODEL, SMALL, threads=3, **kwargs)
-        assert serial == threaded
+    def test_row_is_the_same_alone_or_in_a_larger_table(self):
+        """Each replication's substream is keyed by (rule, n, replication),
+        so neither the other rules nor the other sizes move a row."""
+        (alone,) = replicate_table2(MODEL, SMALL, n_values=(500,), only="decreasing")
+        table = replicate_table2(MODEL, SMALL, n_values=(200, 500))
+        assert len(table) == 6
+        assert table[1] == alone
 
     def test_row_contents(self):
         (row,) = replicate_table2(MODEL, SMALL, n_values=(500,), only="decreasing")
