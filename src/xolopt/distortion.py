@@ -9,16 +9,19 @@ solvers need is the scalar
 
 for standard normal Z: it replaces the plain normal quantile in the
 normal-approximation objectives.
+
+The closed forms (var, es, wang) need no scipy; it is imported only where
+quadrature or its vectorised normal functions are needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericalFailure
 
@@ -34,16 +37,18 @@ REFERENCE_QUANTILES = (
     (0.99, 2.3263478740408408),
 )
 
+_STANDARD_NORMAL = NormalDist()
+
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, valid for p strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    return float(ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def normal_cdf(x: float) -> float:
-    return float(ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,8 @@ class DistortionMeasure:
         elif self.kind == "pht":
             out = s ** (1.0 - b)
         else:  # wang
+            from scipy.special import ndtr, ndtri
+
             out = np.empty_like(s)
             inner = (s > 0.0) & (s < 1.0)
             out[inner] = ndtr(ndtri(s[inner]) + b)
@@ -135,6 +142,8 @@ class DistortionMeasure:
             return (1.0 + b) - 2.0 * b * s
         if self.kind == "pht":
             return (1.0 - b) * s ** (-b)
+        from scipy.special import ndtri
+
         z = ndtri(s)
         return np.exp(0.5 * z * z - 0.5 * (z + b) ** 2)
 
@@ -169,6 +178,9 @@ def phi_normal_by_quadrature(measure: DistortionMeasure) -> float:
     """
     if measure.kind == "var":
         raise DomainError("var distortion is a pure jump; use the closed form")
+    from scipy import integrate
+    from scipy.special import ndtr
+
     b = measure.param
 
     def integrand(z):

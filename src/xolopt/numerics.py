@@ -1,16 +1,22 @@
-"""Bracketed root finding, golden-section search, and quadrature helpers."""
+"""Bracketed root finding, golden-section search, and quadrature helpers.
+
+scipy is imported only inside the quadrature helpers, which serve the
+self-check; root finding uses the port of Brent's method below.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NoRootFound, NumericalFailure
 
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -31,6 +37,78 @@ class MinResult:
     bracket: tuple[float, float]
     iterations: int
     at_boundary: bool
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = BRENT_RTOL,
+    maxiter: int = 100,
+) -> tuple[float, int]:
+    """Root of f in [a, b] by Brent's method; returns (root, iterations).
+
+    A line-by-line port of scipy's ``brentq.c``: the same bracket updates,
+    inverse quadratic / secant steps, tolerance ``(xtol + rtol*|x|)/2`` and
+    iteration cap, so roots and iteration counts agree with
+    ``scipy.optimize.brentq`` bit for bit.  A root at either end takes no
+    iterations (scipy leaves its count unset there).  Like scipy, raises
+    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
+    RuntimeError when the cap is reached.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def expand_and_solve(
@@ -58,14 +136,12 @@ def expand_and_solve(
             raise NoRootFound(
                 f"no sign change found up to {cap:g}; retention appears unbounded"
             )
-    root, info = optimize.brentq(
-        f, lo, hi, xtol=1e-12, rtol=4 * np.finfo(float).eps, full_output=True
-    )
+    root, iterations = brentq(f, lo, hi, xtol=1e-12)
     return RootResult(
-        root=float(root),
+        root=root,
         residual=float(f(root)),
         bracket=(float(lo), float(hi)),
-        iterations=int(info.iterations) + expansions,
+        iterations=iterations + expansions,
     )
 
 
@@ -202,14 +278,12 @@ def first_sign_change(
         if a == 0.0:
             return RootResult(float(grid[i]), 0.0, (float(grid[i]), float(grid[i])), 0)
         if a * b < 0.0:
-            root, info = optimize.brentq(
-                f, grid[i], grid[i + 1], xtol=1e-12, full_output=True
-            )
+            root, iterations = brentq(f, grid[i], grid[i + 1], xtol=1e-12)
             return RootResult(
-                root=float(root),
+                root=root,
                 residual=float(f(root)),
                 bracket=(float(grid[i]), float(grid[i + 1])),
-                iterations=int(info.iterations),
+                iterations=iterations,
             )
     return None
 
@@ -218,6 +292,8 @@ def integrate_finite(
     f: Callable[[float], float], a: float, b: float
 ) -> float:
     """Adaptive quadrature on a finite interval with the package tolerances."""
+    from scipy import integrate
+
     value, abserr = integrate.quad(
         f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200
     )
@@ -230,6 +306,7 @@ def integrate_finite(
 
 def integrate_tail(f: Callable[[float], float], d: float) -> float:
     """Integral of f over (d, inf) via the substitution x = d + t/(1-t)."""
+    from scipy import integrate
 
     def g(t: float) -> float:
         onemt = 1.0 - t

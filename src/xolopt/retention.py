@@ -237,7 +237,7 @@ def objective(
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     g = model.moment_grid(d_arr)
     mean = model.mean()
-    sd_capped = np.sqrt(np.maximum(g["mu2"] - g["mu1"] ** 2, 0.0))
+    sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
     if rule.spread_dependent:
         spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
         # a fully ceded-degenerate layer carries no spread but no claim
@@ -267,10 +267,10 @@ def stationarity_function(
     g = model.moment_grid(d_arr)
     if not rule.spread_dependent:
         q = (math.sqrt(n) * rule.rate(n) / phi) ** 2
-        out = (d_arr - g["mu1"]) ** 2 - q * (g["mu2"] - g["mu1"] ** 2)
+        out = (d_arr - g["mu1"]) ** 2 - q * g["var"]
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            sd_capped = np.sqrt(g["mu2"] - g["mu1"] ** 2)
+            sd_capped = np.sqrt(g["var"])
             lead = phi * g["sbar"] * (d_arr - g["mu1"]) / sd_capped
             out = lead + rule.marginal_load(g["sbar"], g["nu1"], g["nu2"])
     return float(out[0]) if np.asarray(d).ndim == 0 else out
@@ -476,7 +476,7 @@ def solve_retention_edgeworth(
         if d in cache:
             return cache[d]
         tm = model.truncated_moments(d)
-        sd_capped = math.sqrt(max(tm.mu2 - tm.mu1 ** 2, 0.0))
+        sd_capped = math.sqrt(max(tm.var, 0.0))
         quant = _cornish_fisher_quantile(model, d, z, p, n, order)
         value = n * mean + n * rule.rho * tm.nu1 + math.sqrt(n) * sd_capped * quant
         cache[d] = value

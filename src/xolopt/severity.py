@@ -11,12 +11,14 @@ Moment notation used throughout (d is the retention):
     mu2  = E[min(X, d)^2]
     nu1  = E[(X - d)+]
     nu2  = E[(X - d)+^2]
+    var  = Var(min(X, d)) = mu2 - mu1^2
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +40,7 @@ class TruncatedMoments:
     mu2: float
     nu1: float
     nu2: float
+    var: float
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,34 @@ class LossSummary:
 
 def _rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+_VARIANCE_SERIES_TERMS = 24
+_VARIANCE_SERIES_POWERS = np.arange(3.0, _VARIANCE_SERIES_TERMS + 3.0)  # m + 2
+
+
+@lru_cache(maxsize=64)
+def _capped_variance_series(a: float) -> np.ndarray:
+    """Coefficients w_1, w_2, ... of the Lomax capped variance in t = d/scale.
+
+    Var(X wedge d) = 2 int_0^d S(y) int_0^y F(x) dx dy.  With c_j the
+    binomial coefficients of S = (1 + t)^(-a) and F = -sum_{j>=1} c_j t^j,
+    it is scale^2 sum_{m>=1} w_m t^(m+2), where
+
+        w_m = 2/(m+2) sum_{j=1..m} c_{m-j} (-c_j)/(j+1).
+
+    Every product in one w_m has the same sign, so the coefficients carry
+    no cancellation; w_1 = a/3.
+    """
+    k = _VARIANCE_SERIES_TERMS
+    c = np.empty(k + 1)
+    c[0] = 1.0
+    for j in range(k):
+        c[j + 1] = c[j] * -(a + j) / (j + 1.0)
+    excess = -c[1:] / np.arange(2.0, k + 2.0)  # -c_j/(j+1), j = 1..k
+    w = 2.0 * np.convolve(c[:k], excess)[:k] / _VARIANCE_SERIES_POWERS
+    w.flags.writeable = False  # shared by every caller through the cache
+    return w
 
 
 class SeverityModel:
@@ -183,30 +214,44 @@ class ParetoII(SeverityModel):
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         a, lam = self.shape, self.scale
         d = np.asarray(d, dtype=float)
-        c = 1.0 + d / lam
+        t = d / lam
+        c = 1.0 + t
         sbar = c ** (-a)
+        c1 = c ** (1.0 - a)
+        c2 = c ** (2.0 - a)
         # integral of w^(1-a) over [1, c], with the logarithmic limit at a = 2
         if a == 2.0:
             i1 = np.log(c)
         else:
-            i1 = (c ** (2.0 - a) - 1.0) / (2.0 - a)
+            i1 = (c2 - 1.0) / (2.0 - a)
         # integral of w^(-a) over [1, c], logarithmic at a = 1
         if a == 1.0:
             i0 = np.log(c)
             mu1 = lam * i0
         else:
-            i0 = (c ** (1.0 - a) - 1.0) / (1.0 - a)
-            mu1 = (lam / (a - 1.0)) * (1.0 - c ** (1.0 - a))
+            i0 = (c1 - 1.0) / (1.0 - a)
+            mu1 = (lam / (a - 1.0)) * (1.0 - c1)
         mu2 = 2.0 * lam * lam * (i1 - i0)
         if a > 1.0:
-            nu1 = (lam / (a - 1.0)) * c ** (1.0 - a)
+            nu1 = (lam / (a - 1.0)) * c1
         else:
             nu1 = np.full_like(c, np.inf)
         if a > 2.0:
-            nu2 = 2.0 * lam * lam / ((a - 1.0) * (a - 2.0)) * c ** (2.0 - a)
+            nu2 = 2.0 * lam * lam / ((a - 1.0) * (a - 2.0)) * c2
         else:
             nu2 = np.full_like(c, np.inf)
-        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2}
+        var = mu2 - mu1 ** 2
+        # mu2 - mu1^2 cancels to O(t^3) for small caps: below a*t = 1/6
+        # (t = 1/6 for a < 1) it can lose more than 1e-12 relative.  There
+        # the series takes over; its terms shrink about sixfold each, so 24
+        # of them reach 1e-17.
+        small = t <= 1.0 / (6.0 * max(a, 1.0))
+        if small.any():
+            var = np.array(var, dtype=float)
+            powers = np.power.outer(t[small], _VARIANCE_SERIES_POWERS)
+            var[small] = (powers @ _capped_variance_series(a)) * (lam * lam)
+        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2,
+                "var": var}
 
     def _capped_power(self, k: int, d: float) -> float:
         """E[(X wedge d)^k] via k * integral of x^(k-1) survival(x).
@@ -327,7 +372,8 @@ class EmpiricalLosses(SeverityModel):
         mu2 = (below2 + d * d * tail_count) / n
         nu1 = (tail1 - d * tail_count) / n
         nu2 = (tail2 - 2.0 * d * tail1 + d * d * tail_count) / n
-        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2}
+        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2,
+                "var": mu2 - mu1 ** 2}
 
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         if d <= 0.0:

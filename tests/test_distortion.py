@@ -36,10 +36,25 @@ class TestNormalQuantile:
         assert normal_quantile(0.25) == pytest.approx(-normal_quantile(0.75))
         assert normal_cdf(normal_quantile(0.9)) == pytest.approx(0.9, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7, math.nan])
     def test_rejects_out_of_range(self, p):
         with pytest.raises(DomainError):
             normal_quantile(p)
+
+    def test_reference_table_to_the_last_digits(self):
+        for p, z in REFERENCE_QUANTILES:
+            assert abs(normal_quantile(p) - z) <= 1e-15
+
+    def test_within_8_ulp_of_40_digit_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        tails = np.logspace(-10, math.log10(0.5), 60)
+        grid = np.concatenate([tails, 1.0 - tails, np.linspace(0.001, 0.999, 61)])
+        with mp.workdps(40):
+            for p in grid:
+                exact = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(p)) - 1)
+                ulp = math.ulp(float(exact)) if exact != 0 else math.ulp(0.0)
+                err = abs(mp.mpf(normal_quantile(float(p))) - exact) / ulp
+                assert err <= 8, (p, float(err))
 
 
 class TestDistortionShapes:

@@ -92,6 +92,35 @@ class TestParetoII:
         assert 0.0 < tm.sbar < 1.0
         assert tm.mu2 <= d * tm.mu1 + 1e-12
 
+    @pytest.mark.parametrize("alpha,lam", [(9.0, 8.0), (2.5, 3.0)])
+    def test_capped_variance_against_40_digit_quadrature(self, alpha, lam):
+        """Var(X wedge d) keeps full relative accuracy down to tiny caps,
+        where mu2 - mu1^2 cancels to O(d^3)."""
+        mp = pytest.importorskip("mpmath")
+        ds = np.array([1e-4, 3e-3, 0.02, 1.0, 20.0])
+        model = ParetoII(alpha, lam)
+        grid = model.moment_grid(ds)["var"]
+        with mp.workdps(40):
+            a, scale = mp.mpf(alpha), mp.mpf(lam)
+
+            def surv(x):
+                return (1 + x / scale) ** (-a)
+
+            for d, from_grid in zip(ds, grid):
+                d_mp = mp.mpf(float(d))
+                mu1 = mp.quad(surv, [0, d_mp])
+                mu2 = 2 * mp.quad(lambda x: x * surv(x), [0, d_mp])
+                exact = mu2 - mu1 ** 2
+                for value in (from_grid, model.truncated_moments(float(d)).var):
+                    assert abs(value - exact) / exact <= 1e-12, (d, value)
+
+    @given(d=st.floats(1e-8, 50.0), alpha=st.floats(0.5, 60.0))
+    def test_capped_variance_same_alone_or_in_a_grid(self, d, alpha):
+        model = ParetoII(alpha, 2.0)
+        grid = model.moment_grid(np.array([1e-9, d, 0.5 * d, 100.0]))["var"]
+        assert grid[1] == pytest.approx(model.truncated_moments(d).var, rel=1e-15)
+        assert 0.0 < grid[1] <= 0.25 * d * d  # a variable on [0, d]
+
     def test_infinite_mean_rejected(self):
         with pytest.raises((DomainError, NonfiniteMoment)):
             ParetoII(0.9, 8.0).mean()
@@ -156,6 +185,8 @@ class TestEmpiricalLosses:
                 (np.maximum(x - d, 0.0) ** 2).mean(), rel=1e-12
             )
             assert g["sbar"][0] == pytest.approx(np.mean(x > d), rel=1e-12)
+            # the estimators rely on this exact arithmetic
+            assert g["var"][0] == g["mu2"][0] - g["mu1"][0] ** 2
 
     def test_truncated_moments_agree_with_grid(self):
         x = np.array([0.2, 0.9, 1.4, 2.2, 7.0])
