@@ -110,7 +110,7 @@ def estimate_decreasing(
 
     def station(d: float) -> float:
         g = emp.moment_grid(np.array([d]))
-        return float((d - g["mu1"][0]) ** 2 - q * (g["mu2"][0] - g["mu1"][0] ** 2))
+        return float((d - g["mu1"][0]) ** 2 - q * g["var"][0])
 
     d2 = emp.upper_quantile(atom_level)
     res = expand_and_solve(station, lo=d2, hi_start=max(2.0 * d2, 1.0))
@@ -215,11 +215,11 @@ def _estimate_spread_rule(
             # a ratio load is infinite once no loss exceeds d, which
             # excludes that range
             load = rule.load(g["nu1"], np.sqrt(g["nu2"] - g["nu1"] ** 2))
-            return phi * np.sqrt(g["mu2"] - g["mu1"] ** 2) + load
+            return phi * np.sqrt(g["var"]) + load
 
     d_hat = _plug_in_minimum(emp, grid_values)
     tm = emp.truncated_moments(d_hat)
-    var_mu = tm.mu2 - tm.mu1 ** 2
+    var_mu = tm.var
     if var_mu <= 0.0 or tm.nu2 - tm.nu1 ** 2 <= 0.0:
         raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")
     x = emp.losses

@@ -16,7 +16,11 @@ from .errors import NoRootFound, NumericalFailure
 
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Brent's method stops once the bracket is below (BRENT_XTOL + BRENT_RTOL*|x|)
+# and gives up after BRENT_MAXITER steps
+BRENT_XTOL = 1e-12
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -39,23 +43,16 @@ class MinResult:
     at_boundary: bool
 
 
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 2e-12,
-    rtol: float = BRENT_RTOL,
-    maxiter: int = 100,
-) -> tuple[float, int]:
+def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]:
     """Root of f in [a, b] by Brent's method; returns (root, iterations).
 
     A line-by-line port of scipy's ``brentq.c``: the same bracket updates,
-    inverse quadratic / secant steps, tolerance ``(xtol + rtol*|x|)/2`` and
-    iteration cap, so roots and iteration counts agree with
-    ``scipy.optimize.brentq`` bit for bit.  A root at either end takes no
-    iterations (scipy leaves its count unset there).  Like scipy, raises
-    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
-    RuntimeError when the cap is reached.
+    inverse quadratic / secant steps and stopping rule, so roots and
+    iteration counts agree bit for bit with ``scipy.optimize.brentq`` called
+    with ``xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER``.  A
+    root at either end takes no iterations (scipy leaves its count unset
+    there).  Like scipy, raises ValueError when f(a) and f(b) have the same
+    sign or f returns NaN, and RuntimeError when the cap is reached.
     """
 
     def call(x: float) -> float:
@@ -74,14 +71,14 @@ def brentq(
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for i in range(1, maxiter + 1):
+    for i in range(1, BRENT_MAXITER + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, i
@@ -108,7 +105,7 @@ def brentq(
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
 def expand_and_solve(
@@ -136,7 +133,7 @@ def expand_and_solve(
             raise NoRootFound(
                 f"no sign change found up to {cap:g}; retention appears unbounded"
             )
-    root, iterations = brentq(f, lo, hi, xtol=1e-12)
+    root, iterations = brentq(f, lo, hi)
     return RootResult(
         root=root,
         residual=float(f(root)),
@@ -271,21 +268,22 @@ def first_sign_change(
     grid = np.asarray(grid, dtype=float)
     if values is None:
         values = np.array([f(x) for x in grid], dtype=float)
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            return RootResult(float(grid[i]), 0.0, (float(grid[i]), float(grid[i])), 0)
-        if a * b < 0.0:
-            root, iterations = brentq(f, grid[i], grid[i + 1], xtol=1e-12)
-            return RootResult(
-                root=root,
-                residual=float(f(root)),
-                bracket=(float(grid[i]), float(grid[i + 1])),
-                iterations=iterations,
-            )
-    return None
+    values = np.asarray(values, dtype=float)
+    a, b = values[:-1], values[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | (a * b < 0.0))
+    if not hits.any():
+        return None
+    i = int(np.argmax(hits))
+    if a[i] == 0.0:
+        return RootResult(float(grid[i]), 0.0, (float(grid[i]), float(grid[i])), 0)
+    root, iterations = brentq(f, grid[i], grid[i + 1])
+    return RootResult(
+        root=root,
+        residual=float(f(root)),
+        bracket=(float(grid[i]), float(grid[i + 1])),
+        iterations=iterations,
+    )
 
 
 def integrate_finite(

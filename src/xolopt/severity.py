@@ -67,7 +67,7 @@ def _rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-_VARIANCE_SERIES_TERMS = 24
+_VARIANCE_SERIES_TERMS = 48
 _VARIANCE_SERIES_POWERS = np.arange(3.0, _VARIANCE_SERIES_TERMS + 3.0)  # m + 2
 
 
@@ -241,11 +241,12 @@ class ParetoII(SeverityModel):
         else:
             nu2 = np.full_like(c, np.inf)
         var = mu2 - mu1 ** 2
-        # mu2 - mu1^2 cancels to O(t^3) for small caps: below a*t = 1/6
-        # (t = 1/6 for a < 1) it can lose more than 1e-12 relative.  There
-        # the series takes over; its terms shrink about sixfold each, so 24
-        # of them reach 1e-17.
-        small = t <= 1.0 / (6.0 * max(a, 1.0))
+        # mu2 - mu1^2 cancels to O(t^3) for small caps, so below a*t = 1/2
+        # (t = 1/2 for a < 1) the series takes over: its terms shrink at
+        # least twofold each, and 48 of them keep it within 2e-15 relative.
+        # Above, the closed form is within about 6e-14 + 1e-14*a relative,
+        # which is 1e-12 or better for shapes up to 90.
+        small = t <= 1.0 / (2.0 * max(a, 1.0))
         if small.any():
             var = np.array(var, dtype=float)
             powers = np.power.outer(t[small], _VARIANCE_SERIES_POWERS)

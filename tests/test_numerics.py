@@ -21,18 +21,23 @@ from xolopt import (
     solve_retention,
     stationarity_function,
 )
-from xolopt.numerics import BRENT_RTOL, brentq, expand_and_solve, first_sign_change
+from xolopt import numerics
+from xolopt.numerics import brentq, expand_and_solve, first_sign_change
 
 
-def _scipy(f, a, b, **kw):
-    root, info = optimize.brentq(f, a, b, full_output=True, **kw)
+def _scipy(f, a, b):
+    """scipy's brentq with the port's tolerances and iteration cap."""
+    root, info = optimize.brentq(
+        f, a, b, xtol=numerics.BRENT_XTOL, rtol=numerics.BRENT_RTOL,
+        maxiter=numerics.BRENT_MAXITER, full_output=True,
+    )
     return root, info.iterations
 
 
-def _outcome(solver, *args, **kw):
+def _outcome(solver, *args):
     """(root, iterations), or the type and text of the error raised."""
     try:
-        return solver(*args, **kw)
+        return solver(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
@@ -62,8 +67,9 @@ CASES = [
 
 @pytest.mark.parametrize("name, f, a, b", CASES, ids=[c[0] for c in CASES])
 @pytest.mark.parametrize("xtol", [2e-12, 1e-12, 1e-6])
-def test_matches_scipy_exactly(name, f, a, b, xtol):
-    assert brentq(f, a, b, xtol=xtol) == _scipy(f, a, b, xtol=xtol)
+def test_matches_scipy_exactly(name, f, a, b, xtol, monkeypatch):
+    monkeypatch.setattr(numerics, "BRENT_XTOL", xtol)
+    assert brentq(f, a, b) == _scipy(f, a, b)
 
 
 @pytest.mark.parametrize(
@@ -78,12 +84,14 @@ def test_root_at_a_bracket_end(f, a, b):
     assert f(root) == 0.0 and iterations == 0
 
 
-def test_iteration_cap_matches_scipy():
+def test_iteration_cap_matches_scipy(monkeypatch):
     f = CASES[0][1]
-    failure = _outcome(brentq, f, 2.0, 3.0, maxiter=3)
-    assert failure == _outcome(_scipy, f, 2.0, 3.0, maxiter=3)
+    monkeypatch.setattr(numerics, "BRENT_MAXITER", 3)
+    failure = _outcome(brentq, f, 2.0, 3.0)
+    assert failure == _outcome(_scipy, f, 2.0, 3.0)
     assert failure[0] is RuntimeError
-    assert brentq(f, 2.0, 3.0, maxiter=200) == _scipy(f, 2.0, 3.0, maxiter=200)
+    monkeypatch.setattr(numerics, "BRENT_MAXITER", 200)
+    assert brentq(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0)
 
 
 def test_decreasing_rule_stationarity_on_the_solver_bracket():
@@ -92,8 +100,8 @@ def test_decreasing_rule_stationarity_on_the_solver_bracket():
     )
     lo, hi = sol.diagnostics.bracket
     assert lo < sol.d_star < hi
-    expected = _scipy(_decreasing_stationarity, lo, hi, xtol=1e-12, rtol=BRENT_RTOL)
-    assert brentq(_decreasing_stationarity, lo, hi, xtol=1e-12) == expected
+    expected = _scipy(_decreasing_stationarity, lo, hi)
+    assert brentq(_decreasing_stationarity, lo, hi) == expected
     res = expand_and_solve(_decreasing_stationarity, lo, hi_start=max(2.0 * lo, 1.0))
     assert res.bracket == (lo, hi)
     assert res.root == sol.d_star == expected[0]
@@ -104,9 +112,44 @@ def test_first_sign_change_matches_scipy():
     values = _decreasing_stationarity(grid)
     res = first_sign_change(_decreasing_stationarity, grid, values)
     lo, hi = res.bracket
-    assert (res.root, res.iterations) == _scipy(
-        _decreasing_stationarity, lo, hi, xtol=1e-12
+    assert (res.root, res.iterations) == _scipy(_decreasing_stationarity, lo, hi)
+
+
+def _first_sign_change_cell(values):
+    """The cell the scan must pick: the leftmost pair of finite values that
+    starts at an exact zero or changes sign, as a plain loop finds it."""
+    for i in range(len(values) - 1):
+        a, b = values[i], values[i + 1]
+        if math.isfinite(a) and math.isfinite(b) and (a == 0.0 or a * b < 0.0):
+            return i
+    return None
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+            st.floats(-1e300, 1e300),
+        ),
+        min_size=1,
+        max_size=12,
     )
+)
+def test_first_sign_change_picks_the_leftmost_finite_cell(values):
+    grid = np.arange(float(len(values)))
+
+    def f(x):
+        # linear between the grid values, so the root stays in the cell
+        return float(np.interp(x, grid, values))
+
+    res = first_sign_change(f, grid, np.array(values))
+    i = _first_sign_change_cell(values)
+    if i is None:
+        assert res is None
+    elif values[i] == 0.0:
+        assert (res.root, res.bracket, res.iterations) == (i, (i, i), 0)
+    else:
+        assert res.bracket == (i, i + 1) and i <= res.root <= i + 1
 
 
 @given(

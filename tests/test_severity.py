@@ -92,12 +92,17 @@ class TestParetoII:
         assert 0.0 < tm.sbar < 1.0
         assert tm.mu2 <= d * tm.mu1 + 1e-12
 
-    @pytest.mark.parametrize("alpha,lam", [(9.0, 8.0), (2.5, 3.0)])
+    @pytest.mark.parametrize(
+        "alpha,lam", [(9.0, 8.0), (2.5, 3.0), (50.0, 2.0), (0.7, 1.0)]
+    )
     def test_capped_variance_against_40_digit_quadrature(self, alpha, lam):
         """Var(X wedge d) keeps full relative accuracy down to tiny caps,
-        where mu2 - mu1^2 cancels to O(d^3)."""
+        where mu2 - mu1^2 cancels to O(d^3), and on both sides of the cap
+        where the series hands over to the closed form."""
         mp = pytest.importorskip("mpmath")
-        ds = np.array([1e-4, 3e-3, 0.02, 1.0, 20.0])
+        switch = lam / (2.0 * max(alpha, 1.0))
+        ds = np.array([1e-4, 3e-3, 0.02, 1.0, 20.0, 0.4 * switch,
+                       switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)])
         model = ParetoII(alpha, lam)
         grid = model.moment_grid(ds)["var"]
         with mp.workdps(40):
