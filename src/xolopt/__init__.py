@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     GridBoundaryMinimum,
     LossParseError,
-    NoInteriorMinimum,
     NonfiniteMoment,
     NonpositivePhi,
     NoRootFound,

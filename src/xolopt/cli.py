@@ -28,7 +28,7 @@ from .dataio import (
     write_json_atomic,
 )
 from .distortion import DistortionMeasure, normal_quantile, parse_measure
-from .errors import LossParseError, XoloptError
+from .errors import LossParseError, NumericalFailure, XoloptError
 from .inference import _estimate, retention_curve
 from .montecarlo import (
     McConfig,
@@ -359,10 +359,42 @@ def _render_analysis_svg(out, losses, summary, xs, dens, grid, curves, sweep) ->
 
 # ------------------------------------------------------------ selfcheck
 
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
+
+
+def integrate_finite(f, a: float, b: float) -> float:
+    """Adaptive quadrature on a finite interval with the self-check tolerances."""
+    from scipy import integrate
+
+    value, abserr = integrate.quad(
+        f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200
+    )
+    if abserr > QUAD_ABS_TOL + 10.0 * QUAD_REL_TOL * abs(value):
+        raise NumericalFailure(
+            f"quadrature on [{a:g}, {b:g}] reported error {abserr:g}"
+        )
+    return float(value)
+
+
+def integrate_tail(f, d: float) -> float:
+    """Integral of f over (d, inf) via the substitution x = d + t/(1-t)."""
+    from scipy import integrate
+
+    def g(t: float) -> float:
+        onemt = 1.0 - t
+        x = d + t / onemt
+        return f(x) / (onemt * onemt)
+
+    value, abserr = integrate.quad(
+        g, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200
+    )
+    if abserr > QUAD_ABS_TOL + 10.0 * QUAD_REL_TOL * abs(value):
+        raise NumericalFailure(f"tail quadrature from {d:g} reported error {abserr:g}")
+    return float(value)
+
 
 def _check_pareto_moments() -> tuple[bool, str]:
-    from .numerics import integrate_finite, integrate_tail
-
     worst = 0.0
     for model in (ParetoII(9.0, 8.0), ParetoII(2.5, 3.0)):
         for d in (0.3, 1.0, 4.0):

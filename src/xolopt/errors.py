@@ -51,10 +51,6 @@ class ConditionNotMet(XoloptError):
     """The stop-loss optimality condition fails, no finite retention."""
 
 
-class NoInteriorMinimum(XoloptError):
-    """The plug-in objective is minimised at the search-grid boundary."""
-
-
 class GridBoundaryMinimum(XoloptError):
     """A Monte Carlo grid search ended on the boundary of the grid."""
 

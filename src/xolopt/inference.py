@@ -1,11 +1,11 @@
 """Nonparametric retention estimators with delta-method standard errors.
 
-Each estimator plugs empirical moments into the corresponding retention
-objective, solves for the minimiser, and then linearises the stationarity
-condition around the estimate to obtain an asymptotic standard error and a
-Wald confidence interval.  The three loading rules with nondegenerate
-large-sample limits are covered: decreasing, standard-deviation, and
-Sharpe-ratio.
+Each estimator runs `retention.solve_retention` on the empirical model of
+the losses, so its point estimate is the exact minimiser of the plug-in
+objective, and then linearises the stationarity condition around the
+estimate to obtain an asymptotic standard error and a Wald confidence
+interval.  The three loading rules with nondegenerate large-sample limits
+are covered: decreasing, standard-deviation, and Sharpe-ratio.
 """
 
 from __future__ import annotations
@@ -16,23 +16,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distortion import DistortionMeasure, normal_quantile
-from .errors import (
-    AtomConditionViolated,
-    DegenerateVariance,
-    DomainError,
-    NoInteriorMinimum,
-    NumericalFailure,
-    XoloptError,
-)
-from .numerics import expand_and_solve, grid_then_golden, log_spaced_grid
+from .errors import DegenerateVariance, DomainError, NumericalFailure, XoloptError
 from .retention import (
     _RULES,
     DecreasingLoading,
     LoadingRule,
     SharpeLoading,
     StdDevLoading,
-    _phi_or_raise,
-    condition_report,
+    effective_rho,
+    solve_retention,
 )
 from .severity import EmpiricalLosses, kde_density
 
@@ -99,22 +91,8 @@ def estimate_decreasing(
     """
     emp = _as_empirical(losses)
     rule = DecreasingLoading(delta)
-    checks = condition_report(emp, rule, measure, emp.n)
-    phi = _phi_or_raise(measure)
-    q = (delta / phi) ** 2
-    atom_level = delta * delta / (delta * delta + phi * phi)
-    if not checks["atom_condition"]:
-        raise AtomConditionViolated(
-            f"share of zero losses {emp.prob_zero():g} >= critical level {atom_level:g}"
-        )
-
-    def station(d: float) -> float:
-        g = emp.moment_grid(np.array([d]))
-        return float((d - g["mu1"][0]) ** 2 - q * g["var"][0])
-
-    d2 = emp.upper_quantile(atom_level)
-    res = expand_and_solve(station, lo=d2, hi_start=max(2.0 * d2, 1.0))
-    d_hat = res.root
+    d_hat = solve_retention(emp, rule, measure, emp.n).d_star
+    q = (delta / measure.phi_normal()) ** 2
 
     x = emp.losses
     n = emp.n
@@ -149,24 +127,6 @@ def _covariance(z: np.ndarray) -> np.ndarray:
     # normalised by the sample size, matching the plug-in asymptotics
     centered = z - z.mean(axis=0)
     return centered.T @ centered / z.shape[0]
-
-
-def _plug_in_minimum(emp: EmpiricalLosses, objective_grid, grid_size: int = 1000) -> float:
-    lo = emp.min_positive()
-    hi = emp.quantile(0.999)
-    if not hi > lo:
-        raise NoInteriorMinimum(
-            f"degenerate search range [{lo:g}, {hi:g}] for the plug-in objective"
-        )
-    grid = log_spaced_grid(lo, hi, grid_size)
-    res = grid_then_golden(
-        lambda d: float(objective_grid(np.array([d]))[0]), grid, objective_grid(grid)
-    )
-    if res.at_boundary:
-        raise NoInteriorMinimum(
-            f"plug-in objective minimised at the search boundary d={res.x:g}"
-        )
-    return res.x
 
 
 def estimate_sd(
@@ -206,18 +166,9 @@ def _estimate_spread_rule(
     of its marginal load; the coefficients are reported as prefix0..prefix5.
     """
     emp = _as_empirical(losses)
-    checks = condition_report(emp, rule, measure, emp.n)
-    phi = _phi_or_raise(measure)
-
-    def grid_values(grid: np.ndarray) -> np.ndarray:
-        g = emp.moment_grid(grid)
-        with np.errstate(invalid="ignore"):
-            # a ratio load is infinite once no loss exceeds d, which
-            # excludes that range
-            load = rule.load(g["nu1"], np.sqrt(g["nu2"] - g["nu1"] ** 2))
-            return phi * np.sqrt(g["var"]) + load
-
-    d_hat = _plug_in_minimum(emp, grid_values)
+    sol = solve_retention(emp, rule, measure, emp.n)
+    d_hat = sol.d_star
+    phi = measure.phi_normal()
     tm = emp.truncated_moments(d_hat)
     var_mu = tm.var
     if var_mu <= 0.0 or tm.nu2 - tm.nu1 ** 2 <= 0.0:
@@ -263,7 +214,7 @@ def _estimate_spread_rule(
         n=emp.n,
         coefficients={f"{prefix}{i}": float(c) for i, c in enumerate([c0, *cvec])},
         sigma_hat=sigma,
-        warnings=_condition_warnings(checks),
+        warnings=_condition_warnings(sol.diagnostics.condition_checks),
     )
 
 
@@ -347,10 +298,10 @@ def retention_curve(
     return points
 
 
-def _param_at_rate(cls, rho: float, n: int, spread: float | None = None) -> float:
-    """Parameter of the rule in family cls whose rate is rho (every rate is
-    proportional to the rule's one parameter)."""
-    return float(rho / cls(1.0).rate(n, spread))
+def _param_at_rate(cls, rho: float, emp: EmpiricalLosses, d: float = 0.0) -> float:
+    """Parameter of the rule in family cls whose rate at retention d is rho
+    (a flat rate ignores d; every rate is proportional to the parameter)."""
+    return rho / effective_rho(emp, cls(1.0), emp.n, d)
 
 
 def _estimate_at_effective_rho(
@@ -365,29 +316,22 @@ def _estimate_at_effective_rho(
     """Map a target effective loading to the rule parameter and estimate.
 
     A flat rate maps directly.  A spread-dependent rate depends on the
-    solved retention, so a damped fixed-point iteration aligns the rule
-    parameter with the target.
+    solved retention, so a damped fixed-point iteration of the solver aligns
+    the rule parameter with the target; the estimate, with its standard
+    error, is taken once at the converged parameter.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
-    n = emp.n
     if not cls.spread_dependent:
-        return _estimate(emp, cls(_param_at_rate(cls, rho, n)), measure, level), None
+        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level), None
 
-    def spread_at(d: float) -> float:
-        tm = emp.truncated_moments(d)
-        s2 = tm.nu2 - tm.nu1 ** 2
-        if s2 <= 0.0:
-            raise DegenerateVariance(f"ceded spread vanishes at d={d:g}")
-        return math.sqrt(s2)
-
-    # initialise from the spread at the sample median
-    param = param_guess or _param_at_rate(cls, rho, n, spread_at(emp.quantile(0.5)))
+    # initialise from the rate at the sample median
+    param = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
     for _ in range(100):
-        result = _estimate(emp, cls(param), measure, level, bandwidth)
-        target = _param_at_rate(cls, rho, n, spread_at(result.d_hat))
+        d_hat = solve_retention(emp, cls(param), measure, emp.n).d_star
+        target = _param_at_rate(cls, rho, emp, d_hat)
         if abs(target - param) <= 1e-8 * max(1.0, abs(param)):
-            return result, param
+            return _estimate(emp, cls(param), measure, level, bandwidth), param
         param = 0.5 * param + 0.5 * target
     raise NumericalFailure(
         f"effective-loading fixed point did not converge for rho={rho:g}"

@@ -20,7 +20,7 @@ import numpy as np
 from .distortion import DistortionMeasure
 from .errors import DomainError, GridBoundaryMinimum, NotBracketed, XoloptError
 from .inference import _estimate
-from .numerics import grid_then_golden, log_spaced_grid
+from .numerics import golden_refine, log_spaced_grid
 from .retention import (
     ConstantLoading,
     DecreasingLoading,
@@ -249,7 +249,7 @@ def brute_force_optimal(
     def averaged(d: float) -> float:
         return float(np.mean([o.var_scalar(rule, p, d) for o in oracles]))
 
-    res = grid_then_golden(averaged, grid, values)
+    res = golden_refine(averaged, grid, values, int(np.argmin(values)))
     if res.at_boundary:
         raise GridBoundaryMinimum(
             f"simulated optimum sits at the grid edge d={res.x:g}; widen the grid"

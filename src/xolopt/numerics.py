@@ -1,7 +1,7 @@
-"""Bracketed root finding, golden-section search, and quadrature helpers.
+"""Bracketed root finding, golden-section refinement and log grids.
 
-scipy is imported only inside the quadrature helpers, which serve the
-self-check; root finding uses the port of Brent's method below.
+Root finding uses the port of scipy's Brent method below, so this module
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 BRENT_XTOL = 1e-12
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
-
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -142,15 +139,50 @@ def expand_and_solve(
     )
 
 
-def golden_section_min(
+def rising_crossings(
     f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float | None = None,
-) -> tuple[float, float, int]:
-    """Minimise a unimodal function on [a, b]; returns (x, f(x), iterations)."""
-    if xtol is None:
-        xtol = 1e-10 * (1.0 + abs(b))
+    grid: np.ndarray,
+    values: np.ndarray,
+) -> list[RootResult]:
+    """Every root where f rises through zero between neighbouring grid points.
+
+    A cell rises when both its values are finite, the left one is <= 0 and
+    the right one > 0; `values` holds f(grid).  Brent's method refines each
+    such cell (a left value of exactly 0 is its own root).  Roots come in
+    grid order.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    a, b = values[:-1], values[1:]
+    rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
+    out = []
+    for i in np.flatnonzero(rising):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        root, iterations = brentq(f, lo, hi)
+        out.append(RootResult(root, float(f(root)), (lo, hi), iterations))
+    return out
+
+
+def golden_refine(
+    f: Callable[[float], float],
+    grid: np.ndarray,
+    values: np.ndarray,
+    i: int,
+) -> MinResult:
+    """Refine a minimum of f next to grid[i] by golden-section search.
+
+    For objectives without a usable derivative; `values` holds f(grid) and
+    the caller picks i.  The search runs over the two cells beside grid[i]
+    down to a width of 1e-10 (1 + grid[i]); grid[i] itself is kept when the
+    search ends higher.  An index at either end of the grid is returned
+    unrefined, with at_boundary set.
+    """
+    last = len(grid) - 1
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
+    bracket = (a, b)
+    if i == 0 or i == last:
+        return MinResult(float(grid[i]), float(values[i]), bracket, 0, True)
+    xtol = 1e-10 * (1.0 + float(grid[i]))
     x1 = b - INV_GOLDEN * (b - a)
     x2 = a + INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -166,157 +198,10 @@ def golden_section_min(
             f2 = f(x2)
         iterations += 1
     x = 0.5 * (a + b)
-    return float(x), float(f(x)), iterations
-
-
-def grid_then_golden(
-    f: Callable[[float], float],
-    grid: np.ndarray,
-    values: np.ndarray | None = None,
-    xtol_scale: float = 1e-10,
-) -> MinResult:
-    """Scan a grid for the minimum, then refine inside the bracketing cell.
-
-    `values` may carry precomputed f(grid) (e.g. from a vectorised pass).
-    Ties break toward the smallest grid point.  NaNs are ignored.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([f(x) for x in grid], dtype=float)
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise NumericalFailure("objective not finite anywhere on the grid")
-    masked = np.where(finite, values, np.inf)
-    i = int(np.argmin(masked))
-    at_boundary = i == 0 or i == len(grid) - 1
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if at_boundary:
-        return MinResult(
-            x=float(grid[i]),
-            fx=float(values[i]),
-            bracket=(float(lo), float(hi)),
-            iterations=0,
-            at_boundary=True,
-        )
-    x, fx, iterations = golden_section_min(
-        f, float(lo), float(hi), xtol=xtol_scale * (1.0 + float(grid[i]))
-    )
+    fx = float(f(x))
     if fx > values[i]:
-        x, fx = float(grid[i]), float(values[i])
-    return MinResult(
-        x=x, fx=fx, bracket=(float(lo), float(hi)), iterations=iterations,
-        at_boundary=False,
-    )
-
-
-def leftmost_local_min(
-    f: Callable[[float], float],
-    grid: np.ndarray,
-    values: np.ndarray | None = None,
-    xtol_scale: float = 1e-10,
-) -> MinResult:
-    """Refine the leftmost interior dip of f on the grid.
-
-    Intended for objectives that flatten or dip again far in the tail, where
-    the economically meaningful solution is the first interior basin rather
-    than the global grid minimum.  Falls back to an at_boundary result when
-    the values are monotone.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([f(x) for x in grid], dtype=float)
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise NumericalFailure("objective not finite anywhere on the grid")
-    for i in range(1, len(grid) - 1):
-        if not (finite[i - 1] and finite[i] and finite[i + 1]):
-            continue
-        if values[i - 1] > values[i] <= values[i + 1]:
-            x, fx, iterations = golden_section_min(
-                f,
-                float(grid[i - 1]),
-                float(grid[i + 1]),
-                xtol=xtol_scale * (1.0 + float(grid[i])),
-            )
-            if fx > values[i]:
-                x, fx = float(grid[i]), float(values[i])
-            return MinResult(
-                x=x,
-                fx=fx,
-                bracket=(float(grid[i - 1]), float(grid[i + 1])),
-                iterations=iterations,
-                at_boundary=False,
-            )
-    masked = np.where(finite, values, np.inf)
-    i = int(np.argmin(masked))
-    return MinResult(
-        x=float(grid[i]),
-        fx=float(values[i]),
-        bracket=(float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])),
-        iterations=0,
-        at_boundary=True,
-    )
-
-
-def first_sign_change(
-    f: Callable[[float], float],
-    grid: np.ndarray,
-    values: np.ndarray | None = None,
-) -> RootResult | None:
-    """Refine the leftmost sign change of f on the grid, if any."""
-    grid = np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([f(x) for x in grid], dtype=float)
-    values = np.asarray(values, dtype=float)
-    a, b = values[:-1], values[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        hits = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | (a * b < 0.0))
-    if not hits.any():
-        return None
-    i = int(np.argmax(hits))
-    if a[i] == 0.0:
-        return RootResult(float(grid[i]), 0.0, (float(grid[i]), float(grid[i])), 0)
-    root, iterations = brentq(f, grid[i], grid[i + 1])
-    return RootResult(
-        root=root,
-        residual=float(f(root)),
-        bracket=(float(grid[i]), float(grid[i + 1])),
-        iterations=iterations,
-    )
-
-
-def integrate_finite(
-    f: Callable[[float], float], a: float, b: float
-) -> float:
-    """Adaptive quadrature on a finite interval with the package tolerances."""
-    from scipy import integrate
-
-    value, abserr = integrate.quad(
-        f, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200
-    )
-    if abserr > QUAD_ABS_TOL + 10.0 * QUAD_REL_TOL * abs(value):
-        raise NumericalFailure(
-            f"quadrature on [{a:g}, {b:g}] reported error {abserr:g}"
-        )
-    return float(value)
-
-
-def integrate_tail(f: Callable[[float], float], d: float) -> float:
-    """Integral of f over (d, inf) via the substitution x = d + t/(1-t)."""
-    from scipy import integrate
-
-    def g(t: float) -> float:
-        onemt = 1.0 - t
-        x = d + t / onemt
-        return f(x) / (onemt * onemt)
-
-    value, abserr = integrate.quad(
-        g, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200
-    )
-    if abserr > QUAD_ABS_TOL + 10.0 * QUAD_REL_TOL * abs(value):
-        raise NumericalFailure(f"tail quadrature from {d:g} reported error {abserr:g}")
-    return float(value)
+        x, fx = grid[i], values[i]
+    return MinResult(float(x), float(fx), bracket, iterations, False)
 
 
 def log_spaced_grid(lo: float, hi: float, size: int) -> np.ndarray:

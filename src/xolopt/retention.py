@@ -2,11 +2,12 @@
 
 The reinsurer prices the ceded layer with one of four loading rules; the
 cedent minimises a normal-approximation (CLT) upper quantile of its total
-cost over the retention d.  For constant and decreasing loadings the
-minimiser is the unique root of a quadratic-in-moments stationarity
-function; for the standard-deviation and Sharpe-ratio loadings the scaled
-objective is minimised directly on a log grid with golden-section
-refinement.
+cost over the retention d.  Under every rule the minimiser is a root of the
+first-order condition: for constant and decreasing loadings the unique root
+of a quadratic-in-moments stationarity function, for the standard-deviation
+and Sharpe-ratio loadings the lowest of the roots where the scaled objective
+derivative rises through zero.  The solver runs unchanged on the empirical
+model, where it gives the plug-in estimates of `inference`.
 
 A distortion measure generalises the plain normal quantile: its phi_h(Z)
 coefficient multiplies the volatility term of every objective.
@@ -21,19 +22,13 @@ import numpy as np
 
 from .distortion import DistortionMeasure, normal_quantile
 from .errors import (
+    AtomConditionViolated,
     ConditionNotMet,
-    ConditionViolated,
     DomainError,
     NonpositivePhi,
     NoRootFound,
 )
-from .numerics import (
-    expand_and_solve,
-    first_sign_change,
-    grid_then_golden,
-    leftmost_local_min,
-    log_spaced_grid,
-)
+from .numerics import expand_and_solve, golden_refine, log_spaced_grid, rising_crossings
 from .severity import ParetoII, SeverityModel
 
 #: Sign of the first-order skewness term in the Cornish-Fisher quantile
@@ -51,8 +46,8 @@ class LoadingRule:
     deviation).  Each rule has one positive parameter.
 
     A flat rate ignores the spread, and the optimum is the root of a
-    stationarity quadratic.  A spread-dependent rate is solved by a scan of
-    the objective, and its rule defines:
+    stationarity quadratic.  A spread-dependent rate is solved from the
+    zero crossings of the objective derivative, and its rule defines:
 
     - load(nu1, spread): the ceded loading sqrt(N) * rate * nu1, free of N
       (infinite where a ratio load meets a layer without spread);
@@ -325,24 +320,33 @@ def solve_retention(
     rule: LoadingRule,
     measure: DistortionMeasure,
     n: int,
-    grid_lo: float | None = None,
-    grid_hi: float | None = None,
-    grid_size: int = 1000,
 ) -> RetentionSolution:
     """Approximately optimal retention for the given model, rule, and measure.
 
-    Constant/decreasing rules: bracket and solve the unique stationarity
-    root above the critical quantile.  Stddev/sharpe rules: scan the scaled
-    objective on a log grid, refine by golden section, and cross-check
-    against the smallest stationary point.
+    Every rule's optimum is a root of the first-order condition
+    (`stationarity_function`).  Constant/decreasing rules: bracket and solve
+    its unique root above the critical quantile; AtomConditionViolated when
+    the mass at zero leaves none.  Stddev/sharpe rules: sample the scaled
+    objective derivative once at `model.search_grid()`, refine every cell
+    where it rises through zero by Brent's method, and keep the root with the
+    lowest objective; NoRootFound when no cell rises or an end of the grid
+    is lower still.  On the empirical model this is the plug-in estimate,
+    since the grid holds both sides of every claim, where the plug-in
+    derivative jumps.
+
+    For the spread rules the diagnostics read: `bracket`, the grid cell of
+    d_star; `iterations`, the Brent steps spent in it; and
+    `smallest_stationary_point`, the first rising root.  `is_global_grid_min`
+    is always True for the four rules: a solution is returned only when it
+    is the lowest point of the search range.
     """
     _validate_n(n)
-    phi = _phi_or_raise(measure)
+    _phi_or_raise(measure)
     checks = condition_report(model, rule, measure, n)
 
     if not rule.spread_dependent:
         if not checks["atom_condition"]:
-            raise ConditionViolated(
+            raise AtomConditionViolated(
                 "mass at zero is too large for a stationary retention: "
                 f"P(X=0) = {model.prob_zero():g} >= {_atom_level(rule, measure, n):g}"
             )
@@ -372,46 +376,34 @@ def solve_retention(
             diagnostics=diag,
         )
 
-    lo = model.quantile(1e-4) if grid_lo is None else grid_lo
-    hi = model.quantile(1.0 - 1e-6) if grid_hi is None else grid_hi
-    grid = log_spaced_grid(lo, hi, grid_size)
-    values = objective(model, rule, measure, n, grid)
-    res = grid_then_golden(
-        lambda d: objective(model, rule, measure, n, d), grid, values
-    )
-    if res.at_boundary:
-        raise NoRootFound(
-            f"objective is minimised at the grid edge d={res.x:g}; "
-            "no interior optimal retention (trivial full or no reinsurance)"
-        )
-    d_star = res.x
+    grid = model.search_grid()
     station = lambda d: stationarity_function(model, rule, measure, n, d)
-    # polish onto the stationary point when the derivative changes sign
-    # inside the refined cell (smooth models)
-    local = first_sign_change(
-        station, np.array([res.bracket[0], d_star, res.bracket[1]])
-    )
-    if local is not None and res.bracket[0] < local.root < res.bracket[1]:
-        cand = local.root
-        if objective(model, rule, measure, n, cand) <= res.fx + 1e-12 * (1.0 + abs(res.fx)):
-            d_star = cand
     with np.errstate(divide="ignore", invalid="ignore"):
-        station_values = stationarity_function(model, rule, measure, n, grid)
-    smallest = first_sign_change(station, grid, station_values)
-    ssp = smallest.root if smallest is not None else None
-    agrees = ssp is not None and abs(ssp - d_star) <= 1e-6 * (1.0 + abs(d_star))
+        roots = rising_crossings(station, grid, station(grid))
+    if roots:
+        # the objective at each end of the grid and at every local minimum
+        values = objective(
+            model, rule, measure, n, np.array([grid[0], *(r.root for r in roots), grid[-1]])
+        )
+        k = int(np.argmin(values))
+    if not roots or k in (0, len(values) - 1):
+        raise NoRootFound(
+            f"no local minimum on the {grid.size}-point search grid is below both "
+            "of its ends; no interior optimal retention (trivial full or no reinsurance)"
+        )
+    best = roots[k - 1]
     diag = SolverDiagnostics(
-        bracket=res.bracket,
-        iterations=res.iterations,
-        stationarity_residual=abs(station(d_star)),
-        is_global_grid_min=bool(agrees),
+        bracket=best.bracket,
+        iterations=best.iterations,
+        stationarity_residual=abs(best.residual),
+        is_global_grid_min=True,
         condition_checks=checks,
-        smallest_stationary_point=ssp,
-        effective_rho=effective_rho(model, rule, n, d_star),
+        smallest_stationary_point=roots[0].root,
+        effective_rho=effective_rho(model, rule, n, best.root),
     )
     return RetentionSolution(
-        d_star=float(d_star),
-        objective_value=objective(model, rule, measure, n, d_star),
+        d_star=best.root,
+        objective_value=float(values[k]),
         rule=rule,
         measure=measure,
         n_contracts=n,
@@ -453,13 +445,15 @@ def solve_retention_edgeworth(
     p: float,
     n: int,
     order: int,
-    grid_size: int = 200,
 ) -> RetentionSolution:
     """Constant-loading retention with Edgeworth-refined quantile.
 
     order=2 keeps the skewness correction (error o(1)); order=3 adds the
     kurtosis term (error o(1/sqrt(N))).  Only the plain quantile risk level
-    p is supported here.
+    p is supported here.  The refined quantile has no derivative to solve,
+    so the first interior dip of a 200-point log grid is refined by golden
+    section; `is_global_grid_min` says whether that dip is also the lowest
+    grid value.
     """
     if not isinstance(rule, ConstantLoading):
         raise DomainError("the Edgeworth refinement applies to the constant rule")
@@ -486,21 +480,22 @@ def solve_retention_edgeworth(
     # dip below the interior basin far in the tail, where the polynomial
     # correction is no longer a valid quantile approximation.  The meaningful
     # solution is the first interior dip.
-    lo = model.quantile(1e-4)
-    hi = model.quantile(1.0 - 1e-6)
-    grid = log_spaced_grid(lo, hi, grid_size)
-    res = leftmost_local_min(refined_objective, grid)
-    if res.at_boundary:
+    grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
+    values = np.array([refined_objective(d) for d in grid])
+    dips = np.flatnonzero((values[:-2] > values[1:-1]) & (values[1:-1] <= values[2:]))
+    if dips.size == 0:
         raise NoRootFound(
-            f"refined objective has no interior dip; grid edge d={res.x:g}"
+            f"refined objective has no interior dip on [{grid[0]:g}, {grid[-1]:g}]"
         )
+    i = int(dips[0]) + 1
+    res = golden_refine(refined_objective, grid, values, i)
     measure = DistortionMeasure.var(p)
     checks = condition_report(model, rule, measure, n)
     diag = SolverDiagnostics(
         bracket=res.bracket,
         iterations=res.iterations,
         stationarity_residual=float("nan"),
-        is_global_grid_min=True,
+        is_global_grid_min=bool(values[i] <= np.nanmin(values)),
         condition_checks=checks,
         smallest_stationary_point=None,
         effective_rho=rule.rho,

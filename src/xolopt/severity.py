@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     NonfiniteMoment,
 )
+from .numerics import log_spaced_grid
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,11 @@ class SeverityModel:
 
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         raise NotImplementedError
+
+    def search_grid(self) -> np.ndarray:
+        """Retentions at which the solver samples the objective derivative:
+        1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile."""
+        return log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Deterministic sample of n losses for the given seed."""
@@ -385,6 +391,14 @@ class EmpiricalLosses(SeverityModel):
         m3 = (self._cum3[k] + d ** 3 * tail_count) / self.n
         m4 = (self._cum4[k] + d ** 4 * tail_count) / self.n
         return self._standardised_higher(d, tm.mu1, tm.mu2, m3, m4)
+
+    def search_grid(self) -> np.ndarray:
+        """Each distinct positive loss up to the 0.999 quantile, preceded by
+        the float just below it: the plug-in objective derivative is smooth
+        between claims and jumps at each one, so both sides are sampled."""
+        x = self.losses[self.losses >= self.min_positive()]
+        x = np.unique(x[x <= self.quantile(0.999)])
+        return np.column_stack([np.nextafter(x, 0.0), x]).ravel()
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.n, size=n)

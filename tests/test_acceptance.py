@@ -31,7 +31,7 @@ from xolopt import (
     stationarity_function,
     summary_and_lorenz,
 )
-from xolopt.numerics import integrate_finite, integrate_tail
+from xolopt.cli import integrate_finite, integrate_tail
 
 MODEL = ParetoII(9.0, 8.0)
 VAR75 = DistortionMeasure.var(0.75)

@@ -22,7 +22,7 @@ from xolopt import (
     stationarity_function,
 )
 from xolopt import numerics
-from xolopt.numerics import brentq, expand_and_solve, first_sign_change
+from xolopt.numerics import brentq, expand_and_solve, rising_crossings
 
 
 def _scipy(f, a, b):
@@ -107,22 +107,22 @@ def test_decreasing_rule_stationarity_on_the_solver_bracket():
     assert res.root == sol.d_star == expected[0]
 
 
-def test_first_sign_change_matches_scipy():
+def test_rising_crossings_match_scipy():
     grid = np.linspace(0.05, 12.0, 40)
     values = _decreasing_stationarity(grid)
-    res = first_sign_change(_decreasing_stationarity, grid, values)
+    (res,) = rising_crossings(_decreasing_stationarity, grid, values)
     lo, hi = res.bracket
     assert (res.root, res.iterations) == _scipy(_decreasing_stationarity, lo, hi)
 
 
-def _first_sign_change_cell(values):
-    """The cell the scan must pick: the leftmost pair of finite values that
-    starts at an exact zero or changes sign, as a plain loop finds it."""
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if math.isfinite(a) and math.isfinite(b) and (a == 0.0 or a * b < 0.0):
-            return i
-    return None
+def _rising_cells(values):
+    """The cells the scan must pick: every pair of finite values that goes
+    from <= 0 to > 0, as a plain loop finds them."""
+    return [
+        i for i in range(len(values) - 1)
+        if math.isfinite(values[i]) and math.isfinite(values[i + 1])
+        and values[i] <= 0.0 < values[i + 1]
+    ]
 
 
 @given(
@@ -135,21 +135,21 @@ def _first_sign_change_cell(values):
         max_size=12,
     )
 )
-def test_first_sign_change_picks_the_leftmost_finite_cell(values):
+def test_rising_crossings_find_every_rising_finite_cell(values):
     grid = np.arange(float(len(values)))
 
     def f(x):
-        # linear between the grid values, so the root stays in the cell
+        # linear between the grid values, so each root stays in its cell
         return float(np.interp(x, grid, values))
 
-    res = first_sign_change(f, grid, np.array(values))
-    i = _first_sign_change_cell(values)
-    if i is None:
-        assert res is None
-    elif values[i] == 0.0:
-        assert (res.root, res.bracket, res.iterations) == (i, (i, i), 0)
-    else:
-        assert res.bracket == (i, i + 1) and i <= res.root <= i + 1
+    found = rising_crossings(f, grid, np.array(values))
+    cells = _rising_cells(values)
+    assert [res.bracket for res in found] == [(i, i + 1) for i in cells]
+    for i, res in zip(cells, found):
+        if values[i] == 0.0:
+            assert (res.root, res.iterations) == (i, 0)
+        else:
+            assert i <= res.root <= i + 1
 
 
 @given(

@@ -10,6 +10,7 @@ from xolopt.errors import (
     ConditionViolated,
     DomainError,
     NonpositivePhi,
+    NoRootFound,
 )
 from xolopt.retention import (
     ConstantLoading,
@@ -56,6 +57,16 @@ class TestSolveRetention:
     def test_sharpe_frozen_optimum(self, model):
         sol = solve_retention(model, SharpeLoading(0.5), VAR75, 100)
         assert sol.d_star == pytest.approx(D_SHARPE, abs=1e-5)
+
+    def test_local_minimum_beaten_by_a_grid_end_is_no_optimum(self, model):
+        """sharpe rho0 = 1 under wang(0.5): the derivative rises through zero
+        once, but the objective is lower still at an end of the grid."""
+        rule, measure = SharpeLoading(1.0), DistortionMeasure.wang(0.5)
+        grid = model.search_grid()
+        station = stationarity_function(model, rule, measure, 100, grid)
+        assert np.any((station[:-1] <= 0.0) & (station[1:] > 0.0))
+        with pytest.raises(NoRootFound):
+            solve_retention(model, rule, measure, 100)
 
     @pytest.mark.parametrize("n", [10, 25, 100])
     def test_constant_frozen_optima(self, model, n):
@@ -314,6 +325,17 @@ class TestEdgeworth:
         except Exception:
             return
         assert abs(got - self.REFS_O1[100]) > 1e-2
+
+    @pytest.mark.parametrize("rho, n, order, d_star, lowest", [
+        (0.3, 100, 3, 6.6675, True),
+        # the refined objective is lowest at the top grid edge (29.13), but
+        # the first dip is the one kept
+        (0.5, 10, 3, 3.8237, False),
+    ])
+    def test_global_flag_reads_the_grid(self, model, rho, n, order, d_star, lowest):
+        sol = solve_retention_edgeworth(model, ConstantLoading(rho), 0.75, n, order)
+        assert sol.d_star == pytest.approx(d_star, abs=1e-4)
+        assert sol.diagnostics.is_global_grid_min is lowest
 
     def test_rejects_unknown_order(self, model):
         with pytest.raises(DomainError):
