@@ -10,8 +10,9 @@ solvers need is the scalar
 for standard normal Z: it replaces the plain normal quantile in the
 normal-approximation objectives.
 
-The closed forms (var, es, wang) need no scipy; it is imported only where
-quadrature or its vectorised normal functions are needed.
+var, es and wang have closed forms.  The other kinds take phi from one
+trapezoid rule through `DistortionMeasure.h_prime`; the module needs only
+numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -119,13 +120,8 @@ class DistortionMeasure:
         elif self.kind == "pht":
             out = s ** (1.0 - b)
         else:  # wang
-            from scipy.special import ndtr, ndtri
-
-            out = np.empty_like(s)
-            inner = (s > 0.0) & (s < 1.0)
-            out[inner] = ndtr(ndtri(s[inner]) + b)
-            out[s <= 0.0] = 0.0
-            out[s >= 1.0] = 1.0
+            z = _normal_quantiles(s).ravel()
+            out = np.array([normal_cdf(x + b) for x in z]).reshape(s.shape)
         return float(out[0]) if scalar else out
 
     def h_prime(self, s):
@@ -142,10 +138,9 @@ class DistortionMeasure:
             return (1.0 + b) - 2.0 * b * s
         if self.kind == "pht":
             return (1.0 - b) * s ** (-b)
-        from scipy.special import ndtri
-
-        z = ndtri(s)
-        return np.exp(0.5 * z * z - 0.5 * (z + b) ** 2)
+        # wang: density(z + b) / density(z) at z = quantile(s), written as a
+        # power so that s = 0 and s = 1 take their limits
+        return np.exp(-_normal_quantiles(s)) ** b * math.exp(-0.5 * b * b)
 
     def phi_normal(self) -> float:
         """phi_h of a standard normal variable (cached per measure)."""
@@ -169,55 +164,58 @@ def _phi_normal_cached(kind: str, param: float) -> float:
     return phi_normal_by_quadrature(DistortionMeasure(kind, param))
 
 
+def _normal_quantiles(s: np.ndarray) -> np.ndarray:
+    """normal_quantile elementwise, extended by -inf at 0 and +inf at 1."""
+    flat = [
+        normal_quantile(x) if 0.0 < x < 1.0 else math.copysign(math.inf, x - 0.5)
+        for x in s.ravel()
+    ]
+    return np.array(flat).reshape(s.shape)
+
+
+#: Trapezoid rule for phi: nodes z = k * step for |k| <= 3700.  The integrand
+#: z h'(S(z)) density(z) is smooth and decays like a Gaussian, so the rule is
+#: exact to rounding once the part beyond +-37 is negligible.
+_PHI_STEP = 0.01
+_PHI_HALF_NODES = 3700
+#: Largest integrand value at either end of the range, relative to phi,
+#: that the rule accepts; its error is about this ratio.
+_PHI_END_TOL = 1e-12
+
+
+@lru_cache(maxsize=1)
+def _phi_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Survival levels S(z) and the factor z * density(z) at every node."""
+    z = np.arange(-_PHI_HALF_NODES, _PHI_HALF_NODES + 1) * _PHI_STEP
+    survival = np.array([normal_cdf(-x) for x in z])
+    z_density = z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    for a in (survival, z_density):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return survival, z_density
+
+
 def phi_normal_by_quadrature(measure: DistortionMeasure) -> float:
-    """phi_h(Z) as a Stieltjes integral against h', for smooth h.
+    """phi_h(Z) = integral of z h'(S(z)) density(z) dz, by the trapezoid rule.
 
-    The integration variable t is substituted with the normal survival
-    level t = P(Z > z), which turns the quantile factor into z and keeps
-    the integrand smooth at both endpoints.
+    Substituting the survival level t = S(z) = P(Z > z) turns the quantile
+    factor into z.  Only measures with a continuous h' qualify; raises
+    NumericalFailure when the integrand has not died out at the ends of the
+    range, as for pht with beta near 1.
     """
-    if measure.kind == "var":
-        raise DomainError("var distortion is a pure jump; use the closed form")
-    from scipy import integrate
-    from scipy.special import ndtr
-
-    b = measure.param
-
-    def integrand(z):
-        dens = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        if measure.kind == "wang":
-            # merge h' into the density so neither factor overflows
-            return z * np.exp(-0.5 * (z - b) ** 2) / np.sqrt(2.0 * np.pi)
-        if dens == 0.0:
-            return 0.0
-        s = ndtr(-z)
-        if measure.kind == "es":
-            hp = 1.0 / (1.0 - b) if s < 1.0 - b else 0.0
-        elif measure.kind == "dualpower":
-            hp = b * ndtr(z) ** (b - 1.0)
-        elif measure.kind == "gini":
-            hp = (1.0 + b) - 2.0 * b * s
-        else:  # pht
-            hp = (1.0 - b) * s ** (-b) if s > 0.0 else 0.0
-        return z * hp * dens
-
-    pieces = []
-    if measure.kind == "es":
-        # h' jumps at the var threshold; split the axis there
-        zp = normal_quantile(b)
-        pieces = [(-np.inf, zp), (zp, np.inf)]
-    else:
-        pieces = [(-np.inf, np.inf)]
-    total = 0.0
-    for a, c in pieces:
-        value, abserr = integrate.quad(integrand, a, c, epsabs=1e-12,
-                                       epsrel=1e-10, limit=300)
-        if abserr > 1e-8 * max(1.0, abs(value)):
-            raise NumericalFailure(
-                f"phi quadrature for {measure.describe()} error {abserr:g}"
-            )
-        total += value
-    return float(total)
+    if measure.kind in ("var", "es"):
+        raise DomainError(
+            f"{measure.describe()} has a jump in h'; use the closed form"
+        )
+    survival, z_density = _phi_grid()
+    f = z_density * measure.h_prime(survival)
+    total = float(_PHI_STEP * (f.sum() - 0.5 * (f[0] + f[-1])))
+    end = max(abs(f[0]), abs(f[-1]))
+    if not (math.isfinite(total) and end <= _PHI_END_TOL * max(abs(total), 1.0)):
+        raise NumericalFailure(
+            f"phi rule for {measure.describe()} is cut off at |z| = "
+            f"{_PHI_HALF_NODES * _PHI_STEP:g}: end value {end:g}, phi {total:g}"
+        )
+    return total
 
 
 def parse_measure(text: str) -> DistortionMeasure:

@@ -464,17 +464,12 @@ def solve_retention_edgeworth(
     if z <= 0.0:
         raise NonpositivePhi(f"risk level p={p:g} gives a nonpositive quantile")
     mean = model.mean()
-    cache: dict[float, float] = {}
 
     def refined_objective(d: float) -> float:
-        if d in cache:
-            return cache[d]
         tm = model.truncated_moments(d)
         sd_capped = math.sqrt(max(tm.var, 0.0))
         quant = _cornish_fisher_quantile(model, d, z, p, n, order)
-        value = n * mean + n * rule.rho * tm.nu1 + math.sqrt(n) * sd_capped * quant
-        cache[d] = value
-        return value
+        return n * mean + n * rule.rho * tm.nu1 + math.sqrt(n) * sd_capped * quant
 
     # The corrected objective flattens toward the no-ceding asymptote and may
     # dip below the interior basin far in the tail, where the polynomial

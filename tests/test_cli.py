@@ -47,6 +47,21 @@ class TestExitCodes:
         err = json.loads(out)["error"]
         assert err["type"] == "NonpositivePhi"
 
+    @pytest.mark.parametrize("beta", ["0.95", "0.97", "0.99", "0.995"])
+    def test_pht_near_one_reports_the_numerical_failure(self, capsys, beta):
+        """phi's trapezoid rule accepts pht up to about 0.956; beyond, the
+        failure is named as such and not as a missing optimum."""
+        code, out = run_cli(
+            capsys, "optimize", *PARETO, "--rule", "stddev", "--rho0", "0.5",
+            "--measure", f"pht:{beta}", "--N", "100",
+        )
+        if beta == "0.95":
+            assert code == 0
+            assert json.loads(out)["d_star"] > 0.0
+        else:
+            assert code == 2
+            assert json.loads(out)["error"]["type"] == "NumericalFailure"
+
     def test_usage_error_is_sixty_four(self, capsys):
         code, out = run_cli(capsys, "optimize", "--rule", "decreasing")
         assert code == 64
@@ -243,6 +258,30 @@ class TestSelfcheck:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok ") >= 6
+
+    @pytest.mark.parametrize("shape, scale", [(9.0, 8.0), (2.5, 3.0), (5.0, 1.0)])
+    def test_quadrature_rules_match_mpmath(self, shape, scale):
+        """Tanh-sinh on [0, d] and exp-sinh on (d, inf) against 30-digit
+        mpmath for the four capped and excess moments of the Lomax law."""
+        mp = pytest.importorskip("mpmath")
+        model = ParetoII(shape, scale)
+        for d in (0.3, 1.0, 4.0):
+            with mp.workdps(30):
+                surv = lambda x: (1 + x / mp.mpf(scale)) ** (-mp.mpf(shape))
+                exact = [
+                    mp.quad(surv, [0, d]),
+                    mp.quad(surv, [d, mp.inf]),
+                    mp.quad(lambda x: x * surv(x), [0, d]),
+                    mp.quad(lambda x: (x - d) * surv(x), [d, mp.inf]),
+                ]
+            values = [
+                cli.integrate_finite(model.survival, 0.0, d),
+                cli.integrate_tail(model.survival, d),
+                cli.integrate_finite(lambda x: x * model.survival(x), 0.0, d),
+                cli.integrate_tail(lambda x: (x - d) * model.survival(x), d),
+            ]
+            for value, ref in zip(values, exact):
+                assert abs(value - ref) <= 1e-13 * ref, (d, value, ref)
 
     def test_corrupted_reference_table_is_caught(self, capsys, monkeypatch):
         """The quantile check reads the table at run time, so a corrupted

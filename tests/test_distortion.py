@@ -15,7 +15,7 @@ from xolopt.distortion import (
     parse_measure,
     phi_normal_by_quadrature,
 )
-from xolopt.errors import DomainError
+from xolopt.errors import DomainError, NumericalFailure
 
 ALL_MEASURES = [
     DistortionMeasure.var(0.75),
@@ -143,10 +143,17 @@ class TestPhiNormal:
         assert DistortionMeasure.wang(0.7).phi_normal() == pytest.approx(0.7)
         assert DistortionMeasure.wang(0.0).phi_normal() == 0.0
 
+    def test_es_closed_form_matches_mpmath(self):
+        """E[Z | Z > z_p] = density(z_p) / (1 - p), integrated at 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            z_p = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(0.9) - 1)
+            exact = mp.quad(lambda z: z * mp.npdf(z), [z_p, mp.inf]) / (1 - mp.mpf(0.9))
+            assert abs(DistortionMeasure.es(0.9).phi_normal() - exact) <= 1e-13 * exact
+
     @pytest.mark.parametrize(
         "measure",
         [
-            DistortionMeasure.es(0.9),
             DistortionMeasure.gini(0.3),
             DistortionMeasure.pht(0.25),
             DistortionMeasure.wang(1.1),
@@ -171,6 +178,66 @@ class TestPhiNormal:
         betas = [0.0, 0.2, 0.4, 0.6, 0.8]
         phis = [DistortionMeasure.pht(b).phi_normal() for b in betas]
         assert all(a < b for a, b in zip(phis, phis[1:]))
+
+
+def _mpmath_phi(mp, kind, beta):
+    """The integral of z h'(S(z)) density(z) over the real line, in mpmath."""
+    b = mp.mpf(beta)
+
+    def h_prime(z):
+        surv, cdf = mp.erfc(z / mp.sqrt(2)) / 2, mp.erfc(-z / mp.sqrt(2)) / 2
+        if kind == "dualpower":
+            return b * cdf ** (b - 1)
+        if kind == "gini":
+            return 1 + b - 2 * b * surv
+        if kind == "pht":
+            return (1 - b) * surv ** (-b)
+        return mp.exp(b * z - b * b / 2)  # wang: the quantile of S(z) is -z
+
+    points = [-mp.inf, -10, -3, 0, 3, 10, 40, mp.inf]
+    return mp.quad(lambda z: z * h_prime(z) * mp.npdf(z), points)
+
+
+#: Just below the largest pht parameter the rule accepts (0.956427).
+LARGEST_PHT = 0.9564
+
+
+class TestPhiRule:
+    """phi_normal_by_quadrature: one trapezoid rule through h_prime."""
+
+    @pytest.mark.parametrize(
+        "kind, beta",
+        [("dualpower", b) for b in (1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0)]
+        + [("gini", b) for b in (0.0, 0.3, 1.0)]
+        + [("pht", b) for b in (0.0, 0.25, 0.5, 0.8, 0.9, 0.95, LARGEST_PHT)]
+        + [("wang", 1.1)],
+    )
+    def test_matches_30_digit_mpmath(self, kind, beta):
+        mp = pytest.importorskip("mpmath")
+        measure = DistortionMeasure(kind, beta)
+        with mp.workdps(30):
+            exact = _mpmath_phi(mp, kind, beta)
+        value = phi_normal_by_quadrature(measure)
+        # h(s) = s at dualpower:1, gini:0 and pht:0, where phi is 0
+        identity = beta == (1.0 if kind == "dualpower" else 0.0)
+        scale = 1.0 if identity else abs(exact)
+        assert abs(value - exact) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("beta", [0.97, 0.99, 0.995])
+    def test_pht_near_one_is_a_numerical_failure(self, beta):
+        """The integrand decays like exp(-(1 - beta) z^2 / 2): at these
+        parameters it has not died out at the ends of the rule's range."""
+        with pytest.raises(NumericalFailure):
+            DistortionMeasure.pht(beta).phi_normal()
+
+    @pytest.mark.parametrize(
+        "measure",
+        [DistortionMeasure.var(0.75), DistortionMeasure.es(0.9)],
+        ids=lambda m: m.describe(),
+    )
+    def test_jumping_h_prime_is_refused(self, measure):
+        with pytest.raises(DomainError):
+            phi_normal_by_quadrature(measure)
 
 
 class TestParseMeasure:
