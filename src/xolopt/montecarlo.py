@@ -41,6 +41,8 @@ _RULE_STREAM = {"decreasing": 1, "stddev": 2, "sharpe": 3}
 
 # cap on simultaneously materialised draws (elements, not bytes)
 _CHUNK_ELEMENTS = 50_000_000
+# cap on claims plus cells binned at once, which bounds the binning temporaries
+_BIN_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,13 @@ class McEstimateRow:
 
 @dataclass(frozen=True)
 class BruteForceResult:
+    """Simulated optimum: d_actual, the averaged VaR there and its standard
+    error over the batches, and the portfolios drawn in all."""
+
     d_actual: float
     var_at_optimum: float
+    portfolios: int
+    var_se: float
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,12 @@ class _CostOracle:
     numbers), so the d -> VaR map is a deterministic function once the seed
     is fixed.  Draws are materialised when small enough and regenerated in
     chunks otherwise; both paths consume the stream in the same order.
+
+    Cost: a grid of G retentions takes one binned O(B*N + B*G) pass over the
+    B x N draws (each claim is binned by the first retention at or above it,
+    and per-row cumulative cell sums give every capped sum), and a
+    refinement bracket takes one more; each retention inside the bracket
+    then costs O(B + k), for the k claims that fall inside it.
     """
 
     def __init__(self, model: SeverityModel, n: int, cfg: McConfig, *key: int):
@@ -153,20 +166,60 @@ class _CostOracle:
             yield self.model.sample_rng(rows * self.n, rng).reshape(rows, self.n)
             done += rows
 
+    def _binned(self, edges: np.ndarray):
+        """Per-row cell sums and counts of the draws, a bounded row chunk at a time.
+
+        Yields (first row, draws, cell of each claim, sums, counts): a claim's
+        cell is the index of the first edge at or above it, and sums/counts
+        are (cells, rows), so that every row is reduced alone and the result
+        does not depend on the chunking.
+        """
+        cells = edges.size + 1
+        rows_per = max(1, _BIN_ELEMENTS // (self.n + cells))
+        first = 0
+        for block in self._blocks():
+            for lo in range(0, block.shape[0], rows_per):
+                part = block[lo:lo + rows_per]
+                r = part.shape[0]
+                cell = np.searchsorted(edges, part)
+                flat = (cell * r + np.arange(r)[:, None]).ravel()
+                sums = np.bincount(flat, weights=part.ravel(), minlength=cells * r)
+                counts = np.bincount(flat, minlength=cells * r)
+                yield first, part, cell, sums.reshape(cells, r), counts.reshape(cells, r)
+                first += r
+
     def capped_stats(self, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p-free pieces: all capped sums (b per d) and pooled excess means."""
         d_values = np.asarray(d_values, dtype=float)
-        sums = np.zeros((d_values.size, self.b))
-        excess = np.zeros(d_values.size)
-        row = 0
-        for block in self._blocks():
-            rows = block.shape[0]
-            for j, d in enumerate(d_values):
-                capped = np.minimum(block, d)
-                sums[j, row:row + rows] = capped.sum(axis=1)
-                excess[j] += (block - capped).sum()
-            row += rows
+        sums = np.empty((d_values.size, self.b))
+        totals = np.empty(self.b)
+        for first, part, _, cell_sums, cell_counts in self._binned(d_values):
+            span = slice(first, first + part.shape[0])
+            below = np.cumsum(cell_sums, axis=0, out=cell_sums)
+            above = np.cumsum(cell_counts[:-1], axis=0)
+            np.subtract(self.n, above, out=above)
+            np.multiply(d_values[:, None], above, out=sums[:, span])
+            sums[:, span] += below[:-1]
+            totals[span] = below[-1]
+        # the excess comes from whole per-row totals, so chunking moves no bit
+        excess = np.array([(totals - s).sum() for s in sums])
         return sums, excess / (self.b * self.n)
+
+    def bracket(self, lo: float, hi: float) -> "_Bracket":
+        """Capped sums for any retention in [lo, hi], from one more pass."""
+        below = np.empty(self.b)
+        count = np.empty(self.b, dtype=np.int64)
+        totals = np.empty(self.b)
+        xs, row_ids = [], []
+        for first, part, cell, cell_sums, cell_counts in self._binned(np.array([lo, hi])):
+            span = slice(first, first + part.shape[0])
+            below[span] = cell_sums[0]
+            count[span] = cell_counts[0]
+            totals[span] = cell_sums.sum(axis=0)
+            r, c = np.nonzero(cell == 1)
+            xs.append(part[r, c])
+            row_ids.append(r + first)
+        return _Bracket(self, below, count, totals, np.concatenate(xs), np.concatenate(row_ids))
 
     def quantile_index(self, p: float) -> int:
         k = int(math.ceil(p * self.b - 1e-9))
@@ -175,16 +228,46 @@ class _CostOracle:
     def var_values(self, rule: LoadingRule, p: float, d_values) -> np.ndarray:
         d_values = np.asarray(d_values, dtype=float)
         sums, nu1 = self.capped_stats(d_values)
-        idx = self.quantile_index(p)
-        out = np.empty(d_values.size)
-        for j, d in enumerate(d_values):
-            quant = np.partition(sums[j], idx)[idx]
-            rho_eff = effective_rho(self.model, rule, self.n, float(d))
-            out[j] = quant + (1.0 + rho_eff) * self.n * nu1[j]
-        return out
+        return np.array([self.var_from(rule, p, float(d), s, e)
+                         for d, s, e in zip(d_values, sums, nu1)])
 
-    def var_scalar(self, rule: LoadingRule, p: float, d: float) -> float:
-        return float(self.var_values(rule, p, np.array([d]))[0])
+    def var_from(self, rule: LoadingRule, p: float, d: float, sums: np.ndarray,
+                 nu1: float) -> float:
+        """Total-cost quantile at d from its capped sums and pooled excess mean."""
+        idx = self.quantile_index(p)
+        quant = np.partition(sums, idx)[idx]
+        rho_eff = effective_rho(self.model, rule, self.n, d)
+        return float(quant + (1.0 + rho_eff) * self.n * nu1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Bracket:
+    """One oracle's draws reduced to what a retention in [lo, hi] needs.
+
+    Per row: the sum and count of the claims at or below lo and the row
+    total; besides, every claim in (lo, hi] with its row.
+    """
+
+    oracle: _CostOracle
+    below: np.ndarray
+    count: np.ndarray
+    totals: np.ndarray
+    x: np.ndarray
+    row: np.ndarray
+
+    def capped_stats(self, d: float) -> tuple[np.ndarray, float]:
+        """Capped sums and pooled excess mean at one d in [lo, hi]."""
+        o = self.oracle
+        inside = self.x <= d
+        row = self.row[inside]
+        below = self.below + np.bincount(row, weights=self.x[inside], minlength=o.b)
+        above = o.n - (self.count + np.bincount(row, minlength=o.b))
+        sums = below + d * above
+        return sums, float((self.totals - sums).sum()) / (o.b * o.n)
+
+    def var(self, rule: LoadingRule, p: float, d: float) -> float:
+        sums, nu1 = self.capped_stats(d)
+        return self.oracle.var_from(rule, p, d, sums, nu1)
 
 
 def mc_var_total_cost(
@@ -207,7 +290,7 @@ def mc_var_total_cost(
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
     oracle = _CostOracle(model, n, cfg, _STREAM_VAR_COST, n)
-    return oracle.var_scalar(rule, p, d)
+    return float(oracle.var_values(rule, p, [d])[0])
 
 
 def _default_grid(model: SeverityModel, size: int = 80) -> np.ndarray:
@@ -232,6 +315,12 @@ def brute_force_optimal(
     common-random-number batches before the scan.  Within each batch every
     retention sees identical draws, keeping the averaged map deterministic
     through the refinement pass.
+
+    Each batch costs one binned O(B*N) pass for the whole grid and one for
+    the refinement bracket; each golden step then costs O(B + k) per batch,
+    for the k claims inside the bracket.  The result reports the portfolios
+    drawn over all batches and the standard error of the averaged VaR at
+    the optimum, from the spread of the batch VaRs there.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
@@ -244,17 +333,29 @@ def brute_force_optimal(
         _CostOracle(model, n, cfg, _STREAM_VAR_COST, n, batch)
         for batch in range(_VAR_BATCHES)
     ]
-    values = np.mean([o.var_values(rule, p, grid) for o in oracles], axis=0)
+    batches = np.array([o.var_values(rule, p, grid) for o in oracles])
+    values = batches.mean(axis=0)
+    i = int(np.argmin(values))
+    if i == 0 or i == grid.size - 1:
+        raise GridBoundaryMinimum(
+            f"simulated optimum sits at the grid edge d={grid[i]:g}; widen the grid"
+        )
+    brackets = [o.bracket(grid[i - 1], grid[i + 1]) for o in oracles]
+    seen = {}
 
     def averaged(d: float) -> float:
-        return float(np.mean([o.var_scalar(rule, p, d) for o in oracles]))
+        seen[d] = np.array([br.var(rule, p, d) for br in brackets])
+        return float(seen[d].mean())
 
-    res = golden_refine(averaged, grid, values, int(np.argmin(values)))
-    if res.at_boundary:
-        raise GridBoundaryMinimum(
-            f"simulated optimum sits at the grid edge d={res.x:g}; widen the grid"
-        )
-    return BruteForceResult(d_actual=res.x, var_at_optimum=res.fx)
+    res = golden_refine(averaged, grid, values, i)
+    # golden_refine keeps grid[i] when the search ends higher
+    at_optimum = seen.get(res.x, batches[:, i])
+    return BruteForceResult(
+        d_actual=res.x,
+        var_at_optimum=res.fx,
+        portfolios=_VAR_BATCHES * cfg.b,
+        var_se=float(at_optimum.std(ddof=1)) / math.sqrt(_VAR_BATCHES),
+    )
 
 
 def insolvency_probability(

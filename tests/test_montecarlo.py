@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from xolopt import montecarlo
 from xolopt.errors import DomainError
 from xolopt.montecarlo import (
+    _VAR_BATCHES,
     McConfig,
+    _CostOracle,
     brute_force_optimal,
     insolvency_probability,
     mc_var_total_cost,
@@ -97,12 +100,105 @@ class TestVarTotalCost:
         assert abs(near - base) < 0.01
 
 
+class TestBinnedOracle:
+    """The binned pass against the direct capped sum over the same draws."""
+
+    N = 7
+
+    def _oracle(self):
+        """An oracle and its draws, rebuilt from the substream it keys."""
+        rng = substream(SMALL.seed, 1, self.N)
+        draws = MODEL.sample_rng(SMALL.b * self.N, rng).reshape(SMALL.b, self.N)
+        return _CostOracle(MODEL, self.N, SMALL, 1, self.N), draws
+
+    def _grid(self, draws):
+        return np.array([
+            0.5 * draws.min(),           # below every draw
+            float(np.median(draws)),
+            float(draws[3, 2]),          # exactly a drawn claim
+            float(np.quantile(draws, 0.9)),
+            2.0 * draws.max(),           # above every draw
+        ])
+
+    @staticmethod
+    def _assert_direct(draws, d_values, sums, nu1):
+        for d, s, e in zip(d_values, sums, nu1):
+            capped = np.minimum(draws, d)
+            np.testing.assert_allclose(s, capped.sum(axis=1), rtol=1e-12, atol=0.0)
+            direct = float((draws - capped).sum()) / draws.size
+            assert e == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_grid_matches_direct_sum(self):
+        oracle, draws = self._oracle()
+        grid = self._grid(draws)
+        sums, nu1 = oracle.capped_stats(grid)
+        assert sums.shape == (grid.size, SMALL.b)
+        assert nu1[-1] == 0.0
+        self._assert_direct(draws, grid, sums, nu1)
+
+    def test_one_point_grid_matches_direct_sum(self):
+        oracle, draws = self._oracle()
+        d = np.array([float(draws[10, 4])])
+        sums, nu1 = oracle.capped_stats(d)
+        self._assert_direct(draws, d, sums, nu1)
+
+    def test_bracket_matches_full_pass(self):
+        oracle, draws = self._oracle()
+        grid = self._grid(draws)
+        bracket = oracle.bracket(grid[1], grid[3])
+        # both ends, a claim inside, and points between
+        inside = np.linspace(grid[1], grid[3], 7)[1:-1]
+        for d in [grid[1], grid[2], grid[3], *inside]:
+            sums, nu1 = bracket.capped_stats(float(d))
+            full, full_nu1 = oracle.capped_stats(np.array([d]))
+            np.testing.assert_allclose(sums, full[0], rtol=1e-12, atol=0.0)
+            assert nu1 == pytest.approx(full_nu1[0], rel=1e-12, abs=0.0)
+            self._assert_direct(draws, [d], [sums], [nu1])
+
+    def test_chunking_changes_no_bit(self, monkeypatch):
+        """Draws regenerated in several blocks and binned in small row chunks
+        give exactly the results of one materialised matrix."""
+        rule = DecreasingLoading(0.5)
+        grid = np.geomspace(0.05, 5.0, 40)
+
+        def pieces():
+            oracle = _CostOracle(MODEL, 10, SMALL, 1, 10)
+            sums, nu1 = oracle.capped_stats(grid)
+            bracket_sums, bracket_nu1 = oracle.bracket(grid[9], grid[11]).capped_stats(0.5)
+            return oracle, [sums, nu1, bracket_sums, np.array([bracket_nu1])]
+
+        _, whole = pieces()
+        best = brute_force_optimal(MODEL, rule, 10, 0.75, SMALL)
+        insolvent = insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 3001)
+        monkeypatch.setattr(montecarlo, "_BIN_ELEMENTS", 997)
+        oracle, chunked = pieces()
+        assert oracle._matrix is None
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a, b)
+        assert brute_force_optimal(MODEL, rule, 10, 0.75, SMALL) == best
+        assert insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL) == insolvent
+
+
 class TestBruteForce:
     def test_decreasing_matches_reference_actual(self):
         ref = 0.5472
         res = brute_force_optimal(MODEL, DecreasingLoading(0.5), 100, 0.75, DESK)
         assert abs(res.d_actual - ref) / ref < 0.15
         assert res.var_at_optimum > 0.0
+
+    def test_reports_budget_and_batch_error(self):
+        rule, n, p = SharpeLoading(0.5), 10, 0.75
+        res = brute_force_optimal(MODEL, rule, n, p, SMALL)
+        assert res.portfolios == _VAR_BATCHES * SMALL.b
+        batch = [
+            _CostOracle(MODEL, n, SMALL, 1, n, k).var_values(rule, p, [res.d_actual])[0]
+            for k in range(_VAR_BATCHES)
+        ]
+        assert np.mean(batch) == pytest.approx(res.var_at_optimum, rel=1e-12)
+        se = np.std(batch, ddof=1) / math.sqrt(_VAR_BATCHES)
+        assert res.var_se == pytest.approx(se, rel=1e-9)
+        assert res.var_se > 0.0
 
     def test_custom_grid_is_respected(self):
         grid = np.linspace(0.3, 1.2, 40)
