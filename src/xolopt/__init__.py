@@ -20,7 +20,6 @@ from .errors import (
     NonfiniteMoment,
     NonpositivePhi,
     NoRootFound,
-    NotBracketed,
     NumericalFailure,
     XoloptError,
 )

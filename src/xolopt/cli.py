@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -221,33 +221,16 @@ def cmd_simulate(args, parser: _Parser) -> int:
             model, cfg, p=args.p, rho=args.rho, delta=args.delta, rho0=args.rho0,
             only=args.only,
         )
-        header = ("rule", "n", "approx_order", "d_actual", "d_approx", "rel_diff_pct")
-        data = [
-            (r.rule, r.n, r.approx_order, r.d_actual, r.d_approx, r.rel_diff_pct)
-            for r in rows
-        ]
-        target = out / "table1.csv"
     elif args.study == "table2":
         rows = replicate_table2(
             model, cfg, p=args.p, delta=args.delta, rho0=args.rho0, only=args.only,
         )
-        header = (
-            "rule", "n", "d_true", "mean_d_hat", "bias_pct",
-            "theo_se", "emp_se", "diff_pct", "coverage", "failures",
-        )
-        data = [
-            (r.rule, r.n, r.d_true, r.mean_d_hat, r.bias_pct,
-             r.theo_se, r.emp_se, r.diff_pct, r.coverage, r.failures)
-            for r in rows
-        ]
-        target = out / "table2.csv"
     else:
-        header = ("n", "d_star", "prob", "analytic_prob")
-        data = []
-        for n in args.n_values:
-            r = insolvency_probability(model, n, args.rho, args.p, cfg)
-            data.append((r.n, r.d_star, r.prob, r.analytic_prob))
-        target = out / "insolvency.csv"
+        rows = [insolvency_probability(model, n, args.rho, args.p, cfg)
+                for n in args.n_values]
+    target = out / f"{args.study}.csv"
+    header = tuple(f.name for f in fields(rows[0]))
+    data = [astuple(r) for r in rows]
     write_csv_atomic(target, header, data)
     write_json_atomic(out / "manifest.json", _manifest(args, None))
     if args.json:

@@ -55,10 +55,6 @@ class GridBoundaryMinimum(XoloptError):
     """A Monte Carlo grid search ended on the boundary of the grid."""
 
 
-class NotBracketed(XoloptError):
-    """A root could not be bracketed on the supplied grid."""
-
-
 class LossParseError(XoloptError):
     """A loss input file could not be parsed.
 

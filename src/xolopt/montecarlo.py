@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distortion import DistortionMeasure
-from .errors import DomainError, GridBoundaryMinimum, NotBracketed, XoloptError
+from .errors import DomainError, GridBoundaryMinimum, XoloptError
 from .inference import _estimate
 from .numerics import golden_refine, log_spaced_grid
 from .retention import (
@@ -27,6 +27,7 @@ from .retention import (
     LoadingRule,
     SharpeLoading,
     StdDevLoading,
+    _validate_n,
     effective_rho,
     solve_retention,
     solve_retention_edgeworth,
@@ -142,6 +143,7 @@ class _CostOracle:
     """
 
     def __init__(self, model: SeverityModel, n: int, cfg: McConfig, *key: int):
+        _validate_n(n)
         self.model = model
         self.n = int(n)
         self.b = cfg.b
@@ -392,43 +394,41 @@ def turning_points(
     n: int,
     p: float,
     cfg: McConfig,
-    tol: float = 1e-6,
 ) -> list[float]:
     """Retentions where the capped-sum law shifts mass onto its upper kinks.
 
     The i-th point solves P(sum of capped losses >= (n-i+1)*d) = 1-p for
-    i = 1..n-1, by bisection on the simulated probability with shared draws.
+    i = 1..n-1, exactly on the simulated draws.  A row meets the i-th event
+    just when d is at most its threshold tau_i: with the row sorted and P_m
+    its prefix sums, m* is the last m with P_m >= (m-i+1)*x_(m), and
+    tau_i = P_m* / (m*-i+1).  The i-th point is the (j+1)-th largest tau_i,
+    for the largest j with j/b <= 1-p.  Only the b x (n-1) thresholds are
+    kept, so the draws are streamed as the cost oracle does.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"portfolio size must be at least 2, got {n}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
     oracle = _CostOracle(model, n, cfg, _STREAM_TURNING, n)
-    blocks = list(oracle._blocks())
-    x = np.vstack(blocks)
-    target = 1.0 - p
-
-    def prob_at(d: float, i: int) -> float:
-        s = np.minimum(x, d).sum(axis=1)
-        return float(np.count_nonzero(s >= (n - i + 1) * d)) / cfg.b
-
-    lo0 = model.quantile(1e-4)
-    hi0 = model.quantile(1.0 - 1e-7)
-    out: list[float] = []
-    for i in range(1, n):
-        lo, hi = lo0, hi0
-        if not (prob_at(lo, i) > target and prob_at(hi, i) < target):
-            raise NotBracketed(
-                f"exceedance probability does not cross {target:g} for kink {i}"
+    m = np.arange(1, n + 1)
+    taus = np.empty((n - 1, cfg.b))
+    first = 0
+    for block in oracle._blocks():
+        x = np.sort(block, axis=1)
+        prefix = np.cumsum(x, axis=1)
+        rows = np.arange(x.shape[0])
+        for i in range(1, n):
+            met = prefix >= (m - i + 1) * x
+            m_star = n - np.argmax(met[:, ::-1], axis=1)  # m = i always qualifies
+            taus[i - 1, first:first + x.shape[0]] = (
+                prefix[rows, m_star - 1] / (m_star - i + 1)
             )
-        while hi - lo > tol * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            if prob_at(mid, i) > target:
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
+        first += x.shape[0]
+    # more than a 1-p share of rows meet the event exactly up to the
+    # (j+1)-th largest threshold
+    j = np.count_nonzero(np.arange(cfg.b + 1) / cfg.b <= 1.0 - p) - 1
+    k = cfg.b - 1 - j
+    return [float(v) for v in np.partition(taus, k, axis=1)[:, k]]
 
 
 _TABLE1_ORDERS = ("o(sqrt(N))", "o(1)", "o(1/sqrt(N))")

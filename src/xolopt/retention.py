@@ -182,15 +182,7 @@ class RetentionSolution:
             "rule_params": asdict(self.rule),
             "measure": self.measure.describe(),
             "n_contracts": self.n_contracts,
-            "diagnostics": {
-                "bracket": list(diag.bracket),
-                "iterations": diag.iterations,
-                "stationarity_residual": diag.stationarity_residual,
-                "is_global_grid_min": diag.is_global_grid_min,
-                "condition_checks": diag.condition_checks,
-                "smallest_stationary_point": diag.smallest_stationary_point,
-                "effective_rho": diag.effective_rho,
-            },
+            "diagnostics": {**asdict(diag), "bracket": list(diag.bracket)},
         }
 
 
@@ -352,58 +344,45 @@ def solve_retention(
             )
         level = _atom_level(rule, measure, n)
         d2 = model.upper_quantile(level)
-        res = expand_and_solve(
+        best = expand_and_solve(
             lambda d: stationarity_function(model, rule, measure, n, d),
             lo=d2,
             hi_start=max(2.0 * d2, 1.0),
         )
-        d_star = res.root
-        diag = SolverDiagnostics(
-            bracket=res.bracket,
-            iterations=res.iterations,
-            stationarity_residual=abs(res.residual),
-            is_global_grid_min=True,
-            condition_checks=checks,
-            smallest_stationary_point=d_star,
-            effective_rho=effective_rho(model, rule, n, d_star),
-        )
-        return RetentionSolution(
-            d_star=d_star,
-            objective_value=objective(model, rule, measure, n, d_star),
-            rule=rule,
-            measure=measure,
-            n_contracts=n,
-            diagnostics=diag,
-        )
-
-    grid = model.search_grid()
-    station = lambda d: stationarity_function(model, rule, measure, n, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = rising_crossings(station, grid, station(grid))
-    if roots:
-        # the objective at each end of the grid and at every local minimum
-        values = objective(
-            model, rule, measure, n, np.array([grid[0], *(r.root for r in roots), grid[-1]])
-        )
-        k = int(np.argmin(values))
-    if not roots or k in (0, len(values) - 1):
-        raise NoRootFound(
-            f"no local minimum on the {grid.size}-point search grid is below both "
-            "of its ends; no interior optimal retention (trivial full or no reinsurance)"
-        )
-    best = roots[k - 1]
+        value = objective(model, rule, measure, n, best.root)
+        smallest = best.root
+    else:
+        grid = model.search_grid()
+        station = lambda d: stationarity_function(model, rule, measure, n, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = rising_crossings(station, grid, station(grid))
+        if roots:
+            # the objective at each end of the grid and at every local minimum
+            values = objective(
+                model, rule, measure, n,
+                np.array([grid[0], *(r.root for r in roots), grid[-1]]),
+            )
+            k = int(np.argmin(values))
+        if not roots or k in (0, len(values) - 1):
+            raise NoRootFound(
+                f"no local minimum on the {grid.size}-point search grid is below both "
+                "of its ends; no interior optimal retention (trivial full or no reinsurance)"
+            )
+        best = roots[k - 1]
+        value = float(values[k])
+        smallest = roots[0].root
     diag = SolverDiagnostics(
         bracket=best.bracket,
         iterations=best.iterations,
         stationarity_residual=abs(best.residual),
         is_global_grid_min=True,
         condition_checks=checks,
-        smallest_stationary_point=roots[0].root,
+        smallest_stationary_point=smallest,
         effective_rho=effective_rho(model, rule, n, best.root),
     )
     return RetentionSolution(
         d_star=best.root,
-        objective_value=float(values[k]),
+        objective_value=value,
         rule=rule,
         measure=measure,
         n_contracts=n,

@@ -311,7 +311,8 @@ class EmpiricalLosses(SeverityModel):
 
     Survival uses the strict inequality P(X > x) = #{X_i > x}/n so that the
     plug-in moment identities hold exactly.  Prefix sums over the sorted
-    sample make every truncated moment an O(log n) lookup.
+    sample make every first and second truncated moment an O(log n) lookup;
+    the third and fourth take one O(n) pass over the capped sample.
     """
 
     def __init__(self, losses):
@@ -327,8 +328,6 @@ class EmpiricalLosses(SeverityModel):
         z = np.concatenate([[0.0], self.losses])
         self._cum1 = np.cumsum(z)
         self._cum2 = np.cumsum(z * z)
-        self._cum3 = np.cumsum(z ** 3)
-        self._cum4 = np.cumsum(z ** 4)
 
     def survival(self, x: float) -> float:
         if x < 0.0:
@@ -385,12 +384,9 @@ class EmpiricalLosses(SeverityModel):
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         if d <= 0.0:
             raise DomainError(f"retention must be positive, got {d}")
-        tm = self.truncated_moments(d)
-        k = int(np.searchsorted(self.losses, d, side="right"))
-        tail_count = self.n - k
-        m3 = (self._cum3[k] + d ** 3 * tail_count) / self.n
-        m4 = (self._cum4[k] + d ** 4 * tail_count) / self.n
-        return self._standardised_higher(d, tm.mu1, tm.mu2, m3, m4)
+        c = np.minimum(self.losses, d)
+        m1, m2, m3, m4 = (float(np.mean(c ** k)) for k in range(1, 5))
+        return self._standardised_higher(d, m1, m2, m3, m4)
 
     def search_grid(self) -> np.ndarray:
         """Each distinct positive loss up to the 0.999 quantile, preceded by

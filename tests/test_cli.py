@@ -192,6 +192,16 @@ class TestSimulate:
         assert all(r["prob"] == 0.0 for r in rows)
         assert (out_dir / "insolvency.csv").exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_insolvency_rejects_bad_portfolio_size(self, capsys, tmp_path, n):
+        code, out = run_cli(
+            capsys, "simulate", "insolvency", "--N", n, "--B", "1000",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DomainError"
+        assert not (tmp_path / "insolvency.csv").exists()
+
     def test_replication_count_reaches_table2_only(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "insolvency", "--N", "2", "--B", "1000", "--M", "50",

@@ -157,7 +157,8 @@ class TestBinnedOracle:
 
     def test_chunking_changes_no_bit(self, monkeypatch):
         """Draws regenerated in several blocks and binned in small row chunks
-        give exactly the results of one materialised matrix."""
+        give exactly the results of one materialised matrix, turning points
+        included."""
         rule = DecreasingLoading(0.5)
         grid = np.geomspace(0.05, 5.0, 40)
 
@@ -170,6 +171,7 @@ class TestBinnedOracle:
         _, whole = pieces()
         best = brute_force_optimal(MODEL, rule, 10, 0.75, SMALL)
         insolvent = insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL)
+        kinks = turning_points(MODEL, 5, 0.75, SMALL)
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 3001)
         monkeypatch.setattr(montecarlo, "_BIN_ELEMENTS", 997)
         oracle, chunked = pieces()
@@ -178,6 +180,7 @@ class TestBinnedOracle:
             np.testing.assert_array_equal(a, b)
         assert brute_force_optimal(MODEL, rule, 10, 0.75, SMALL) == best
         assert insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL) == insolvent
+        assert turning_points(MODEL, 5, 0.75, SMALL) == kinks
 
 
 class TestBruteForce:
@@ -220,18 +223,67 @@ class TestInsolvency:
         assert res.prob == pytest.approx(0.25, abs=0.02)
 
 
+def _bisected_kinks(draws: np.ndarray, p: float) -> list[float]:
+    """Each kink by bisection on exact capped sums (claims below d plus d
+    per capped claim), to 1e-12 relative."""
+    b, n = draws.shape
+    out = []
+    for i in range(1, n):
+        lo, hi = 0.0, float(draws.sum(axis=1).max())
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            capped = draws > mid
+            sums = np.where(capped, 0.0, draws).sum(axis=1) + mid * capped.sum(axis=1)
+            if np.count_nonzero(sums >= (n - i + 1) * mid) / b > 1.0 - p:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
 class TestTurningPoints:
     def test_two_contracts_closed_form(self):
         pts = turning_points(MODEL, 2, 0.75, DESK)
         assert len(pts) == 1
-        # bisection on a B=20000 empirical probability; the frozen bound is
-        # two MC standard errors of the crossing location
+        # the crossing of a B=20000 empirical probability; the frozen bound
+        # is two MC standard errors of the crossing location
         assert pts[0] == pytest.approx(TURNING_N2, abs=0.02)
 
     def test_five_contracts_increasing(self):
         pts = turning_points(MODEL, 5, 0.75, SMALL)
         assert len(pts) == 4
         assert all(a < b for a, b in zip(pts, pts[1:]))
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_first_kink_within_four_standard_errors(self, n):
+        """Kink 1 solves S(d)^n = 1-p; the delta method carries the binomial
+        error of the simulated probability through the slope n S^(n-1) f."""
+        p, q = 0.75, 0.25
+        exact = MODEL.quantile(1.0 - q ** (1.0 / n))
+        slope = n * MODEL.survival(exact) ** (n - 1) * MODEL.density(exact)
+        se = math.sqrt(q * (1.0 - q) / DESK.b) / slope
+        assert abs(turning_points(MODEL, n, p, DESK)[0] - exact) < 4.0 * se
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 12])
+    def test_every_kink_matches_bisection(self, n):
+        rng = substream(DESK.seed, montecarlo._STREAM_TURNING, n)
+        draws = MODEL.sample_rng(DESK.b * n, rng).reshape(DESK.b, n)
+        pts = turning_points(MODEL, n, 0.75, DESK)
+        np.testing.assert_allclose(pts, _bisected_kinks(draws, 0.75), rtol=2e-6, atol=0.0)
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
+class TestPortfolioSizeValidation:
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_entry_points_reject_bad_sizes(self, n):
+        rule = DecreasingLoading(0.5)
+        with pytest.raises(DomainError):
+            mc_var_total_cost(MODEL, rule, n, 0.75, 1.0, SMALL)
+        with pytest.raises(DomainError):
+            brute_force_optimal(MODEL, rule, n, 0.75, SMALL)
+        with pytest.raises(DomainError):
+            insolvency_probability(MODEL, n, 0.2, 0.75, SMALL)
 
 
 class TestReplicateTable1:

@@ -193,6 +193,21 @@ class TestEmpiricalLosses:
             # the estimators rely on this exact arithmetic
             assert g["var"][0] == g["mu2"][0] - g["mu1"][0] ** 2
 
+    def test_higher_moments_match_central_moments(self):
+        rng = np.random.default_rng(5)
+        x = rng.pareto(4.0, size=400) * 2.0
+        emp = EmpiricalLosses(x)
+        for d in (0.1, 0.7, 3.0):
+            hm = emp.higher_truncated_moments(d)
+            capped = np.minimum(x, d)
+            dev = capped - capped.mean()
+            var = capped.var()
+            assert hm.d == d
+            assert hm.m3 == pytest.approx((capped**3).mean(), rel=1e-12)
+            assert hm.m4 == pytest.approx((capped**4).mean(), rel=1e-12)
+            assert hm.kappa3 == pytest.approx((dev**3).mean() / var**1.5, rel=1e-9)
+            assert hm.kappa4 == pytest.approx((dev**4).mean() / var**2 - 3.0, rel=1e-9)
+
     def test_truncated_moments_agree_with_grid(self):
         x = np.array([0.2, 0.9, 1.4, 2.2, 7.0])
         emp = EmpiricalLosses(x)
