@@ -43,7 +43,6 @@ class EstimationResult:
     measure: DistortionMeasure
     n: int
     coefficients: dict[str, float]
-    sigma_hat: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -85,48 +84,13 @@ def estimate_decreasing(
 ) -> EstimationResult:
     """Estimate the optimal retention under the decreasing loading rule.
 
-    The estimate is the root of the plug-in stationarity quadratic; the
-    standard error comes from linearising that quadratic in the two capped
-    moments.
+    The estimate is the root of the plug-in stationarity quadratic.  The
+    standard error comes from the linearisation all three estimators share,
+    in which the flat rate's marginal load, -delta * sbar, has gradient
+    (-delta, 0, 0) in (sbar, nu1, nu2); the coefficients are reported as
+    c0..c5.
     """
-    emp = _as_empirical(losses)
-    rule = DecreasingLoading(delta)
-    d_hat = solve_retention(emp, rule, measure, emp.n).d_star
-    q = (delta / measure.phi_normal()) ** 2
-
-    x = emp.losses
-    n = emp.n
-    tm = emp.truncated_moments(d_hat)
-    sbar = tm.sbar
-    c0 = 2.0 * (d_hat - tm.mu1) * (1.0 - sbar) - q * (2.0 * d_hat * sbar - 2.0 * tm.mu1 * sbar)
-    c1 = 2.0 * (d_hat - tm.mu1) - 2.0 * q * tm.mu1
-    c2 = q
-    capped = np.minimum(x, d_hat)
-    z = np.column_stack([capped, np.minimum(x * x, d_hat * d_hat)])
-    sigma = _covariance(z)
-    cvec = np.array([c1, c2])
-    inner = float(cvec @ sigma @ cvec)
-    if inner < 0.0 or c0 == 0.0:
-        raise DegenerateVariance("stationarity linearisation is degenerate")
-    se = math.sqrt(inner) / (abs(c0) * math.sqrt(n))
-    return EstimationResult(
-        d_hat=d_hat,
-        std_error=se,
-        ci=_wald_ci(d_hat, se, level),
-        level=level,
-        rule=rule,
-        measure=measure,
-        n=n,
-        coefficients={"c0": c0, "c1": c1, "c2": c2},
-        sigma_hat=sigma,
-        warnings=[],
-    )
-
-
-def _covariance(z: np.ndarray) -> np.ndarray:
-    # normalised by the sample size, matching the plug-in asymptotics
-    centered = z - z.mean(axis=0)
-    return centered.T @ centered / z.shape[0]
+    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, "c")
 
 
 def estimate_sd(
@@ -137,7 +101,7 @@ def estimate_sd(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the standard-deviation loading."""
-    return _estimate_spread_rule(losses, StdDevLoading(rho0), measure, level, bandwidth, "b")
+    return _estimate_rule(losses, StdDevLoading(rho0), measure, level, "b", bandwidth)
 
 
 def estimate_sharpe(
@@ -148,22 +112,25 @@ def estimate_sharpe(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the Sharpe-ratio loading."""
-    return _estimate_spread_rule(losses, SharpeLoading(rho0), measure, level, bandwidth, "a")
+    return _estimate_rule(losses, SharpeLoading(rho0), measure, level, "a", bandwidth)
 
 
-def _estimate_spread_rule(
+def _estimate_rule(
     losses,
     rule: LoadingRule,
     measure: DistortionMeasure,
     level: float,
-    bandwidth: float,
     prefix: str,
+    bandwidth: float = 0.1,
 ) -> EstimationResult:
-    """Plug-in estimate under a spread-dependent rule.
+    """Plug-in estimate under any rule, with its delta-method standard error.
 
-    The standard error linearises the stationarity function in the five
-    moments (sbar, mu1, mu2, nu1, nu2), with the rule supplying the gradient
-    of its marginal load; the coefficients are reported as prefix0..prefix5.
+    The stationarity function phi sbar (d - mu1) / sd(min(X, d)) plus the
+    marginal load is linearised in the five moments (sbar, mu1, mu2, nu1,
+    nu2), with the rule supplying the gradient of its marginal load.  The
+    standard error is the spread of the per-claim values of that linear
+    form over |c0| sqrt(n), where c0 is the derivative in d; the
+    coefficients are reported as prefix0..prefix5.
     """
     emp = _as_empirical(losses)
     sol = solve_retention(emp, rule, measure, emp.n)
@@ -171,22 +138,14 @@ def _estimate_spread_rule(
     phi = measure.phi_normal()
     tm = emp.truncated_moments(d_hat)
     var_mu = tm.var
-    if var_mu <= 0.0 or tm.nu2 - tm.nu1 ** 2 <= 0.0:
+    if var_mu <= 0.0 or (rule.spread_dependent and tm.nu2 - tm.nu1 ** 2 <= 0.0):
         raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")
     x = emp.losses
-    excess = np.maximum(x - d_hat, 0.0)
-    sigma = _covariance(np.column_stack([
-        (x > d_hat).astype(float),
-        np.minimum(x, d_hat),
-        np.minimum(x * x, d_hat * d_hat),
-        excess,
-        excess * excess,
-    ]))
     fhat = float(kde_density(x, d_hat, bandwidth))
     sbar = tm.sbar
     sd_mu = math.sqrt(var_mu)
     gap = d_hat - tm.mu1
-    load_sbar, load_nu1, load_nu2 = rule.load_gradient(sbar, tm.nu1, tm.nu2)
+    load_sbar, load_nu1, load_nu2 = rule.load_gradient(emp.n, sbar, tm.nu1, tm.nu2)
     c1 = phi * gap / sd_mu + load_sbar
     c2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * gap / sd_mu ** 3)
     c3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
@@ -199,11 +158,13 @@ def _estimate_spread_rule(
         + load_nu1 * (-sbar)
         + load_nu2 * (-2.0 * tm.nu1)
     )
-    cvec = np.array([c1, c2, c3, load_nu1, load_nu2])
-    inner = float(cvec @ sigma @ cvec)
-    if inner < 0.0 or c0 == 0.0:
+    if c0 == 0.0:
         raise DegenerateVariance("stationarity linearisation is degenerate")
-    se = math.sqrt(inner) / (abs(c0) * math.sqrt(emp.n))
+    capped = np.minimum(x, d_hat)
+    excess = x - capped
+    per_claim = (c1 * (x > d_hat) + c2 * capped + c3 * capped * capped
+                 + load_nu1 * excess + load_nu2 * excess * excess)
+    se = float(np.std(per_claim)) / (abs(c0) * math.sqrt(emp.n))
     return EstimationResult(
         d_hat=d_hat,
         std_error=se,
@@ -212,8 +173,8 @@ def _estimate_spread_rule(
         rule=rule,
         measure=measure,
         n=emp.n,
-        coefficients={f"{prefix}{i}": float(c) for i, c in enumerate([c0, *cvec])},
-        sigma_hat=sigma,
+        coefficients={f"{prefix}{i}": float(c)
+                      for i, c in enumerate([c0, c1, c2, c3, load_nu1, load_nu2])},
         warnings=_condition_warnings(sol.diagnostics.condition_checks),
     )
 

@@ -58,7 +58,6 @@ class McConfig:
     b: int = 20000
     m: int = 500
     seed: int = 0
-    d_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.b, (int, np.integer)) and self.b >= 1000):
@@ -67,12 +66,6 @@ class McConfig:
             raise DomainError(f"replication count must be >= 100, got {self.m}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.d_grid is not None:
-            grid = np.asarray(self.d_grid, dtype=float)
-            if grid.size == 0:
-                raise DomainError("retention grid must be nonempty")
-            if not (np.all(np.diff(grid) > 0.0) and grid[0] > 0.0):
-                raise DomainError("retention grid must be strictly increasing and positive")
 
     def full_scale(self) -> "McConfig":
         return replace(self, b=50000, m=5000)
@@ -326,11 +319,7 @@ def brute_force_optimal(
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
-    grid = (
-        np.asarray(cfg.d_grid, dtype=float)
-        if cfg.d_grid is not None
-        else _default_grid(model)
-    )
+    grid = _default_grid(model)
     oracles = [
         _CostOracle(model, n, cfg, _STREAM_VAR_COST, n, batch)
         for batch in range(_VAR_BATCHES)

@@ -22,6 +22,9 @@ BRENT_XTOL = 1e-12
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
 
+# expand_and_solve gives up once its upper end passes EXPAND_CAP
+EXPAND_CAP = 1e12
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -37,7 +40,6 @@ class MinResult:
     fx: float
     bracket: tuple[float, float]
     iterations: int
-    at_boundary: bool
 
 
 def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]:
@@ -109,12 +111,11 @@ def expand_and_solve(
     f: Callable[[float], float],
     lo: float,
     hi_start: float,
-    cap: float = 1e12,
 ) -> RootResult:
     """Root of an eventually increasing function on (lo, inf).
 
     Requires f(lo) <= 0.  The upper end doubles from hi_start until
-    f(hi) > 0; if the cap is passed first, no root exists in range.
+    f(hi) > 0; if EXPAND_CAP is passed first, no root exists in range.
     """
     flo = f(lo)
     if flo > 0.0:
@@ -126,9 +127,9 @@ def expand_and_solve(
     while f(hi) <= 0.0:
         hi *= 2.0
         expansions += 1
-        if hi > cap:
+        if hi > EXPAND_CAP:
             raise NoRootFound(
-                f"no sign change found up to {cap:g}; retention appears unbounded"
+                f"no sign change found up to {EXPAND_CAP:g}; retention appears unbounded"
             )
     root, iterations = brentq(f, lo, hi)
     return RootResult(
@@ -174,14 +175,13 @@ def golden_refine(
     For objectives without a usable derivative; `values` holds f(grid) and
     the caller picks i.  The search runs over the two cells beside grid[i]
     down to a width of 1e-10 (1 + grid[i]); grid[i] itself is kept when the
-    search ends higher.  An index at either end of the grid is returned
-    unrefined, with at_boundary set.
+    search ends higher.  An index at either end of the grid raises
+    ValueError.
     """
-    last = len(grid) - 1
-    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)])
+    if not 0 < i < len(grid) - 1:
+        raise ValueError(f"index {i} is not an interior point of a {len(grid)}-point grid")
+    a, b = float(grid[i - 1]), float(grid[i + 1])
     bracket = (a, b)
-    if i == 0 or i == last:
-        return MinResult(float(grid[i]), float(values[i]), bracket, 0, True)
     xtol = 1e-10 * (1.0 + float(grid[i]))
     x1 = b - INV_GOLDEN * (b - a)
     x2 = a + INV_GOLDEN * (b - a)
@@ -201,7 +201,7 @@ def golden_refine(
     fx = float(f(x))
     if fx > values[i]:
         x, fx = grid[i], values[i]
-    return MinResult(float(x), float(fx), bracket, iterations, False)
+    return MinResult(float(x), float(fx), bracket, iterations)
 
 
 def log_spaced_grid(lo: float, hi: float, size: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -41,34 +42,88 @@ HERMITE_AT_RISK_LEVEL = True
 
 
 class LoadingRule:
-    """A premium principle: the loading rate on the ceded layer as a
-    function of the portfolio size N and the ceded spread (standard
-    deviation).  Each rule has one positive parameter.
+    """A premium principle: the loading rate on the ceded mean,
 
-    A flat rate ignores the spread, and the optimum is the root of a
-    stationarity quadratic.  A spread-dependent rate is solved from the
-    zero crossings of the objective derivative, and its rule defines:
+        rate(N, sigma) = theta * sigma**k / sqrt(N),
 
-    - load(nu1, spread): the ceded loading sqrt(N) * rate * nu1, free of N
-      (infinite where a ratio load meets a layer without spread);
-    - marginal_load(sbar, nu1, nu2): the derivative of the load in d,
-      written in the moments at d (at d = 0 it decides the atom condition);
-    - load_gradient(sbar, nu1, nu2): the gradient of the marginal load in
-      those three moments, for the delta-method standard error;
-    - tail_check: the name and open range of its tail-index condition.
+    for a portfolio of N contracts whose ceded layer has spread (standard
+    deviation) sigma.  theta is the rule's one positive parameter and k its
+    `spread_power`: 0 for the decreasing rule, 1 for the standard-deviation
+    rule and -1 for the Sharpe-ratio rule.  The constant rule has k = 0 and
+    a rate that does not fall as 1/sqrt(N) (`falls_with_n` False).
+
+    Every objective reads the rule through the ceded loading, sqrt(N) times
+    the rate times the ceded mean nu1:
+
+    - load(n, nu1, sigma) = c(N) * nu1 * sigma**k, with c(N) = theta, or
+      theta * sqrt(N) for a rate that does not fall;
+    - marginal_load(n, sbar, nu1, nu2): its derivative in d,
+      -c(N) * (sbar sigma**k + k (1 - sbar) nu1**2 sigma**(k-2)), written in
+      the moments at d (at d = 0 it decides the atom condition);
+    - load_gradient(n, sbar, nu1, nu2): the gradient of the marginal load in
+      those three moments, for the delta-method standard error.
+
+    A flat rate (k = 0) ignores the spread, and the optimum is the root of a
+    stationarity quadratic; a spread-dependent rate is solved from the zero
+    crossings of the objective derivative.  A spread-dependent rule also
+    names its tail-index condition in `tail_check`: the check's name and the
+    open range of the tail index.
     """
 
-    spread_dependent = False
+    spread_power = 0
+    falls_with_n = True
+    tail_check = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class attribute, so that it can be read from the class itself
+        cls.spread_dependent = cls.spread_power != 0
+        (param,) = cls.__annotations__
+        cls.theta = property(attrgetter(param), doc="The rule's one parameter.")
 
     def __post_init__(self):
         (param,) = fields(self)
-        value = getattr(self, param.name)
-        if not value > 0.0:
-            raise DomainError(f"{param.name} must be positive, got {value}")
+        if not self.theta > 0.0:
+            raise DomainError(f"{param.name} must be positive, got {self.theta}")
 
-    def rate(self, n: int, spread=None):
-        """Loading rate on the ceded mean at portfolio size n."""
-        return self.load(1.0, spread) / math.sqrt(n)
+    def scale(self, n: int) -> float:
+        """c(N), the coefficient of the load."""
+        return self.theta if self.falls_with_n else self.theta * math.sqrt(n)
+
+    def rate(self, n: int, spread: float = 1.0) -> float:
+        """Loading rate on the ceded mean at portfolio size n (a flat rate
+        ignores the spread)."""
+        rate = self.theta * spread ** self.spread_power
+        return rate / math.sqrt(n) if self.falls_with_n else rate
+
+    def load(self, n: int, nu1, spread):
+        # infinite where a ratio load meets a layer without spread
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.scale(n) * nu1 * spread ** self.spread_power
+
+    def marginal_load(self, n: int, sbar, nu1, nu2):
+        k = self.spread_power
+        spread = np.sqrt(nu2 - nu1 ** 2)
+        tilt = k * (1.0 - sbar) * nu1 ** 2 * spread ** (k - 2) if k else 0.0
+        return -self.scale(n) * (sbar * spread ** k + tilt)
+
+    def load_gradient(self, n: int, sbar, nu1, nu2) -> tuple[float, float, float]:
+        k, c = self.spread_power, self.scale(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.sqrt(nu2 - nu1 ** 2)
+            low, lower = spread ** (k - 2), spread ** (k - 4)
+            tail = (k - 2) * (1.0 - sbar) * nu1 ** 2 * lower
+            return (
+                c * (_times(k, nu1 ** 2 * low) - spread ** k),
+                c * _times(-k, nu1 * ((2.0 - 3.0 * sbar) * low - tail)),
+                c * _times(-k, 0.5 * (sbar * low + tail)),
+            )
+
+
+def _times(k: int, x):
+    """k * x, and exactly 0 for k = 0 even where x is not finite (a flat
+    rate at a layer without spread)."""
+    return k * x if k else 0.0
 
 
 @dataclass(frozen=True)
@@ -78,9 +133,7 @@ class ConstantLoading(LoadingRule):
     rho: float
 
     name = "constant"
-
-    def rate(self, n: int, spread=None) -> float:
-        return self.rho
+    falls_with_n = False
 
 
 @dataclass(frozen=True)
@@ -91,9 +144,6 @@ class DecreasingLoading(LoadingRule):
 
     name = "decreasing"
 
-    def rate(self, n: int, spread=None) -> float:
-        return self.delta / math.sqrt(n)
-
 
 @dataclass(frozen=True)
 class StdDevLoading(LoadingRule):
@@ -102,23 +152,8 @@ class StdDevLoading(LoadingRule):
     rho0: float
 
     name = "stddev"
-    spread_dependent = True
+    spread_power = 1
     tail_check = ("tail_index_gt_2", 2.0, math.inf)
-
-    def load(self, nu1, spread):
-        return self.rho0 * nu1 * spread
-
-    def marginal_load(self, sbar, nu1, nu2):
-        spread = np.sqrt(nu2 - nu1 ** 2)
-        return -self.rho0 * sbar * spread - self.rho0 * (1.0 - sbar) * nu1 ** 2 / spread
-
-    def load_gradient(self, sbar, nu1, nu2) -> tuple[float, float, float]:
-        cdf, sd = 1.0 - sbar, math.sqrt(nu2 - nu1 ** 2)
-        return (
-            -self.rho0 * sd + self.rho0 * nu1 ** 2 / sd,
-            self.rho0 * nu1 * (sbar / sd - 2.0 * cdf / sd - cdf * nu1 ** 2 / sd ** 3),
-            self.rho0 * (-sbar / (2.0 * sd) + cdf * nu1 ** 2 / (2.0 * sd ** 3)),
-        )
 
 
 @dataclass(frozen=True)
@@ -128,24 +163,8 @@ class SharpeLoading(LoadingRule):
     rho0: float
 
     name = "sharpe"
-    spread_dependent = True
+    spread_power = -1
     tail_check = ("tail_index_in_2_4", 2.0, 4.0)
-
-    def load(self, nu1, spread):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(spread > 0.0, self.rho0 * nu1 / spread, np.inf)
-
-    def marginal_load(self, sbar, nu1, nu2):
-        spread = np.sqrt(nu2 - nu1 ** 2)
-        return -self.rho0 * sbar / spread + self.rho0 * (1.0 - sbar) * nu1 ** 2 / spread ** 3
-
-    def load_gradient(self, sbar, nu1, nu2) -> tuple[float, float, float]:
-        cdf, sd = 1.0 - sbar, math.sqrt(nu2 - nu1 ** 2)
-        return (
-            -self.rho0 * nu2 / sd ** 3,
-            self.rho0 * nu1 * ((2.0 * cdf - sbar) / sd ** 3 + 3.0 * cdf * nu1 ** 2 / sd ** 5),
-            self.rho0 * (sbar / (2.0 * sd ** 3) - 1.5 * cdf * nu1 ** 2 / sd ** 5),
-        )
 
 
 #: The loading rules by name.
@@ -225,14 +244,11 @@ def objective(
     g = model.moment_grid(d_arr)
     mean = model.mean()
     sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
-    if rule.spread_dependent:
-        spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
-        # a fully ceded-degenerate layer carries no spread but no claim
-        # either; the objective continuously approaches the capped term
-        load = np.where(g["nu1"] == 0.0, 0.0, rule.load(g["nu1"], spread))
-        out = n * mean + math.sqrt(n) * (phi * sd_capped + load)
-    else:
-        out = n * mean + n * rule.rate(n) * g["nu1"] + math.sqrt(n) * sd_capped * phi
+    spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
+    # a fully ceded-degenerate layer carries no spread but no claim
+    # either; the objective continuously approaches the capped term
+    load = np.where(g["nu1"] == 0.0, 0.0, rule.load(n, g["nu1"], spread))
+    out = n * mean + math.sqrt(n) * (phi * sd_capped + load)
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
@@ -253,13 +269,13 @@ def stationarity_function(
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     g = model.moment_grid(d_arr)
     if not rule.spread_dependent:
-        q = (math.sqrt(n) * rule.rate(n) / phi) ** 2
+        q = (rule.scale(n) / phi) ** 2
         out = (d_arr - g["mu1"]) ** 2 - q * g["var"]
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             sd_capped = np.sqrt(g["var"])
             lead = phi * g["sbar"] * (d_arr - g["mu1"]) / sd_capped
-            out = lead + rule.marginal_load(g["sbar"], g["nu1"], g["nu2"])
+            out = lead + rule.marginal_load(n, g["sbar"], g["nu1"], g["nu2"])
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
@@ -270,9 +286,9 @@ def _validate_n(n: int) -> None:
 
 def _atom_level(rule: LoadingRule, measure: DistortionMeasure, n: int) -> float:
     """Largest mass at zero that leaves a flat-rate rule a stationary root."""
-    s = math.sqrt(n) * rule.rate(n)
+    c = rule.scale(n)
     phi = _phi_or_raise(measure)
-    return s * s / (s * s + phi * phi)
+    return c * c / (c * c + phi * phi)
 
 
 def condition_report(
@@ -288,22 +304,18 @@ def condition_report(
     """
     phi = measure.phi_normal()
     checks: dict = {"phi_positive": bool(phi > 0.0)}
-    p0 = model.prob_zero()
-    if not rule.spread_dependent:
-        checks["atom_condition"] = bool(phi > 0.0 and p0 < _atom_level(rule, measure, n))
-        return checks
-    name, lo, hi = rule.tail_check
-    tail = model.shape if isinstance(model, ParetoII) else None
-    checks[name] = None if tail is None else bool(lo < tail < hi)
-    if p0 <= 0.0:
-        checks["atom_condition"] = True
-        return checks
-    # the stationarity function just above d = 0 must be negative: the
+    if rule.tail_check is not None:
+        name, lo, hi = rule.tail_check
+        tail = model.shape if isinstance(model, ParetoII) else None
+        checks[name] = None if tail is None else bool(lo < tail < hi)
+    # with a mass p0 at zero, the objective must fall just above d = 0: the
     # capped term's slope there against the marginal load of the whole loss
+    # (for a flat rate, p0 < c^2 / (c^2 + phi^2))
+    p0 = model.prob_zero()
     sbar0 = 1.0 - p0
-    lhs = phi * math.sqrt(sbar0 * p0)
-    load = rule.marginal_load(sbar0, model.mean(), model.second_moment())
-    checks["atom_condition"] = bool(lhs < -load)
+    with np.errstate(divide="ignore", invalid="ignore"):  # all-zero losses have no spread
+        checks["atom_condition"] = bool(p0 <= 0.0 or phi * math.sqrt(sbar0 * p0) < -rule.marginal_load(
+            n, sbar0, model.mean(), model.second_moment()))
     return checks
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xolopt.distortion import DistortionMeasure
-from xolopt.errors import AtomConditionViolated, DomainError
+from xolopt.errors import AllZero, AtomConditionViolated, DomainError
 from xolopt.inference import (
     estimate_decreasing,
     estimate_sd,
@@ -33,6 +33,20 @@ def big_sample():
     return ParetoII(9.0, 8.0).sample(20000, 101)
 
 
+def _quadratic_se(x, delta, phi, d):
+    """Delta-method standard error of the root of the decreasing rule's
+    stationarity quadratic (d - mu1)^2 - (delta/phi)^2 (mu2 - mu1^2),
+    linearised in its two capped moments mu1 and mu2."""
+    q = (delta / phi) ** 2
+    capped = np.minimum(x, d)
+    mu1 = capped.mean()
+    sbar = np.mean(x > d)
+    c0 = 2.0 * (d - mu1) * (1.0 - sbar) - q * (2.0 * d * sbar - 2.0 * mu1 * sbar)
+    c = np.array([2.0 * (d - mu1) - 2.0 * q * mu1, q])
+    sigma = np.cov(np.column_stack([capped, capped * capped]), rowvar=False, bias=True)
+    return math.sqrt(c @ sigma @ c) / (abs(c0) * math.sqrt(x.size))
+
+
 class TestEstimateDecreasing:
     def test_consistency_and_se(self, big_sample):
         n = big_sample.size
@@ -43,7 +57,7 @@ class TestEstimateDecreasing:
         lo, hi = result.ci
         assert lo < result.d_hat < hi
         assert result.n == n
-        assert set(result.coefficients) == {"c0", "c1", "c2"}
+        assert set(result.coefficients) == {"c0", "c1", "c2", "c3", "c4", "c5"}
 
     def test_wald_interval_width_tracks_level(self, big_sample):
         narrow = estimate_decreasing(big_sample, 0.5, VAR75, level=0.80)
@@ -80,6 +94,17 @@ class TestEstimateDecreasing:
             )
         boot_se = float(np.std(reps, ddof=1))
         assert plug_in.std_error == pytest.approx(boot_se, rel=0.25)
+
+    @pytest.mark.parametrize("size, delta, p", [(500, 0.5, 0.75), (2000, 0.3, 0.9),
+                                                (20000, 0.5, 0.75)])
+    def test_se_matches_the_stationarity_quadratic(self, big_sample, size, delta, p):
+        """The shared linearisation gives the decreasing rule the standard
+        error of its own stationarity quadratic."""
+        x = big_sample[:size]
+        measure = DistortionMeasure.var(p)
+        result = estimate_decreasing(x, delta, measure)
+        assert result.std_error == pytest.approx(
+            _quadratic_se(x, delta, measure.phi_normal(), result.d_hat), rel=1e-9)
 
     def test_small_sample_rejected(self):
         with pytest.raises(DomainError):
@@ -119,6 +144,12 @@ class TestEstimateSpreadRules:
         assert twice.std_error == pytest.approx(
             once.std_error / math.sqrt(2.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize("estimator", [estimate_sd, estimate_sharpe])
+    def test_all_zero_losses_raise_without_a_warning(self, estimator):
+        """The atom check meets a layer without spread; numpy must not warn."""
+        with pytest.raises(AllZero):
+            estimator(np.zeros(100), 0.5, VAR75)
 
     def test_json_payload_shape(self, big_sample):
         out = estimate_sd(big_sample[:2000], 0.5, VAR75).to_json_dict()
@@ -170,11 +201,11 @@ class TestPlugInMinimum:
         x = ParetoII(9.0, 8.0).sample(2000, 0)
         base = estimate_sharpe(x, 0.5, VAR75).d_hat
 
-        def load(self, nu1, spread):
+        def load(self, n, nu1, spread):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(spread > 0.0, (self.rho0 / spread) * nu1, np.inf)
 
-        def marginal_load(self, sbar, nu1, nu2):
+        def marginal_load(self, n, sbar, nu1, nu2):
             spread = np.sqrt(nu2 - nu1 ** 2)
             return (-(self.rho0 / spread) * sbar
                     + (self.rho0 / spread ** 3) * (1.0 - sbar) * nu1 ** 2)

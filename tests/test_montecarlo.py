@@ -44,8 +44,6 @@ class TestMcConfig:
             {"b": 999},
             {"m": 99},
             {"seed": -1},
-            {"d_grid": np.array([2.0, 1.0])},
-            {"d_grid": np.array([0.0, 1.0])},
         ],
     )
     def test_validation(self, kwargs):
@@ -202,12 +200,6 @@ class TestBruteForce:
         se = np.std(batch, ddof=1) / math.sqrt(_VAR_BATCHES)
         assert res.var_se == pytest.approx(se, rel=1e-9)
         assert res.var_se > 0.0
-
-    def test_custom_grid_is_respected(self):
-        grid = np.linspace(0.3, 1.2, 40)
-        cfg = McConfig(b=2000, m=100, seed=11, d_grid=grid)
-        res = brute_force_optimal(MODEL, DecreasingLoading(0.5), 10, 0.75, cfg)
-        assert 0.3 <= res.d_actual <= 1.2
 
 
 class TestInsolvency:

@@ -1,4 +1,5 @@
-"""The Brent root finder in xolopt.numerics against scipy.optimize.brentq.
+"""The Brent root finder in xolopt.numerics against scipy.optimize.brentq,
+and the golden-section refinement.
 
 The port must reproduce scipy's roots and iteration counts exactly, and
 raise the same error types, so solver results and iteration counters do not
@@ -22,7 +23,7 @@ from xolopt import (
     stationarity_function,
 )
 from xolopt import numerics
-from xolopt.numerics import brentq, expand_and_solve, rising_crossings
+from xolopt.numerics import brentq, expand_and_solve, golden_refine, rising_crossings
 
 
 def _scipy(f, a, b):
@@ -192,3 +193,31 @@ def test_nan_raises_the_scipy_error():
         optimize.brentq(f, 0.0, 1.0)
     with pytest.raises(ValueError):
         brentq(f, 0.0, 1.0)
+
+
+def test_golden_refine_finds_the_vertex_of_a_parabola():
+    f = lambda x: (x - 1.2345) ** 2
+    grid = np.linspace(0.0, 3.0, 13)
+    values = f(grid)
+    i = int(np.argmin(values))
+    res = golden_refine(f, grid, values, i)
+    assert abs(res.x - 1.2345) <= 1e-10 * (1.0 + grid[i])
+    assert res.fx == f(res.x)
+    assert res.bracket == (grid[i - 1], grid[i + 1])
+    assert res.iterations > 0
+
+
+def test_golden_refine_keeps_the_grid_point_when_the_search_ends_higher():
+    """A notch at grid[i] that the search never lands on."""
+    f = lambda x: -1.0 if x == 1.0 else (x - 1.0) ** 2
+    grid = np.array([0.5, 0.75, 1.0, 1.25, 1.5])
+    values = np.array([f(x) for x in grid])
+    res = golden_refine(f, grid, values, 2)
+    assert (res.x, res.fx) == (1.0, -1.0)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1, 5])
+def test_golden_refine_rejects_an_index_off_the_interior(i):
+    grid = np.linspace(1.0, 2.0, 5)
+    with pytest.raises(ValueError):
+        golden_refine(lambda x: x, grid, grid, i)

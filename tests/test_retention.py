@@ -1,11 +1,14 @@
 """Tests for retention solvers under the four premium loading rules."""
 
+import math
+
 import numpy as np
 import pytest
 
 from xolopt import retention
 from xolopt.distortion import DistortionMeasure
 from xolopt.errors import (
+    AtomConditionViolated,
     ConditionNotMet,
     ConditionViolated,
     DomainError,
@@ -25,7 +28,7 @@ from xolopt.retention import (
     stationarity_function,
     stop_loss_retention,
 )
-from xolopt.severity import ParetoII
+from xolopt.severity import EmpiricalLosses, ParetoII
 
 VAR75 = DistortionMeasure.var(0.75)
 PHI75 = 0.674489750196
@@ -271,6 +274,77 @@ class TestConditionReport:
         assert checks["atom_condition"] is False
         with pytest.raises(ConditionViolated):
             solve_retention(emp, DecreasingLoading(0.5), VAR75, 100)
+
+    @pytest.mark.parametrize("rule, most", [(DecreasingLoading(0.5), 354),
+                                            (ConstantLoading(0.05), 846)],
+                             ids=["decreasing", "constant"])
+    def test_flat_rule_atom_boundary(self, rule, most):
+        """A flat rate has a stationary retention exactly while the share of
+        zero claims is below c^2 / (c^2 + phi^2)."""
+        n = 1000
+        c = rule.scale(n)
+        assert most == math.floor(n * c * c / (c * c + PHI75 * PHI75))
+        positive = ParetoII(9.0, 8.0).sample(n, 5)
+
+        def with_zeros(k):
+            return EmpiricalLosses(np.concatenate([np.zeros(k), positive[k:]]))
+
+        assert condition_report(with_zeros(most), rule, VAR75, n)["atom_condition"] is True
+        assert solve_retention(with_zeros(most), rule, VAR75, n).d_star > 0.0
+        assert condition_report(with_zeros(most + 1), rule, VAR75, n)["atom_condition"] is False
+        with pytest.raises(AtomConditionViolated):
+            solve_retention(with_zeros(most + 1), rule, VAR75, n)
+
+
+RULES = [ConstantLoading(0.3), DecreasingLoading(0.5), StdDevLoading(0.5), SharpeLoading(0.5)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+class TestLoadingFamily:
+    """Every rule loads the ceded mean by c(N) nu1 sigma^k; the marginal load
+    and its gradient are derived once for the family."""
+
+    N = 25
+
+    @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
+    def test_rate_is_the_load_per_unit_ceded_mean(self, model, rule, d):
+        """The rates of the README table, and the load sqrt(N) * rate * nu1."""
+        tm = model.truncated_moments(d)
+        spread = math.sqrt(tm.nu2 - tm.nu1 ** 2)
+        root_n = math.sqrt(self.N)
+        expected = {"constant": 0.3, "decreasing": 0.5 / root_n,
+                    "stddev": 0.5 * spread / root_n, "sharpe": 0.5 / (spread * root_n)}
+        assert effective_rho(model, rule, self.N, d) == pytest.approx(
+            expected[rule.name], rel=1e-14)
+        assert rule.load(self.N, tm.nu1, spread) == pytest.approx(
+            root_n * expected[rule.name] * tm.nu1, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
+    def test_marginal_load_is_the_derivative_of_the_load(self, model, rule, d):
+        def load(x):
+            tm = model.truncated_moments(x)
+            return rule.load(self.N, tm.nu1, math.sqrt(tm.nu2 - tm.nu1 ** 2))
+
+        h = 1e-5 * d
+        numeric = (load(d + h) - load(d - h)) / (2.0 * h)
+        tm = model.truncated_moments(d)
+        got = rule.marginal_load(self.N, tm.sbar, tm.nu1, tm.nu2)
+        assert got == pytest.approx(numeric, rel=1e-7)
+
+    @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
+    def test_load_gradient_is_the_gradient_of_the_marginal_load(self, model, rule, d):
+        tm = model.truncated_moments(d)
+        point = np.array([tm.sbar, tm.nu1, tm.nu2])
+        grad = rule.load_gradient(self.N, *point)
+        scale = abs(rule.marginal_load(self.N, *point))
+        for j in range(3):
+            h = 1e-6 * point[j]
+            up, down = point.copy(), point.copy()
+            up[j] += h
+            down[j] -= h
+            numeric = (rule.marginal_load(self.N, *up)
+                       - rule.marginal_load(self.N, *down)) / (2.0 * h)
+            assert grad[j] == pytest.approx(numeric, rel=1e-6, abs=1e-12 * scale / point[j])
 
 
 class TestEdgeworth:
