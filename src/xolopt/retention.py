@@ -102,6 +102,8 @@ class LoadingRule:
             return self.scale(n) * nu1 * spread ** self.spread_power
 
     def marginal_load(self, n: int, sbar, nu1, nu2):
+        # runs at every root-finding step, so it leaves masking the warnings
+        # of a layer without spread to its callers
         k = self.spread_power
         spread = np.sqrt(nu2 - nu1 ** 2)
         tilt = k * (1.0 - sbar) * nu1 ** 2 * spread ** (k - 2) if k else 0.0
@@ -312,10 +314,13 @@ def condition_report(
     # capped term's slope there against the marginal load of the whole loss
     # (for a flat rate, p0 < c^2 / (c^2 + phi^2))
     p0 = model.prob_zero()
+    if p0 <= 0.0:
+        checks["atom_condition"] = True
+        return checks
     sbar0 = 1.0 - p0
     with np.errstate(divide="ignore", invalid="ignore"):  # all-zero losses have no spread
-        checks["atom_condition"] = bool(p0 <= 0.0 or phi * math.sqrt(sbar0 * p0) < -rule.marginal_load(
-            n, sbar0, model.mean(), model.second_moment()))
+        load = rule.marginal_load(n, sbar0, model.mean(), model.second_moment())
+    checks["atom_condition"] = bool(phi * math.sqrt(sbar0 * p0) < -load)
     return checks
 
 
