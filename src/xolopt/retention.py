@@ -29,8 +29,15 @@ from .errors import (
     NonpositivePhi,
     NoRootFound,
 )
-from .numerics import expand_and_solve, golden_refine, log_spaced_grid, rising_crossings
-from .severity import ParetoII, SeverityModel
+from .numerics import (
+    RootResult,
+    brentq,
+    expand_and_solve,
+    golden_refine,
+    log_spaced_grid,
+    rising_crossings,
+)
+from .severity import EmpiricalLosses, ParetoII, SeverityModel
 
 #: Sign of the first-order skewness term in the Cornish-Fisher quantile
 #: correction, and the argument fed to the Hermite polynomials (the risk
@@ -97,9 +104,14 @@ class LoadingRule:
         return rate / math.sqrt(n) if self.falls_with_n else rate
 
     def load(self, n: int, nu1, spread):
-        # infinite where a ratio load meets a layer without spread
+        c, k = self.scale(n), self.spread_power
+        if not k:
+            return c * nu1
+        # infinite where a ratio load meets a layer without spread, except a
+        # layer without a claim, which carries no load
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.scale(n) * nu1 * spread ** self.spread_power
+            load = c * nu1 * spread ** k
+        return np.where(nu1 == 0.0, 0.0, load) if k < 0 else load
 
     def marginal_load(self, n: int, sbar, nu1, nu2):
         # runs at every root-finding step, so it leaves masking the warnings
@@ -247,10 +259,7 @@ def objective(
     mean = model.mean()
     sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
     spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
-    # a fully ceded-degenerate layer carries no spread but no claim
-    # either; the objective continuously approaches the capped term
-    load = np.where(g["nu1"] == 0.0, 0.0, rule.load(n, g["nu1"], spread))
-    out = n * mean + math.sqrt(n) * (phi * sd_capped + load)
+    out = n * mean + math.sqrt(n) * (phi * sd_capped + rule.load(n, g["nu1"], spread))
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
@@ -271,14 +280,29 @@ def stationarity_function(
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     g = model.moment_grid(d_arr)
     if not rule.spread_dependent:
-        q = (rule.scale(n) / phi) ** 2
-        out = (d_arr - g["mu1"]) ** 2 - q * g["var"]
+        out = _flat_condition((rule.scale(n) / phi) ** 2, d_arr, g)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            sd_capped = np.sqrt(g["var"])
-            lead = phi * g["sbar"] * (d_arr - g["mu1"]) / sd_capped
-            out = lead + rule.marginal_load(n, g["sbar"], g["nu1"], g["nu2"])
+            out = _derivative(rule, phi, n, d_arr, g["sbar"], g)
     return float(out[0]) if np.asarray(d).ndim == 0 else out
+
+
+def _flat_condition(q: float, d, g: dict):
+    """The flat rules' stationarity function from the moments g at d, with
+    q = (c(N)/phi)^2."""
+    return (d - g["mu1"]) ** 2 - q * g["var"]
+
+
+def _derivative(rule: LoadingRule, phi: float, n: int, d, sbar, g: dict):
+    """The spread rules' stationarity function, the scaled objective
+    derivative, from the moments g at d; sbar is passed apart, so that the
+    two sides of a claim share the rest of the moments."""
+    return _capped_slope(phi, d, sbar, g) + rule.marginal_load(n, sbar, g["nu1"], g["nu2"])
+
+
+def _capped_slope(phi: float, d, sbar, g: dict):
+    """The capped term's part of the scaled objective derivative."""
+    return phi * sbar * (d - g["mu1"]) / np.sqrt(g["var"])
 
 
 def _validate_n(n: int) -> None:
@@ -333,25 +357,41 @@ def solve_retention(
     """Approximately optimal retention for the given model, rule, and measure.
 
     Every rule's optimum is a root of the first-order condition
-    (`stationarity_function`).  Constant/decreasing rules: bracket and solve
-    its unique root above the critical quantile; AtomConditionViolated when
-    the mass at zero leaves none.  Stddev/sharpe rules: sample the scaled
-    objective derivative once at `model.search_grid()`, refine every cell
-    where it rises through zero by Brent's method, and keep the root with the
-    lowest objective; NoRootFound when no cell rises or an end of the grid
-    is lower still.  On the empirical model this is the plug-in estimate,
-    since the grid holds both sides of every claim, where the plug-in
-    derivative jumps.
+    (`stationarity_function`).  Constant/decreasing rules: its unique root
+    above the critical quantile; AtomConditionViolated when the mass at zero
+    leaves none.  Stddev/sharpe rules: every point where the scaled
+    objective derivative rises through zero, keeping the one with the lowest
+    objective; NoRootFound when there is none or an end of the search range
+    is lower still.
 
-    For the spread rules the diagnostics read: `bracket`, the grid cell of
-    d_star; `iterations`, the Brent steps spent in it; and
+    On `ParetoII` the flat-rate root is bracketed by doubling, and the
+    derivative is sampled on `model.search_grid()` and refined by Brent's
+    method in every cell where it rises.  On `EmpiricalLosses` the roots are
+    the plug-in estimates.  There k, the count of losses at or below d, is
+    fixed between two neighbouring claims, and every moment is a polynomial
+    in d (`EmpiricalLosses.cell_moments`):
+
+    - the flat-rate function is an exact quadratic in each cell, so its root
+      has a closed form in the cell where it turns positive;
+    - the spread-rule derivative is taken on both sides of every distinct
+      positive claim up to the 0.999 quantile in one vectorised pass over
+      `model.claim_table()`: the moments are continuous at a claim and only
+      sbar jumps there, so one evaluation of them serves both sides.  Brent's
+      method runs, with k fixed, in every cell between claims where the
+      derivative rises.  A rise across a claim is a kink root: the claim, or
+      the float below it when the derivative is smaller in size there, the
+      end a Brent step on those two points would return.
+
+    The diagnostics read: `bracket`, the cell of d_star; `iterations`, the
+    Brent steps spent in it (0 for a closed form or a kink); and
     `smallest_stationary_point`, the first rising root.  `is_global_grid_min`
     is always True for the four rules: a solution is returned only when it
     is the lowest point of the search range.
     """
     _validate_n(n)
-    _phi_or_raise(measure)
+    phi = _phi_or_raise(measure)
     checks = condition_report(model, rule, measure, n)
+    empirical = isinstance(model, EmpiricalLosses)
 
     if not rule.spread_dependent:
         if not checks["atom_condition"]:
@@ -359,31 +399,37 @@ def solve_retention(
                 "mass at zero is too large for a stationary retention: "
                 f"P(X=0) = {model.prob_zero():g} >= {_atom_level(rule, measure, n):g}"
             )
-        level = _atom_level(rule, measure, n)
-        d2 = model.upper_quantile(level)
-        best = expand_and_solve(
-            lambda d: stationarity_function(model, rule, measure, n, d),
-            lo=d2,
-            hi_start=max(2.0 * d2, 1.0),
-        )
+        d2 = model.upper_quantile(_atom_level(rule, measure, n))
+        if empirical:
+            best = _flat_root_on_claims(model, (rule.scale(n) / phi) ** 2, d2)
+        else:
+            best = expand_and_solve(
+                lambda d: stationarity_function(model, rule, measure, n, d),
+                lo=d2,
+                hi_start=max(2.0 * d2, 1.0),
+            )
         value = objective(model, rule, measure, n, best.root)
         smallest = best.root
     else:
-        grid = model.search_grid()
-        station = lambda d: stationarity_function(model, rule, measure, n, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = rising_crossings(station, grid, station(grid))
+        if empirical:
+            roots, ends = _rising_roots_on_claims(model, rule, phi, n)
+        else:
+            grid = model.search_grid()
+            station = lambda d: stationarity_function(model, rule, measure, n, d)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = rising_crossings(station, grid, station(grid))
+            ends = (grid[0], grid[-1])
         if roots:
-            # the objective at each end of the grid and at every local minimum
+            # the objective at each end of the range and at every local minimum
             values = objective(
                 model, rule, measure, n,
-                np.array([grid[0], *(r.root for r in roots), grid[-1]]),
+                np.array([ends[0], *(r.root for r in roots), ends[1]]),
             )
             k = int(np.argmin(values))
         if not roots or k in (0, len(values) - 1):
             raise NoRootFound(
-                f"no local minimum on the {grid.size}-point search grid is below both "
-                "of its ends; no interior optimal retention (trivial full or no reinsurance)"
+                "no local minimum of the search range is below both of its ends; "
+                "no interior optimal retention (trivial full or no reinsurance)"
             )
         best = roots[k - 1]
         value = float(values[k])
@@ -405,6 +451,105 @@ def solve_retention(
         n_contracts=n,
         diagnostics=diag,
     )
+
+
+def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResult:
+    """Root above the claim d2 of the plug-in flat-rate stationarity function.
+
+    The function does not fall above d2, so bisection over the sorted losses
+    finds the cell between two neighbouring claims where it turns positive
+    (or the cell above the largest claim).  In that cell, with k losses at
+    or below d, a = k/n, e = a - q (1 - a) and b, m2 the prefix sums of the
+    losses and of their squares over n, the function is the quadratic
+    A d^2 - 2 B d + C with A = a e, B = b e and C = b^2 - q (m2 - b^2).  The
+    root is the larger one, (B + sqrt(B^2 - A C)) / A, which does not cancel
+    since B >= 0.
+    """
+    x = emp.losses
+
+    def f(i):  # the function at the i-th smallest loss
+        return _flat_condition(q, x[i], emp.moment_grid(x[i]))
+
+    lo, hi = int(np.searchsorted(x, d2, side="right")) - 1, emp.n
+    f_lo = f(lo)
+    if f_lo > 0.0:
+        # already positive at d2: the root collapses onto the critical quantile
+        return RootResult(root=d2, residual=float(f_lo), bracket=(d2, d2), iterations=0)
+    while hi - lo > 1:  # f(x[lo]) <= 0 < f(x[hi]), with x[n] at infinity
+        mid = (lo + hi) // 2
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    # x[lo] < x[hi], so k = lo + 1 losses lie at or below the cell
+    k = lo + 1
+    at_zero = emp.cell_moments(0.0, k)  # the cell's polynomials at d = 0
+    a, b, m2 = k / emp.n, at_zero["mu1"], at_zero["mu2"]
+    e = a - q * at_zero["sbar"]
+    big_a, big_b, big_c = a * e, b * e, b * b - q * (m2 - b * b)
+    root = float((big_b + math.sqrt(max(big_b * big_b - big_a * big_c, 0.0))) / big_a)
+    residual = float(big_a * root * root - 2.0 * big_b * root + big_c)
+    bracket = (float(x[lo]), float(x[hi]) if hi < emp.n else math.inf)
+    return RootResult(root, residual, bracket, 0)
+
+
+def _claim_sides(
+    emp: EmpiricalLosses, rule: LoadingRule, phi: float, n: int,
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Those rows of the claim table that hold the distinct positive claims
+    up to the 0.999 quantile, and the plug-in derivative's limits from the
+    left and from the right at each of them."""
+    t = emp.claim_table()
+    m = int(np.searchsorted(t["claims"], emp.quantile(0.999), side="right"))
+    g = {key: column[:m] for key, column in t.items()}
+    # the largest loss empties the layer: no load above it, and from below
+    # the ceded spread falls with the ceded mean, so the marginal load tends
+    # to 0 too (the formula reads 0 * inf there)
+    empty = g["nu1"] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left, right = (
+            _capped_slope(phi, g["claims"], sbar, g)
+            + np.where(empty, 0.0, rule.marginal_load(n, sbar, g["nu1"], g["nu2"]))
+            for sbar in (g["sbar_left"], g["sbar"])
+        )
+    return g, left, right
+
+
+def _rising_roots_on_claims(
+    emp: EmpiricalLosses, rule: LoadingRule, phi: float, n: int,
+) -> tuple[list[RootResult], tuple[float, float]]:
+    """Every point where the plug-in derivative rises through zero, and the
+    ends of the search range, the float below the smallest positive claim
+    and the largest claim up to the 0.999 quantile."""
+    g, left, right = _claim_sides(emp, rule, phi, n)
+    claims = g["claims"]
+    if claims.size == 0:
+        raise NoRootFound("no positive claim up to the 0.999 quantile")
+    # the derivative on either side of each claim, in order
+    values = np.column_stack([left, right]).ravel()
+    a, b = values[:-1], values[1:]
+    rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
+    roots = []
+    for i in np.flatnonzero(rising):
+        j = i // 2
+        if i % 2 == 0:  # across claim j
+            bracket = (math.nextafter(claims[j], 0.0), float(claims[j]))
+            root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
+                              else (bracket[1], right[j]))
+            roots.append(RootResult(root, float(residual), bracket, 0))
+        else:  # between claims j and j + 1
+            k = int(g["k"][j])
+
+            def cell(d, k=k):
+                moments = emp.cell_moments(d, k)
+                return _derivative(rule, phi, n, d, moments["sbar"], moments)
+
+            lo, hi = float(claims[j]), math.nextafter(claims[j + 1], 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root, iterations = brentq(cell, lo, hi)
+                residual = float(cell(root))
+            roots.append(RootResult(root, residual, (lo, hi), iterations))
+    return roots, (math.nextafter(claims[0], 0.0), float(claims[-1]))
 
 
 def hermite2(x: float) -> float:

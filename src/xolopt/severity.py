@@ -136,11 +136,6 @@ class SeverityModel:
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         raise NotImplementedError
 
-    def search_grid(self) -> np.ndarray:
-        """Retentions at which the solver samples the objective derivative:
-        1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile."""
-        return log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
-
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Deterministic sample of n losses for the given seed."""
         return self.sample_rng(n, _rng_from_seed(seed))
@@ -293,6 +288,11 @@ class ParetoII(SeverityModel):
             total += coeff * piece
         return float(k * self.scale ** k * total)
 
+    def search_grid(self) -> np.ndarray:
+        """Retentions at which the solver samples the objective derivative:
+        1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile."""
+        return log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
+
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         if d <= 0.0:
             raise DomainError(f"retention must be positive, got {d}")
@@ -313,6 +313,14 @@ class EmpiricalLosses(SeverityModel):
     plug-in moment identities hold exactly.  Prefix sums over the sorted
     sample make every first and second truncated moment an O(log n) lookup;
     the third and fourth take one O(n) pass over the capped sample.
+
+    Between two neighbouring claims the count k of losses at or below d is
+    fixed, so every first and second moment is a polynomial in d whose
+    coefficients are prefix sums (`cell_moments`).  The moments are
+    continuous at a claim and only sbar jumps there, by the claim's ties
+    over n: `claim_table` holds, for every distinct positive claim, the
+    moments at the claim and sbar on both sides of it.  It is built on
+    first use and kept, so repeated solves on one sample share it.
     """
 
     def __init__(self, losses):
@@ -328,6 +336,7 @@ class EmpiricalLosses(SeverityModel):
         z = np.concatenate([[0.0], self.losses])
         self._cum1 = np.cumsum(z)
         self._cum2 = np.cumsum(z * z)
+        self._claims: dict[str, np.ndarray] | None = None
 
     def survival(self, x: float) -> float:
         if x < 0.0:
@@ -358,16 +367,15 @@ class EmpiricalLosses(SeverityModel):
     def second_moment(self) -> float:
         return float(self._cum2[-1] / self.n)
 
-    def min_positive(self) -> float:
-        pos = self.losses[self.losses > 0.0]
-        if pos.size == 0:
-            raise AllZero("all losses are zero")
-        return float(pos[0])
-
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         d = np.asarray(d, dtype=float)
+        return self.cell_moments(d, np.searchsorted(self.losses, d, side="right"))
+
+    def cell_moments(self, d, k) -> dict:
+        """Moments at retentions d, given the count k of losses at or below
+        each: the polynomials in d of the cell between two claims.  Takes
+        arrays or scalars, with the same arithmetic for both."""
         n = self.n
-        k = np.searchsorted(self.losses, d, side="right")
         below1 = self._cum1[k]
         below2 = self._cum2[k]
         tail_count = n - k
@@ -379,7 +387,35 @@ class EmpiricalLosses(SeverityModel):
         nu1 = (tail1 - d * tail_count) / n
         nu2 = (tail2 - 2.0 * d * tail1 + d * d * tail_count) / n
         return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2,
-                "var": mu2 - mu1 ** 2}
+                "var": mu2 - mu1 * mu1}
+
+    def claim_table(self) -> dict[str, np.ndarray]:
+        """The moments at every distinct positive claim, ascending.
+
+        Columns: `claims`; `k`, the count of losses at or below each claim;
+        the `cell_moments` there (sbar is the right-hand value); and
+        `sbar_left`, the share of losses at or above the claim.  Read-only;
+        AllZero when no loss is positive.
+        """
+        if self._claims is None:
+            self._claims = self._build_claim_table()
+        return self._claims
+
+    def _build_claim_table(self) -> dict[str, np.ndarray]:
+        x = self.losses
+        # one past the last index of each run of equal losses
+        k = np.flatnonzero(np.append(x[1:] != x[:-1], True)) + 1
+        k_left = np.append(0, k[:-1])
+        positive = x[k - 1] > 0.0
+        if not positive.any():
+            raise AllZero("all losses are zero")
+        k, k_left = k[positive], k_left[positive]
+        claims = x[k - 1]
+        table = {"claims": claims, "k": k, **self.cell_moments(claims, k),
+                 "sbar_left": (self.n - k_left) / self.n}
+        for column in table.values():
+            column.flags.writeable = False
+        return table
 
     def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
         if d <= 0.0:
@@ -387,14 +423,6 @@ class EmpiricalLosses(SeverityModel):
         c = np.minimum(self.losses, d)
         m1, m2, m3, m4 = (float(np.mean(c ** k)) for k in range(1, 5))
         return self._standardised_higher(d, m1, m2, m3, m4)
-
-    def search_grid(self) -> np.ndarray:
-        """Each distinct positive loss up to the 0.999 quantile, preceded by
-        the float just below it: the plug-in objective derivative is smooth
-        between claims and jumps at each one, so both sides are sampled."""
-        x = self.losses[self.losses >= self.min_positive()]
-        x = np.unique(x[x <= self.quantile(0.999)])
-        return np.column_stack([np.nextafter(x, 0.0), x]).ravel()
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.n, size=n)

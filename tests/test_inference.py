@@ -172,26 +172,63 @@ def _plug_in_objective(x, rule, phi, d):
     return np.concatenate(out)
 
 
+def _sample(name):
+    """600 claims with ties, zeros or a heavy-claim shape."""
+    base = ParetoII(9.0, 8.0).sample(600, 3)
+    if name == "heavy":
+        # a Lomax(2.6, 1.2) body floored at 1e-3, with three claims blown up
+        x = np.maximum(ParetoII(2.6, 1.2).sample(600, 3), 1e-3)
+        x[[5, 250, 590]] = x[[5, 250, 590]] * 80.0 + 50.0
+        return x
+    return {
+        "duplicates": np.round(base, 2),
+        "zeros": np.concatenate([np.zeros(60), base[:540]]),
+        "both": np.concatenate([np.zeros(30), np.round(base[:570], 1)]),
+    }[name]
+
+
+SAMPLES = ["duplicates", "zeros", "both", "heavy"]
+
+
 class TestPlugInMinimum:
     """The estimate is the minimiser of the plug-in objective: no distinct
     claim in the search range and no point of a dense scan is lower."""
 
     @pytest.mark.parametrize("rule, estimator", [("stddev", estimate_sd),
                                                  ("sharpe", estimate_sharpe)])
-    @pytest.mark.parametrize("sample", ["duplicates", "zeros", "both"])
+    @pytest.mark.parametrize("sample", SAMPLES)
     def test_no_claim_or_scan_point_is_lower(self, rule, estimator, sample):
-        base = ParetoII(9.0, 8.0).sample(600, 3)
-        x = {
-            "duplicates": np.round(base, 2),
-            "zeros": np.concatenate([np.zeros(60), base[:540]]),
-            "both": np.concatenate([np.zeros(30), np.round(base[:570], 1)]),
-        }[sample]
+        x = _sample(sample)
         d_hat = estimator(x, 0.5, VAR75).d_hat
         pos = x[(x > 0.0) & (x <= EmpiricalLosses(x).quantile(0.999)) & (x < x.max())]
         points = np.concatenate([np.unique(pos), np.geomspace(pos.min(), pos.max(), 2000)])
         phi = VAR75.phi_normal()
         got = _plug_in_objective(x, rule, phi, [d_hat])[0]
         assert got <= _plug_in_objective(x, rule, phi, points).min() * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_decreasing_estimate_is_a_sign_change_of_the_condition(self, sample):
+        """The plug-in (d - mu1)^2 - (delta/phi)^2 var(min(X, d)), straight
+        from the sample, changes sign at the estimate."""
+        x = _sample(sample)
+        d_hat = estimate_decreasing(x, 0.5, VAR75).d_hat
+        q = (0.5 / VAR75.phi_normal()) ** 2
+
+        def condition(d):
+            capped = np.minimum(x, d)
+            return (d - capped.mean()) ** 2 - q * capped.var()
+
+        assert condition(d_hat * (1.0 - 1e-9)) <= 0.0 < condition(d_hat * (1.0 + 1e-9))
+
+    def test_kink_estimate_is_pinned(self):
+        """Lomax(9, 8), 2000 claims, seed 2: the sharpe derivative rises
+        through zero across a claim, and the estimate is that claim, on the
+        side where the derivative is smaller in size."""
+        x = ParetoII(9.0, 8.0).sample(2000, 2)
+        result = estimate_sharpe(x, 0.5, VAR75)
+        assert result.d_hat == 0.28753243914300874
+        assert result.d_hat in x
+        assert result.std_error == pytest.approx(0.0223141265462831, abs=1e-12)
 
     def test_sharpe_estimate_does_not_move_with_operation_order(self, monkeypatch):
         """Writing the load as (rho0/s) nu1 instead of rho0 nu1/s changes the
@@ -255,6 +292,21 @@ class TestRetentionCurve:
             retention_curve(big_sample, "banana", "rho", [0.01], 0.9)
         with pytest.raises(DomainError):
             retention_curve(big_sample, "decreasing", "sideways", [0.01], 0.9)
+
+    @pytest.mark.parametrize("family", ["stddev", "sharpe"])
+    def test_claim_table_is_built_once_per_curve(self, big_sample, family, monkeypatch):
+        """Every fixed-point step of every point reuses the sample's table."""
+        builds = []
+        build = EmpiricalLosses._build_claim_table
+
+        def spy(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(EmpiricalLosses, "_build_claim_table", spy)
+        points = retention_curve(big_sample[:2000], family, "rho", [0.01, 0.02], 0.9)
+        assert all(pt.error is None for pt in points)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
     def test_spread_rules_hit_target_effective_loading(self, big_sample, family):

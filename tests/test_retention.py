@@ -225,11 +225,51 @@ class TestObjective:
         )
         got = objective(model, DecreasingLoading(0.5), VAR75, n, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)
+        # bit for bit: a flat load is c(N) nu1, with no spread term
+        phi = VAR75.phi_normal()
+        assert got == n * model.mean() + math.sqrt(n) * (phi * math.sqrt(tm.var) + 0.5 * tm.nu1)
 
     def test_value_at_optimum_is_minimal(self, model):
         sol = solve_retention(model, StdDevLoading(0.5), VAR75, 50)
         for d in (0.5 * sol.d_star, 2.0 * sol.d_star):
             assert objective(model, StdDevLoading(0.5), VAR75, 50, d) > sol.objective_value
+
+
+class TestPlugInDerivative:
+    """The spread-rule solver's limits of the plug-in derivative on both
+    sides of each claim agree with `stationarity_function` there."""
+
+    @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    @pytest.mark.parametrize("sample", ["ties", "zeros"])
+    def test_one_sided_limits_match_the_stationarity_function(self, rule, sample):
+        base = ParetoII(9.0, 8.0).sample(2000, 5)
+        x = {"ties": np.round(base, 2),
+             "zeros": np.concatenate([np.zeros(200), np.round(base[:1800], 1)])}[sample]
+        emp = EmpiricalLosses(x)
+        g, left, right = retention._claim_sides(emp, rule, VAR75.phi_normal(), emp.n)
+        claims = g["claims"]
+        assert np.array_equal(claims, np.unique(x[(x > 0.0) & (x <= emp.quantile(0.999))]))
+        below = stationarity_function(emp, rule, VAR75, emp.n, np.nextafter(claims, 0.0))
+        at = stationarity_function(emp, rule, VAR75, emp.n, claims)
+        np.testing.assert_allclose(left, below, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(right, at, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_no_load_term_at_the_largest_loss(self, rule):
+        """Below 1000 claims the range ends at the largest loss, where the
+        layer empties: from the left the derivative is the capped term alone,
+        and above it 0.  (Just below it, nu2 - nu1^2 cancels to rounding
+        noise, so `stationarity_function` there is no reference.)"""
+        x = np.round(ParetoII(9.0, 8.0).sample(800, 5), 2)
+        emp = EmpiricalLosses(x)
+        g, left, right = retention._claim_sides(emp, rule, VAR75.phi_normal(), emp.n)
+        assert g["claims"][-1] == x.max()
+        gap = x.max() - g["mu1"][-1]
+        lead = VAR75.phi_normal() * g["sbar_left"][-1] * gap / math.sqrt(g["var"][-1])
+        assert left[-1] == pytest.approx(lead, rel=1e-12)
+        assert right[-1] == 0.0
 
 
 class TestEffectiveRho:
@@ -318,6 +358,9 @@ class TestLoadingFamily:
             expected[rule.name], rel=1e-14)
         assert rule.load(self.N, tm.nu1, spread) == pytest.approx(
             root_n * expected[rule.name] * tm.nu1, rel=1e-14)
+        if not rule.spread_dependent:  # reads no spread
+            assert rule.load(self.N, tm.nu1, math.nan) == rule.scale(self.N) * tm.nu1
+        assert rule.load(self.N, np.float64(0.0), np.float64(0.0)) == 0.0  # no claim, no load
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
     def test_marginal_load_is_the_derivative_of_the_load(self, model, rule, d):
