@@ -51,6 +51,7 @@ from .retention import (
     SharpeLoading,
     StdDevLoading,
     condition_report,
+    edgeworth_objective,
     effective_rho,
     objective,
     solve_retention,

@@ -125,7 +125,7 @@ def _estimate_rule(
 ) -> EstimationResult:
     """Plug-in estimate under any rule, with its delta-method standard error.
 
-    The stationarity function phi sbar (d - mu1) / sd(min(X, d)) plus the
+    The stationarity function phi sbar gap / sd(min(X, d)) plus the
     marginal load is linearised in the five moments (sbar, mu1, mu2, nu1,
     nu2), with the rule supplying the gradient of its marginal load.  The
     standard error is the spread of the per-claim values of that linear
@@ -144,11 +144,10 @@ def _estimate_rule(
     fhat = float(kde_density(x, d_hat, bandwidth))
     sbar = tm.sbar
     sd_mu = math.sqrt(var_mu)
-    gap = d_hat - tm.mu1
     load_sbar, load_nu1, load_nu2 = rule.load_gradient(emp.n, sbar, tm.nu1, tm.nu2)
-    c1 = phi * gap / sd_mu + load_sbar
-    c2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * gap / sd_mu ** 3)
-    c3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
+    c1 = phi * tm.gap / sd_mu + load_sbar
+    c2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * tm.gap / sd_mu ** 3)
+    c3 = -phi * sbar * tm.gap / (2.0 * sd_mu ** 3)
     # d/dd of the stationarity function through each moment
     c0 = (
         phi * sbar / sd_mu

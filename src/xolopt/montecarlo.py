@@ -85,6 +85,8 @@ class McTableRow:
     d_actual: float
     d_approx: float
     rel_diff_pct: float
+    var_se: float
+    portfolios: int
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,7 @@ class McEstimateRow:
     diff_pct: float
     coverage: float
     failures: int
+    failure_kinds: str
 
 
 @dataclass(frozen=True)
@@ -441,7 +444,7 @@ def replicate_table1(
     rows: list[McTableRow] = []
     for rule in rules:
         for n in n_values:
-            actual = brute_force_optimal(model, rule, n, p, cfg).d_actual
+            brute = brute_force_optimal(model, rule, n, p, cfg)
             approx = [solve_retention(model, rule, measure, n).d_star]
             if rule is constant:  # the Edgeworth refinements exist for it alone
                 approx += [solve_retention_edgeworth(model, rule, p, n, order).d_star
@@ -452,9 +455,11 @@ def replicate_table1(
                         rule=rule.name,
                         n=n,
                         approx_order=order,
-                        d_actual=actual,
+                        d_actual=brute.d_actual,
                         d_approx=d_approx,
-                        rel_diff_pct=100.0 * (d_approx - actual) / actual,
+                        rel_diff_pct=100.0 * (d_approx - brute.d_actual) / brute.d_actual,
+                        var_se=brute.var_se,
+                        portfolios=brute.portfolios,
                     )
                 )
     return rows
@@ -496,7 +501,7 @@ def replicate_table2(
 
     Each replication draws a fresh sample from its own substream keyed by
     (rule, n, replication), so a row is the same whatever else the table
-    holds.
+    holds.  `failure_kinds` counts the failed replications by exception name.
     """
     measure = DistortionMeasure.var(p)
     rules = _only([DecreasingLoading(delta), StdDevLoading(rho0), SharpeLoading(rho0)], only)
@@ -504,12 +509,12 @@ def replicate_table2(
     for rule in rules:
         for n in n_values:
             d_true = solve_retention(model, rule, measure, n).d_star
-            kept = []
+            kept, kinds = [], {}
             for rep in range(cfg.m):
                 try:
                     kept.append(_estimate_once(model, rule, measure, n, cfg.seed, rep))
-                except XoloptError:
-                    pass
+                except XoloptError as exc:
+                    kinds[type(exc).__name__] = kinds.get(type(exc).__name__, 0) + 1
             failures = cfg.m - len(kept)
             if not kept:
                 raise XoloptError(
@@ -532,6 +537,7 @@ def replicate_table2(
                     diff_pct=100.0 * (emp - theo) / theo,
                     coverage=float(np.mean((lo <= d_true) & (d_true <= hi))),
                     failures=failures,
+                    failure_kinds=";".join(f"{k}:{kinds[k]}" for k in sorted(kinds)),
                 )
             )
     return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -280,29 +281,29 @@ def stationarity_function(
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     g = model.moment_grid(d_arr)
     if not rule.spread_dependent:
-        out = _flat_condition((rule.scale(n) / phi) ** 2, d_arr, g)
+        out = _flat_condition((rule.scale(n) / phi) ** 2, g)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = _derivative(rule, phi, n, d_arr, g["sbar"], g)
+            out = _derivative(rule, phi, n, g["sbar"], g)
     return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
-def _flat_condition(q: float, d, g: dict):
+def _flat_condition(q: float, g: dict):
     """The flat rules' stationarity function from the moments g at d, with
     q = (c(N)/phi)^2."""
-    return (d - g["mu1"]) ** 2 - q * g["var"]
+    return g["gap"] ** 2 - q * g["var"]
 
 
-def _derivative(rule: LoadingRule, phi: float, n: int, d, sbar, g: dict):
+def _derivative(rule: LoadingRule, phi: float, n: int, sbar, g: dict):
     """The spread rules' stationarity function, the scaled objective
     derivative, from the moments g at d; sbar is passed apart, so that the
     two sides of a claim share the rest of the moments."""
-    return _capped_slope(phi, d, sbar, g) + rule.marginal_load(n, sbar, g["nu1"], g["nu2"])
+    return _capped_slope(phi, sbar, g) + rule.marginal_load(n, sbar, g["nu1"], g["nu2"])
 
 
-def _capped_slope(phi: float, d, sbar, g: dict):
+def _capped_slope(phi: float, sbar, g: dict):
     """The capped term's part of the scaled objective derivative."""
-    return phi * sbar * (d - g["mu1"]) / np.sqrt(g["var"])
+    return phi * sbar * g["gap"] / np.sqrt(g["var"])
 
 
 def _validate_n(n: int) -> None:
@@ -468,7 +469,7 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     x = emp.losses
 
     def f(i):  # the function at the i-th smallest loss
-        return _flat_condition(q, x[i], emp.moment_grid(x[i]))
+        return _flat_condition(q, emp.moment_grid(x[i]))
 
     lo, hi = int(np.searchsorted(x, d2, side="right")) - 1, emp.n
     f_lo = f(lo)
@@ -508,7 +509,7 @@ def _claim_sides(
     empty = g["nu1"] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         left, right = (
-            _capped_slope(phi, g["claims"], sbar, g)
+            _capped_slope(phi, sbar, g)
             + np.where(empty, 0.0, rule.marginal_load(n, sbar, g["nu1"], g["nu2"]))
             for sbar in (g["sbar_left"], g["sbar"])
         )
@@ -542,7 +543,7 @@ def _rising_roots_on_claims(
 
             def cell(d, k=k):
                 moments = emp.cell_moments(d, k)
-                return _derivative(rule, phi, n, d, moments["sbar"], moments)
+                return _derivative(rule, phi, n, moments["sbar"], moments)
 
             lo, hi = float(claims[j]), math.nextafter(claims[j + 1], 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -552,32 +553,31 @@ def _rising_roots_on_claims(
     return roots, (math.nextafter(claims[0], 0.0), float(claims[-1]))
 
 
-def hermite2(x: float) -> float:
-    """Probabilists' Hermite polynomial of degree 2."""
-    return x * x - 1.0
-
-
-def hermite3(x: float) -> float:
-    return x ** 3 - 3.0 * x
-
-
-def hermite5(x: float) -> float:
-    return x ** 5 - 10.0 * x ** 3 + 15.0 * x
-
-
-def _cornish_fisher_quantile(model: SeverityModel, d: float, z: float,
-                             p: float, n: int, order: int) -> float:
-    """Skewness/kurtosis-corrected quantile of the capped-loss average."""
-    hm = model.higher_truncated_moments(d)
-    arg = p if HERMITE_AT_RISK_LEVEL else z
-    q = z + SKEW_TERM_SIGN * hm.kappa3 * hermite2(arg) / 6.0 / math.sqrt(n)
+def edgeworth_objective(model: SeverityModel, rule: ConstantLoading, p: float, n: int,
+                        order: int, d):
+    """Constant-loading total-cost quantile at retention d, the capped-loss
+    quantile refined by Cornish-Fisher terms in its skewness (order 2) and
+    also its excess kurtosis (order 3).  Vectorised over d."""
+    if not isinstance(rule, ConstantLoading):
+        raise DomainError("the Edgeworth refinement applies to the constant rule")
+    if order not in (2, 3):
+        raise DomainError(f"order must be 2 or 3, got {order}")
+    _validate_n(n)
+    z = normal_quantile(p)
+    if z <= 0.0:
+        raise NonpositivePhi(f"risk level p={p:g} gives a nonpositive quantile")
+    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
+    g = model.moment_grid(d_arr)
+    hm = model.higher_truncated_moments(d_arr)
+    x = p if HERMITE_AT_RISK_LEVEL else z  # the argument of the Hermite polynomials
+    he2, he3, he5 = x * x - 1.0, x ** 3 - 3.0 * x, x ** 5 - 10.0 * x ** 3 + 15.0 * x
+    quant = z + SKEW_TERM_SIGN * hm.kappa3 * he2 / 6.0 / math.sqrt(n)
     if order >= 3:
-        second = hm.kappa4 * hermite3(arg) / 24.0 + hm.kappa3 ** 2 * (
-            hermite5(arg) + 2.0 * (2.0 * arg) * hermite2(arg)
-            - arg * hermite2(arg) ** 2
-        ) / 72.0
-        q += second / n
-    return q
+        quant = quant + (hm.kappa4 * he3 / 24.0
+                         + hm.kappa3 ** 2 * (he5 + 4.0 * x * he2 - x * he2 ** 2) / 72.0) / n
+    sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
+    out = n * model.mean() + n * rule.rho * g["nu1"] + math.sqrt(n) * sd_capped * quant
+    return float(out[0]) if np.asarray(d).ndim == 0 else out
 
 
 def solve_retention_edgeworth(
@@ -592,32 +592,17 @@ def solve_retention_edgeworth(
     order=2 keeps the skewness correction (error o(1)); order=3 adds the
     kurtosis term (error o(1/sqrt(N))).  Only the plain quantile risk level
     p is supported here.  The refined quantile has no derivative to solve,
-    so the first interior dip of a 200-point log grid is refined by golden
-    section; `is_global_grid_min` says whether that dip is also the lowest
-    grid value.
+    so the first interior dip of a 200-point log grid, read in one call, is
+    refined by golden section; `is_global_grid_min` says whether that dip
+    is also the lowest grid value.
     """
-    if not isinstance(rule, ConstantLoading):
-        raise DomainError("the Edgeworth refinement applies to the constant rule")
-    if order not in (2, 3):
-        raise DomainError(f"order must be 2 or 3, got {order}")
-    _validate_n(n)
-    z = normal_quantile(p)
-    if z <= 0.0:
-        raise NonpositivePhi(f"risk level p={p:g} gives a nonpositive quantile")
-    mean = model.mean()
-
-    def refined_objective(d: float) -> float:
-        tm = model.truncated_moments(d)
-        sd_capped = math.sqrt(max(tm.var, 0.0))
-        quant = _cornish_fisher_quantile(model, d, z, p, n, order)
-        return n * mean + n * rule.rho * tm.nu1 + math.sqrt(n) * sd_capped * quant
-
+    refined_objective = partial(edgeworth_objective, model, rule, p, n, order)
     # The corrected objective flattens toward the no-ceding asymptote and may
     # dip below the interior basin far in the tail, where the polynomial
     # correction is no longer a valid quantile approximation.  The meaningful
     # solution is the first interior dip.
     grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
-    values = np.array([refined_objective(d) for d in grid])
+    values = refined_objective(grid)
     dips = np.flatnonzero((values[:-2] > values[1:-1]) & (values[1:-1] <= values[2:]))
     if dips.size == 0:
         raise NoRootFound(

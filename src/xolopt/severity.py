@@ -9,9 +9,20 @@ Moment notation used throughout (d is the retention):
     sbar = P(X > d)
     mu1  = E[min(X, d)]
     mu2  = E[min(X, d)^2]
+    gap  = E[(d - X)+] = d - mu1
     nu1  = E[(X - d)+]
     nu2  = E[(X - d)+^2]
     var  = Var(min(X, d)) = mu2 - mu1^2
+
+On the Lomax model (t = d/scale, u = t max(shape, 1)) raw moments cancel in
+d - mu1 and in the central moments at small caps, so one power series in u
+gives those there (`_capped_series`): gap and var up to u = 1/2 in
+`moment_grid` (then mu1 = d - gap, mu2 = var + mu1^2), the central moments
+of orders 2 to 4 up to t max(shape, 4) = 2 in `higher_truncated_moments`.
+Above, one closed form for E[min(X, d)^k], k = 1..4, takes over.  Against
+that closed form in 130-digit arithmetic, for shapes 0.5 to 300 and t from
+1e-8 to 20, the worst relative errors seen: gap 1.4e-15, mu1 2.5e-16, mu2
+4.9e-15, var 3.0e-14, and skewness and excess kurtosis 3.1e-12 max(1, |kappa|).
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ class TruncatedMoments:
     sbar: float
     mu1: float
     mu2: float
+    gap: float
     nu1: float
     nu2: float
     var: float
@@ -46,11 +58,9 @@ class TruncatedMoments:
 
 @dataclass(frozen=True)
 class HigherTruncatedMoments:
-    """Third/fourth capped moments with standardised skewness and excess kurtosis."""
+    """Skewness and excess kurtosis of min(X, d), at one d or an array."""
 
     d: float
-    m3: float
-    m4: float
     kappa3: float
     kappa4: float
 
@@ -68,32 +78,82 @@ def _rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-_VARIANCE_SERIES_TERMS = 48
-_VARIANCE_SERIES_POWERS = np.arange(3.0, _VARIANCE_SERIES_TERMS + 3.0)  # m + 2
+_POWERS = np.arange(101.0)[:, None]  # exponents 0..100: of u in the series, of Z below
 
 
 @lru_cache(maxsize=64)
-def _capped_variance_series(a: float) -> np.ndarray:
-    """Coefficients w_1, w_2, ... of the Lomax capped variance in t = d/scale.
+def _capped_series(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the capped Lomax moments as power series in
+    u = t max(a, 1), in units of h = scale/max(a, 1).
 
-    Var(X wedge d) = 2 int_0^d S(y) int_0^y F(x) dx dy.  With c_j the
-    binomial coefficients of S = (1 + t)^(-a) and F = -sum_{j>=1} c_j t^j,
-    it is scale^2 sum_{m>=1} w_m t^(m+2), where
-
-        w_m = 2/(m+2) sum_{j=1..m} c_{m-j} (-c_j)/(j+1).
-
-    Every product in one w_m has the same sign, so the coefficients carry
-    no cancellation; w_1 = a/3.
+    W = (d - X)+ has mean gap and the central moments of min(X, d), the
+    third with its sign flipped.  With F = -sum_{j>=1} c_j u^j the cdf,
+    E[W^k] = h^k sum_{j>=1} (-c_j) k! j!/(k+j)! u^(k+j), and products of
+    these give the central moments.  The products in one coefficient share
+    their sign, so none cancels.  Returns rows over u, u^2, ...: gap and
+    var to u^50, and var and the third and fourth central moments to u^100.
     """
-    k = _VARIANCE_SERIES_TERMS
-    c = np.empty(k + 1)
-    c[0] = 1.0
-    for j in range(k):
-        c[j + 1] = c[j] * -(a + j) / (j + 1.0)
-    excess = -c[1:] / np.arange(2.0, k + 2.0)  # -c_j/(j+1), j = 1..k
-    w = 2.0 * np.convolve(c[:k], excess)[:k] / _VARIANCE_SERIES_POWERS
-    w.flags.writeable = False  # shared by every caller through the cache
-    return w
+    n = _POWERS.size - 1
+    j = np.arange(1.0, n)
+    c = np.cumprod(-(a + j - 1.0) / (j * max(a, 1.0)))  # c_1, c_2, ...
+    w = np.zeros((5, n + 1))  # E[W^k]/h^k by power of u, k = 1..4
+    for k in range(1, 5):
+        w[k, k + 1:] = -c[:n - k] * np.cumprod(j / (k + j))[:n - k]
+
+    def times(x, y):
+        return np.convolve(x, y)[:n + 1]
+
+    w11 = times(w[1], w[1])
+    var = w[2] - w11
+    third = -(w[3] - 3.0 * times(w[1], w[2]) + 2.0 * times(w11, w[1]))
+    fourth = w[4] - 4.0 * times(w[1], w[3]) + 6.0 * times(w11, w[2]) - 3.0 * times(w11, w11)
+    table = np.array([w[1], var, third, fourth])[:, 1:]
+    return table[:2, :50].copy(), table[1:].copy()
+
+
+#: Shapes from which the closed form is the tail sum (see below)
+_TAIL_SUM_SHAPE = 5.0
+
+
+@lru_cache(maxsize=128)
+def _closed_form_constants(a: float, scale: float, order: int) -> tuple:
+    """The exponents m - a, m = 0..order, as a column, and the coefficients
+    of `_lomax_closed_form` times scale^k, in row k - 1."""
+    e, ks = np.arange(order + 1.0)[:, None] - a, range(1, order + 1)
+    if a < _TAIL_SUM_SHAPE:  # k (-1)^(k-m) C(k-1, m-1)/(m - a), with no divisor at m = a
+        return e, None, np.array([[scale ** k * k * (-1) ** (k - m) * math.comb(k - 1, m - 1)
+                                   / (m - a or 1.0) for m in ks] for k in ks])
+    # k!/((a-1)...(a-k)), and (a-k)_i/i! in column i < k
+    prefactor = [[math.prod(scale * j / (a - j) for j in range(1, k + 1))] for k in ks]
+    sums = [[math.prod((a - k + j) / (j + 1) for j in range(i)) * (i < k) for i in range(order)]
+            for k in ks]
+    return e, np.array(prefactor), np.array(sums)
+
+
+def _lomax_closed_form(a: float, scale: float, t, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(1 + t)^(m - a) for m = 0..order, and E[min(X, d)^k] for k = 1..order,
+    along a new first axis.
+
+    E[min(X, d)^k] = k scale^k int_0^Z z^(k-1) (1 - z)^(a-k-1) dz with
+    Z = t/(1 + t).  From shape 5 up, expanding (1 - z)^(a-k-1) about z = 0
+    gives the negative-binomial tail k!/((a-1)...(a-k)) (1 - (1 + t)^(k-a)
+    sum_{i<k} (a-k)_i/i! Z^i), which cancels only near a = k.  Below, the
+    binomial expansion of z^(k-1) about z = 1 gives k sum_m (-1)^(k-m)
+    C(k-1, m-1) I_m, with I_m = expm1((m - a) log(1 + t))/(m - a), or
+    log(1 + t) at m = a.  Its terms cancel by about a^(k-1) at large
+    shapes: at shape 50 that cost 1e-9 in the kurtosis above the series.
+    """
+    e, prefactor, coefficients = _closed_form_constants(a, scale, order)
+    log_c = np.log1p(t)
+    x = e * log_c
+    powers = np.exp(x)
+    if a >= _TAIL_SUM_SHAPE:
+        sums = coefficients @ (t / (1.0 + t)) ** _POWERS[:order]
+        return powers, prefactor * (1.0 - powers[1:] * sums)
+    integrals = np.expm1(x[1:])
+    if a in range(1, order + 1):
+        integrals[int(a) - 1] = log_c
+    return powers, coefficients @ integrals
 
 
 class SeverityModel:
@@ -133,7 +193,8 @@ class SeverityModel:
         """Vectorised truncated moments over an array of retentions."""
         raise NotImplementedError
 
-    def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
+    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
+        """Skewness and excess kurtosis of min(X, d), at d > 0 or an array."""
         raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -142,23 +203,6 @@ class SeverityModel:
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-    def _standardised_higher(self, d: float, m1: float, m2: float,
-                             m3: float, m4: float) -> HigherTruncatedMoments:
-        var = m2 - m1 * m1
-        if var <= 0.0:
-            raise DegenerateVariance(
-                f"capped loss at d={d:g} has zero variance"
-            )
-        c3 = m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3
-        c4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 ** 4
-        return HigherTruncatedMoments(
-            d=float(d),
-            m3=float(m3),
-            m4=float(m4),
-            kappa3=float(c3 / var ** 1.5),
-            kappa4=float(c4 / (var * var) - 3.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -214,92 +258,45 @@ class ParetoII(SeverityModel):
 
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         a, lam = self.shape, self.scale
-        d = np.asarray(d, dtype=float)
+        d = np.array(d, dtype=float, ndmin=1)
         t = d / lam
-        c = 1.0 + t
-        sbar = c ** (-a)
-        c1 = c ** (1.0 - a)
-        c2 = c ** (2.0 - a)
-        # integral of w^(1-a) over [1, c], with the logarithmic limit at a = 2
-        if a == 2.0:
-            i1 = np.log(c)
-        else:
-            i1 = (c2 - 1.0) / (2.0 - a)
-        # integral of w^(-a) over [1, c], logarithmic at a = 1
-        if a == 1.0:
-            i0 = np.log(c)
-            mu1 = lam * i0
-        else:
-            i0 = (c1 - 1.0) / (1.0 - a)
-            mu1 = (lam / (a - 1.0)) * (1.0 - c1)
-        mu2 = 2.0 * lam * lam * (i1 - i0)
-        if a > 1.0:
-            nu1 = (lam / (a - 1.0)) * c1
-        else:
-            nu1 = np.full_like(c, np.inf)
-        if a > 2.0:
-            nu2 = 2.0 * lam * lam / ((a - 1.0) * (a - 2.0)) * c2
-        else:
-            nu2 = np.full_like(c, np.inf)
-        var = mu2 - mu1 ** 2
-        # mu2 - mu1^2 cancels to O(t^3) for small caps, so below a*t = 1/2
-        # (t = 1/2 for a < 1) the series takes over: its terms shrink at
-        # least twofold each, and 48 of them keep it within 2e-15 relative.
-        # Above, the closed form is within about 6e-14 + 1e-14*a relative,
-        # which is 1e-12 or better for shapes up to 90.
-        small = t <= 1.0 / (2.0 * max(a, 1.0))
+        powers, (mu1, mu2) = _lomax_closed_form(a, lam, t, 2)
+        gap, var = d - mu1, mu2 - mu1 * mu1
+        # below u = t max(a, 1) = 1/2 the series terms shrink at least
+        # twofold each, and those up to u^50 give gap and var to 2e-15
+        small = t <= 0.5 / max(a, 1.0)
         if small.any():
-            var = np.array(var, dtype=float)
-            powers = np.power.outer(t[small], _VARIANCE_SERIES_POWERS)
-            var[small] = (powers @ _capped_variance_series(a)) * (lam * lam)
-        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2,
-                "var": var}
-
-    def _capped_power(self, k: int, d: float) -> float:
-        """E[(X wedge d)^k] via k * integral of x^(k-1) survival(x).
-
-        Substituting u = 1 + x/lambda turns each term into a power of u, so
-        the integral is exact for any cap; exponents of -1 fall back to log.
-        The antiderivative terms cancel to O((d/lambda)^k), so small caps
-        switch to the binomial series of (1 + s)^(-alpha), which is exact
-        term by term.
-        """
-        a = self.shape
-        t = d / self.scale
-        if t <= 0.5:
-            total = 0.0
-            coef = 1.0
-            for j in range(400):
-                term = coef * t ** (k + j) / (k + j)
-                total += term
-                if abs(term) <= 1e-17 * abs(total):
-                    break
-                coef *= -(a + j) / (j + 1.0)
-            return float(k * self.scale ** k * total)
-        c = 1.0 + t
-        total = 0.0
-        for j in range(k):
-            expo = (k - 1 - j) - a
-            coeff = math.comb(k - 1, j) * (-1.0) ** j
-            if expo == -1.0:
-                piece = math.log(c)
-            else:
-                piece = (c ** (expo + 1.0) - 1.0) / (expo + 1.0)
-            total += coeff * piece
-        return float(k * self.scale ** k * total)
+            h = lam / max(a, 1.0)
+            series = _capped_series(a)[0] @ (t[small] * max(a, 1.0)) ** _POWERS[1:51]
+            gap[small], var[small] = h * series[0], h * h * series[1]
+            mu1 = np.where(small, d - gap, mu1)
+            mu2 = np.where(small, var + mu1 * mu1, mu2)
+        nu1 = (lam / (a - 1.0)) * powers[1] if a > 1.0 else np.full_like(t, np.inf)
+        nu2 = (2.0 * lam * lam / ((a - 1.0) * (a - 2.0)) * powers[2] if a > 2.0
+               else np.full_like(t, np.inf))
+        return {"sbar": powers[0], "mu1": mu1, "mu2": mu2, "gap": gap, "nu1": nu1,
+                "nu2": nu2, "var": var}
 
     def search_grid(self) -> np.ndarray:
         """Retentions at which the solver samples the objective derivative:
         1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile."""
         return log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
 
-    def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
-        if d <= 0.0:
+    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
+        if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
-        tm = self.truncated_moments(d)
-        m3 = self._capped_power(3, d)
-        m4 = self._capped_power(4, d)
-        return self._standardised_higher(d, tm.mu1, tm.mu2, m3, m4)
+        a, t = self.shape, np.atleast_1d(np.asarray(d, dtype=float)) / self.scale
+        m1, m2, m3, m4 = _lomax_closed_form(a, 1.0, t, 4)[1]
+        central = np.array([m2 - m1 * m1, m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3,
+                            m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 ** 4])
+        # the raw moments cancel for small caps, so up to t max(a, 4) = 2
+        # the series gives the central moments, in units of the scale
+        small = t * max(a, 4.0) <= 2.0
+        if small.any():
+            h = 1.0 / max(a, 1.0)
+            series = _capped_series(a)[1] @ (t[small] / h) ** _POWERS[1:]
+            central[:, small] = series * h ** np.array([[2.0], [3.0], [4.0]])
+        return _standardised(d, *central)
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(n)
@@ -312,7 +309,7 @@ class EmpiricalLosses(SeverityModel):
     Survival uses the strict inequality P(X > x) = #{X_i > x}/n so that the
     plug-in moment identities hold exactly.  Prefix sums over the sorted
     sample make every first and second truncated moment an O(log n) lookup;
-    the third and fourth take one O(n) pass over the capped sample.
+    the higher moments take two O(n) passes over the capped sample.
 
     Between two neighbouring claims the count k of losses at or below d is
     fixed, so every first and second moment is a polynomial in d whose
@@ -386,8 +383,8 @@ class EmpiricalLosses(SeverityModel):
         mu2 = (below2 + d * d * tail_count) / n
         nu1 = (tail1 - d * tail_count) / n
         nu2 = (tail2 - 2.0 * d * tail1 + d * d * tail_count) / n
-        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "nu1": nu1, "nu2": nu2,
-                "var": mu2 - mu1 * mu1}
+        return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "gap": d - mu1, "nu1": nu1,
+                "nu2": nu2, "var": mu2 - mu1 * mu1}
 
     def claim_table(self) -> dict[str, np.ndarray]:
         """The moments at every distinct positive claim, ascending.
@@ -417,16 +414,26 @@ class EmpiricalLosses(SeverityModel):
             column.flags.writeable = False
         return table
 
-    def higher_truncated_moments(self, d: float) -> HigherTruncatedMoments:
-        if d <= 0.0:
+    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
+        if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
-        c = np.minimum(self.losses, d)
-        m1, m2, m3, m4 = (float(np.mean(c ** k)) for k in range(1, 5))
-        return self._standardised_higher(d, m1, m2, m3, m4)
+        capped = np.minimum(self.losses, np.asarray(d, dtype=float)[..., None])
+        dev = capped - capped.mean(axis=-1, keepdims=True)
+        return _standardised(d, *(np.mean(dev ** k, axis=-1) for k in (2, 3, 4)))
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.n, size=n)
         return self.losses[idx]
+
+
+def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
+    """Skewness and excess kurtosis from the central moments of min(X, d)."""
+    if not np.all(var > 0.0):
+        raise DegenerateVariance(f"capped loss at d={d} has zero variance")
+    kappa3, kappa4 = third / var ** 1.5, fourth / (var * var) - 3.0
+    if np.ndim(d) == 0:
+        d, kappa3, kappa4 = float(d), kappa3.item(), kappa4.item()
+    return HigherTruncatedMoments(d, kappa3, kappa4)
 
 
 def kde_density(losses, x, bandwidth: float = 0.1):

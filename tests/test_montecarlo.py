@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xolopt import montecarlo
-from xolopt.errors import DomainError
+from xolopt.errors import DegenerateVariance, DomainError, NoRootFound
 from xolopt.montecarlo import (
     _VAR_BATCHES,
     McConfig,
@@ -289,6 +289,14 @@ class TestReplicateTable1:
                 100.0 * (r.d_approx - r.d_actual) / r.d_actual
             )
 
+    def test_rows_carry_the_monte_carlo_budget_and_error_bar(self):
+        rows = replicate_table1(MODEL, SMALL, only="decreasing")
+        for r in rows:
+            assert r.portfolios == 5 * SMALL.b
+            brute = brute_force_optimal(MODEL, DecreasingLoading(0.5), r.n, 0.75, SMALL)
+            assert r.var_se == brute.var_se
+            assert r.d_actual == brute.d_actual
+
     def test_constant_carries_three_orders(self):
         rows = replicate_table1(MODEL, SMALL, n_values=(10,), only="constant")
         assert [r.approx_order for r in rows] == [
@@ -312,11 +320,30 @@ class TestReplicateTable2:
         assert len(table) == 6
         assert table[1] == alone
 
+    def test_failures_are_counted_by_kind(self, monkeypatch):
+        estimate = montecarlo._estimate
+        raising = {3: NoRootFound, 7: NoRootFound, 11: DegenerateVariance}
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            kind = raising.get(len(calls) - 1)
+            if kind is not None:
+                raise kind("chosen to fail")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_estimate", flaky)
+        (row,) = replicate_table2(MODEL, SMALL, n_values=(500,), only="decreasing")
+        assert len(calls) == SMALL.m
+        assert row.failures == 3
+        assert row.failure_kinds == "DegenerateVariance:1;NoRootFound:2"
+
     def test_row_contents(self):
         (row,) = replicate_table2(MODEL, SMALL, n_values=(500,), only="decreasing")
         assert row.rule == "decreasing"
         assert row.n == 500
         assert row.failures == 0
+        assert row.failure_kinds == ""
         assert row.d_true == pytest.approx(0.54724741814, abs=1e-6)
         assert abs(row.bias_pct) < 2.0
         assert 0.80 <= row.coverage <= 1.0

@@ -15,12 +15,14 @@ from xolopt.errors import (
     NonpositivePhi,
     NoRootFound,
 )
+from xolopt.numerics import log_spaced_grid
 from xolopt.retention import (
     ConstantLoading,
     DecreasingLoading,
     SharpeLoading,
     StdDevLoading,
     condition_report,
+    edgeworth_objective,
     effective_rho,
     objective,
     solve_retention,
@@ -457,6 +459,29 @@ class TestEdgeworth:
     def test_rejects_unknown_order(self, model):
         with pytest.raises(DomainError):
             solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 10, 5)
+
+    @pytest.mark.parametrize("n, order", [(10, 2), (25, 3), (100, 3)])
+    def test_grid_values_match_one_point_calls(self, model, n, order):
+        rule = ConstantLoading(0.3)
+        grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
+        values = edgeworth_objective(model, rule, 0.75, n, order, grid)
+        alone = [edgeworth_objective(model, rule, 0.75, n, order, float(d)) for d in grid]
+        np.testing.assert_allclose(values, alone, rtol=1e-14, atol=0.0)
+
+    def test_grid_is_read_in_one_call(self, model, monkeypatch):
+        """One call reads the 200-point grid; only the golden steps and the
+        final point are read one at a time."""
+        sizes = []
+        read = ParetoII.higher_truncated_moments
+
+        def spy(self, d):
+            sizes.append(np.size(d))
+            return read(self, d)
+
+        monkeypatch.setattr(ParetoII, "higher_truncated_moments", spy)
+        sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
+        assert sizes[0] == 200
+        assert sizes[1:] == [1] * (sol.diagnostics.iterations + 3)
 
 
 class TestStopLoss:
