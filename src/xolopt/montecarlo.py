@@ -132,10 +132,12 @@ class _CostOracle:
     chunks otherwise; both paths consume the stream in the same order.
 
     Cost: a grid of G retentions takes one binned O(B*N + B*G) pass over the
-    B x N draws (each claim is binned by the first retention at or above it,
-    and per-row cumulative cell sums give every capped sum), and a
-    refinement bracket takes one more; each retention inside the bracket
-    then costs O(B + k), for the k claims that fall inside it.
+    B x N draws (each claim's cell is read off the log spacing of the
+    retentions and corrected against its neighbours, and per-row cumulative
+    cell sums give every capped sum), and a refinement bracket takes one
+    more pass plus an O(k log k) sort of the k claims inside it; each
+    retention inside the bracket then costs O(B + j) for the j of them at or
+    below it, plus the O(B) quantile selection.
     """
 
     def __init__(self, model: SeverityModel, n: int, cfg: McConfig, *key: int):
@@ -179,7 +181,7 @@ class _CostOracle:
             for lo in range(0, block.shape[0], rows_per):
                 part = block[lo:lo + rows_per]
                 r = part.shape[0]
-                cell = np.searchsorted(edges, part)
+                cell = _cell_index(edges, part)
                 flat = (cell * r + np.arange(r)[:, None]).ravel()
                 sums = np.bincount(flat, weights=part.ravel(), minlength=cells * r)
                 counts = np.bincount(flat, minlength=cells * r)
@@ -187,17 +189,25 @@ class _CostOracle:
                 first += r
 
     def capped_stats(self, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p-free pieces: all capped sums (b per d) and pooled excess means."""
+        """p-free pieces: all capped sums (b per d) and pooled excess means.
+
+        The retentions may come in any order; row j of the sums belongs to
+        d_values[j].
+        """
         d_values = np.asarray(d_values, dtype=float)
+        if not (d_values.ndim == 1 and d_values.size
+                and np.all((0.0 < d_values) & (d_values < np.inf))):
+            raise DomainError("retentions must be a nonempty list of positive finite numbers")
+        order = np.argsort(d_values, kind="stable")
+        edges = d_values[order]
         sums = np.empty((d_values.size, self.b))
         totals = np.empty(self.b)
-        for first, part, _, cell_sums, cell_counts in self._binned(d_values):
+        for first, part, _, cell_sums, cell_counts in self._binned(edges):
             span = slice(first, first + part.shape[0])
             below = np.cumsum(cell_sums, axis=0, out=cell_sums)
             above = np.cumsum(cell_counts[:-1], axis=0)
             np.subtract(self.n, above, out=above)
-            np.multiply(d_values[:, None], above, out=sums[:, span])
-            sums[:, span] += below[:-1]
+            sums[order, span] = edges[:, None] * above + below[:-1]
             totals[span] = below[-1]
         # the excess comes from whole per-row totals, so chunking moves no bit
         excess = np.array([(totals - s).sum() for s in sums])
@@ -217,25 +227,28 @@ class _CostOracle:
             r, c = np.nonzero(cell == 1)
             xs.append(part[r, c])
             row_ids.append(r + first)
-        return _Bracket(self, below, count, totals, np.concatenate(xs), np.concatenate(row_ids))
+        x = np.concatenate(xs)
+        # claims tied in value add the same bits in either order, so the
+        # sort need not be stable
+        order = np.argsort(x)
+        return _Bracket(self, below, count, totals, x[order], np.concatenate(row_ids)[order])
 
     def quantile_index(self, p: float) -> int:
         k = int(math.ceil(p * self.b - 1e-9))
         return min(max(k, 1), self.b) - 1
 
-    def var_values(self, rule: LoadingRule, p: float, d_values) -> np.ndarray:
-        d_values = np.asarray(d_values, dtype=float)
+    def var_values(self, p: float, d_values, rates) -> np.ndarray:
+        """Total-cost quantiles at the retentions, rates[j] being the
+        effective loading at d_values[j]."""
         sums, nu1 = self.capped_stats(d_values)
-        return np.array([self.var_from(rule, p, float(d), s, e)
-                         for d, s, e in zip(d_values, sums, nu1)])
+        return np.array([self.var_from(p, s, e, rate) for s, e, rate in zip(sums, nu1, rates)])
 
-    def var_from(self, rule: LoadingRule, p: float, d: float, sums: np.ndarray,
-                 nu1: float) -> float:
-        """Total-cost quantile at d from its capped sums and pooled excess mean."""
+    def var_from(self, p: float, sums: np.ndarray, nu1: float, rate: float) -> float:
+        """Total-cost quantile from the capped sums and pooled excess mean at
+        one retention and the effective loading there."""
         idx = self.quantile_index(p)
         quant = np.partition(sums, idx)[idx]
-        rho_eff = effective_rho(self.model, rule, self.n, d)
-        return float(quant + (1.0 + rho_eff) * self.n * nu1)
+        return float(quant + (1.0 + rate) * self.n * nu1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +256,7 @@ class _Bracket:
     """One oracle's draws reduced to what a retention in [lo, hi] needs.
 
     Per row: the sum and count of the claims at or below lo and the row
-    total; besides, every claim in (lo, hi] with its row.
+    total; besides, every claim in (lo, hi] with its row, sorted by value.
     """
 
     oracle: _CostOracle
@@ -256,16 +269,56 @@ class _Bracket:
     def capped_stats(self, d: float) -> tuple[np.ndarray, float]:
         """Capped sums and pooled excess mean at one d in [lo, hi]."""
         o = self.oracle
-        inside = self.x <= d
-        row = self.row[inside]
-        below = self.below + np.bincount(row, weights=self.x[inside], minlength=o.b)
+        j = int(np.searchsorted(self.x, d, side="right"))
+        row = self.row[:j]
+        below = self.below + np.bincount(row, weights=self.x[:j], minlength=o.b)
         above = o.n - (self.count + np.bincount(row, minlength=o.b))
         sums = below + d * above
         return sums, float((self.totals - sums).sum()) / (o.b * o.n)
 
-    def var(self, rule: LoadingRule, p: float, d: float) -> float:
+    def var(self, p: float, d: float, rate: float) -> float:
         sums, nu1 = self.capped_stats(d)
-        return self.oracle.var_from(rule, p, d, sums, nu1)
+        return self.oracle.var_from(p, sums, nu1, rate)
+
+
+def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, x): for each x, the index of the first edge at
+    or above it, for ascending positive edges.
+
+    The guess reads the cell off the log spacing of the edges, which on a
+    log grid is exact but for rounding; comparisons with the neighbouring
+    edges then correct it until it is exact, for any ascending edges.
+    """
+    m = edges.size
+    lo, hi = math.log(edges[0]), math.log(edges[-1])
+    scale = (m - 1) / (hi - lo) if hi > lo else 0.0
+    flat = x.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log(flat)
+        t -= lo
+        t *= scale
+    t += 1.0
+    # fmax also sends the NaN of 0 * log(0) to cell 0
+    np.fmax(t, 0.0, out=t)
+    np.minimum(t, m, out=t)
+    cell = t.astype(np.intp)
+    # cell c is right when edge c - 1 < x <= edge c, with -inf and inf outside
+    left = np.concatenate(([-np.inf], edges))
+    right = np.concatenate((edges, [np.inf]))
+    up = right[cell] < flat
+    down = left[cell] >= flat
+    cell += up
+    cell -= down
+    # a claim moves one way only, so this ends within edges.size rounds; both
+    # tests hold at once only for unsorted edges, and then the claim stops
+    moved = np.flatnonzero(up ^ down)
+    while moved.size:
+        c, v = cell[moved], flat[moved]
+        up = right[c] < v
+        down = left[c] >= v
+        cell[moved] = c + up - down
+        moved = moved[up ^ down]
+    return cell.reshape(x.shape)
 
 
 def mc_var_total_cost(
@@ -288,7 +341,7 @@ def mc_var_total_cost(
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
     oracle = _CostOracle(model, n, cfg, _STREAM_VAR_COST, n)
-    return float(oracle.var_values(rule, p, [d])[0])
+    return float(oracle.var_values(p, [d], [effective_rho(model, rule, n, d)])[0])
 
 
 def _default_grid(model: SeverityModel, size: int = 80) -> np.ndarray:
@@ -314,11 +367,14 @@ def brute_force_optimal(
     retention sees identical draws, keeping the averaged map deterministic
     through the refinement pass.
 
-    Each batch costs one binned O(B*N) pass for the whole grid and one for
-    the refinement bracket; each golden step then costs O(B + k) per batch,
-    for the k claims inside the bracket.  The result reports the portfolios
-    drawn over all batches and the standard error of the averaged VaR at
-    the optimum, from the spread of the batch VaRs there.
+    Each batch costs one binned O(B*N + B*G) pass for the G-point grid and
+    one O(B*N) pass for the refinement bracket, which also sorts the k
+    claims inside it; each golden step then costs O(B + j) per batch, for
+    the j of them at or below the step's retention, plus the quantile
+    selection.  The effective loading at each retention is computed once
+    and shared by the batches.  The result reports the portfolios drawn
+    over all batches and the standard error of the averaged VaR at the
+    optimum, from the spread of the batch VaRs there.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
@@ -327,7 +383,8 @@ def brute_force_optimal(
         _CostOracle(model, n, cfg, _STREAM_VAR_COST, n, batch)
         for batch in range(_VAR_BATCHES)
     ]
-    batches = np.array([o.var_values(rule, p, grid) for o in oracles])
+    rates = [effective_rho(model, rule, n, float(d)) for d in grid]
+    batches = np.array([o.var_values(p, grid, rates) for o in oracles])
     values = batches.mean(axis=0)
     i = int(np.argmin(values))
     if i == 0 or i == grid.size - 1:
@@ -338,7 +395,8 @@ def brute_force_optimal(
     seen = {}
 
     def averaged(d: float) -> float:
-        seen[d] = np.array([br.var(rule, p, d) for br in brackets])
+        rate = effective_rho(model, rule, n, d)
+        seen[d] = np.array([br.var(p, d, rate) for br in brackets])
         return float(seen[d].mean())
 
     res = golden_refine(averaged, grid, values, i)

@@ -89,9 +89,11 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]
                 # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre)
-                )
+                denom = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives scipy an infinite or NaN
+                # step, which the test below turns into a bisection
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0.0 else math.inf)
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xolopt import montecarlo
 from xolopt.errors import DegenerateVariance, DomainError, NoRootFound
@@ -11,6 +13,7 @@ from xolopt.montecarlo import (
     _VAR_BATCHES,
     McConfig,
     _CostOracle,
+    _cell_index,
     brute_force_optimal,
     insolvency_probability,
     mc_var_total_cost,
@@ -19,7 +22,13 @@ from xolopt.montecarlo import (
     substream,
     turning_points,
 )
-from xolopt.retention import DecreasingLoading, SharpeLoading, effective_rho
+from xolopt.retention import (
+    ConstantLoading,
+    DecreasingLoading,
+    SharpeLoading,
+    StdDevLoading,
+    effective_rho,
+)
 from xolopt.severity import ParetoII
 
 # aggregate-threshold retention for two contracts, frozen closed form
@@ -140,6 +149,31 @@ class TestBinnedOracle:
         sums, nu1 = oracle.capped_stats(d)
         self._assert_direct(draws, d, sums, nu1)
 
+    def test_retentions_in_any_order(self):
+        """Row j of the sums belongs to the j-th retention as given, repeats
+        and descending runs included."""
+        oracle, draws = self._oracle()
+        grid = self._grid(draws)
+        order = [3, 0, 4, 2, 1, 3]
+        sums, nu1 = oracle.capped_stats(grid[order])
+        ascending, ascending_nu1 = oracle.capped_stats(grid)
+        np.testing.assert_array_equal(sums, ascending[order])
+        np.testing.assert_array_equal(nu1, ascending_nu1[order])
+        self._assert_direct(draws, grid[order], sums, nu1)
+
+    def test_descending_pair_matches_direct_sum(self):
+        n, cfg = 3, McConfig(b=1000, m=100, seed=SMALL.seed)
+        draws = MODEL.sample_rng(cfg.b * n, substream(cfg.seed, 1, n)).reshape(cfg.b, n)
+        sums, nu1 = _CostOracle(MODEL, n, cfg, 1, n).capped_stats([1.0, 0.5])
+        self._assert_direct(draws, [1.0, 0.5], sums, nu1)
+
+    @pytest.mark.parametrize("d_values", [[], [0.0], [0.5, -1.0], [math.nan], [math.inf],
+                                          [[0.5, 1.0]]])
+    def test_rejects_bad_retentions(self, d_values):
+        oracle, _ = self._oracle()
+        with pytest.raises(DomainError):
+            oracle.capped_stats(d_values)
+
     def test_bracket_matches_full_pass(self):
         oracle, draws = self._oracle()
         grid = self._grid(draws)
@@ -181,7 +215,55 @@ class TestBinnedOracle:
         assert turning_points(MODEL, 5, 0.75, SMALL) == kinks
 
 
+_EDGES = st.one_of(
+    # sorted: with equal ends geomspace can come out an ulp out of order
+    st.builds(
+        lambda lo, ratio, m: np.sort(np.geomspace(lo, lo * ratio, m)),
+        st.floats(1e-8, 1e3),
+        st.floats(1.0, 1e8),
+        st.integers(1, 100),
+    ),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        min_size=1,
+        max_size=100,
+    ).map(lambda v: np.sort(np.array(v))),
+)
+
+
+@given(edges=_EDGES, extra=st.lists(st.floats(min_value=0.0), max_size=20))
+def test_cell_index_is_searchsorted(edges, extra):
+    """Geometric and irregular edges; claims at 0, on every edge and one
+    ulp either side of it."""
+    x = np.concatenate(([0.0], edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, np.inf), extra))
+    np.testing.assert_array_equal(_cell_index(edges, x), np.searchsorted(edges, x))
+    rows = x[: x.size // 2 * 2].reshape(2, -1)
+    np.testing.assert_array_equal(_cell_index(edges, rows), np.searchsorted(edges, rows))
+
+
+def test_cell_index_ends_on_unsorted_edges():
+    edges = np.array([8.0, np.nextafter(8.0, 0.0), 8.0])
+    assert 0 <= _cell_index(edges, np.array([8.0]))[0] <= edges.size
+
+
 class TestBruteForce:
+    # (d_actual, var_at_optimum, var_se) at N = 10 on SMALL, frozen: a moved
+    # bit is a change in the draws or in the order of the arithmetic
+    PINNED = {
+        "constant": (1.4974736206489845, 11.965789699925978, 0.02745253535507502),
+        "decreasing": (0.5409542911765297, 11.419427685460334, 0.03316226408888618),
+        "stddev": (0.904888870112466, 11.419480802603605, 0.03735290030146116),
+        "sharpe": (0.27388855201489737, 11.329580388224434, 0.03530414344829337),
+    }
+
+    @pytest.mark.parametrize("rule", [ConstantLoading(0.3), DecreasingLoading(0.5),
+                                      StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda rule: rule.name)
+    def test_pinned_at_ten_contracts(self, rule):
+        res = brute_force_optimal(MODEL, rule, 10, 0.75, SMALL)
+        assert (res.d_actual, res.var_at_optimum, res.var_se) == self.PINNED[rule.name]
+
     def test_decreasing_matches_reference_actual(self):
         ref = 0.5472
         res = brute_force_optimal(MODEL, DecreasingLoading(0.5), 100, 0.75, DESK)
@@ -193,7 +275,8 @@ class TestBruteForce:
         res = brute_force_optimal(MODEL, rule, n, p, SMALL)
         assert res.portfolios == _VAR_BATCHES * SMALL.b
         batch = [
-            _CostOracle(MODEL, n, SMALL, 1, n, k).var_values(rule, p, [res.d_actual])[0]
+            _CostOracle(MODEL, n, SMALL, 1, n, k).var_values(
+                p, [res.d_actual], [effective_rho(MODEL, rule, n, res.d_actual)])[0]
             for k in range(_VAR_BATCHES)
         ]
         assert np.mean(batch) == pytest.approx(res.var_at_optimum, rel=1e-12)

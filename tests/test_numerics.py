@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -116,6 +116,20 @@ def test_rising_crossings_match_scipy():
     assert (res.root, res.iterations) == _scipy(_decreasing_stationarity, lo, hi)
 
 
+# interpolated, the cell [2, 3] makes the inverse quadratic step's
+# denominator underflow to 0
+UNDERFLOWING_VALUES = [0.0, 0.0, -2.6774738800891943e-243, 6.45627945690787e-234]
+
+
+def test_underflowing_interpolation_step_bisects_like_scipy():
+    grid = np.arange(4.0)
+
+    def f(x):
+        return float(np.interp(x, grid, UNDERFLOWING_VALUES))
+
+    assert brentq(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0) == (2.0000000004147083, 4)
+
+
 def _rising_cells(values):
     """The cells the scan must pick: every pair of finite values that goes
     from <= 0 to > 0, as a plain loop finds them."""
@@ -136,6 +150,7 @@ def _rising_cells(values):
         max_size=12,
     )
 )
+@example(values=UNDERFLOWING_VALUES)
 def test_rising_crossings_find_every_rising_finite_cell(values):
     grid = np.arange(float(len(values)))
 
