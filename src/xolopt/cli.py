@@ -32,6 +32,8 @@ from .distortion import DistortionMeasure, normal_quantile, parse_measure
 from .errors import LossParseError, NumericalFailure, XoloptError
 from .inference import _estimate, retention_curve
 from .montecarlo import (
+    TABLE1_SIZES,
+    TABLE2_SIZES,
     McConfig,
     insolvency_probability,
     mc_var_total_cost,
@@ -173,7 +175,8 @@ def cmd_optimize(args, parser: _Parser) -> int:
         measure = _measure_from(args)
         n = args.n
         if n is None:
-            if not rule.spread_dependent:
+            # only a rate that does not fall as 1/sqrt(N) moves the optimum with N
+            if not rule.falls_with_n:
                 parser.error(f"--rule {args.rule} requires --N")
             n = 100
         result = solve_retention(model, rule, measure, n).to_json_dict()
@@ -204,8 +207,15 @@ def cmd_estimate(args, parser: _Parser) -> int:
 
 # ------------------------------------------------------------- simulate
 
+# portfolio sizes of each study when --N is not given
+_STUDY_SIZES = {"table1": TABLE1_SIZES, "table2": TABLE2_SIZES, "insolvency": (2, 3, 5, 10)}
+
 
 def cmd_simulate(args, parser: _Parser) -> int:
+    if args.only is not None and args.study == "insolvency":
+        parser.error("--only applies to table1 and table2, not insolvency")
+    if args.n_values is None:
+        args.n_values = list(_STUDY_SIZES[args.study])
     model = ParetoII(args.alpha, args.lam)
     cfg = McConfig(seed=args.seed)
     if args.full_scale:
@@ -218,12 +228,13 @@ def cmd_simulate(args, parser: _Parser) -> int:
     out = _resolve_out(args) or Path(".")
     if args.study == "table1":
         rows = replicate_table1(
-            model, cfg, p=args.p, rho=args.rho, delta=args.delta, rho0=args.rho0,
-            only=args.only,
+            model, cfg, p=args.p, n_values=tuple(args.n_values), rho=args.rho,
+            delta=args.delta, rho0=args.rho0, only=args.only,
         )
     elif args.study == "table2":
         rows = replicate_table2(
-            model, cfg, p=args.p, delta=args.delta, rho0=args.rho0, only=args.only,
+            model, cfg, p=args.p, n_values=tuple(args.n_values), delta=args.delta,
+            rho0=args.rho0, only=args.only,
         )
     else:
         rows = [insolvency_probability(model, n, args.rho, args.p, cfg)
@@ -523,9 +534,10 @@ def build_parser() -> _Parser:
     sim.add_argument("--rho", type=float, default=0.3, help="constant loading")
     sim.add_argument("--delta", type=float, default=0.5, help="decreasing loading scale")
     sim.add_argument("--rho0", type=float, default=0.5, help="stddev/sharpe loading scale")
-    sim.add_argument("--N", dest="n_values", type=int, nargs="+", default=[2, 3, 5, 10],
-                     help="portfolio sizes for the insolvency study")
-    sim.add_argument("--only", help="restrict table rows to one rule")
+    sim.add_argument("--N", dest="n_values", type=int, nargs="+",
+                     help="portfolio sizes of the study (default: 10 25 100 for table1, "
+                          "500 2000 10000 for table2, 2 3 5 10 for insolvency)")
+    sim.add_argument("--only", help="restrict table1 or table2 rows to one rule")
     sim.add_argument("--B", dest="mc_b", type=int, help="simulated portfolios per quantile")
     sim.add_argument("--M", dest="mc_m", type=int,
                      help="outer replications of the table2 study")

@@ -40,9 +40,12 @@ _STREAM_ESTIMATION = 2
 _STREAM_TURNING = 3
 _RULE_STREAM = {"decreasing": 1, "stddev": 2, "sharpe": 3}
 
-# cap on simultaneously materialised draws (elements, not bytes)
-_CHUNK_ELEMENTS = 50_000_000
-# cap on claims plus cells binned at once, which bounds the binning temporaries
+# the portfolio sizes of the paper's two tables
+TABLE1_SIZES = (10, 25, 100)
+TABLE2_SIZES = (500, 2000, 10000)
+
+# cap on claims (plus cells, when binning) drawn and reduced at once: the one
+# chunk size of every pass over the draws
 _BIN_ELEMENTS = 1 << 16
 
 
@@ -128,8 +131,11 @@ class _CostOracle:
 
     All retentions are evaluated against the same draws (common random
     numbers), so the d -> VaR map is a deterministic function once the seed
-    is fixed.  Draws are materialised when small enough and regenerated in
-    chunks otherwise; both paths consume the stream in the same order.
+    is fixed.  The oracle keeps no draws: every pass draws its rows afresh
+    from the oracle's substream, one bounded chunk at a time.  numpy's
+    generators give the same stream however a draw is split, so every pass
+    sees the same portfolios whatever its chunk size, and memory is one
+    chunk plus what the pass keeps, never the B x N draws.
 
     Cost: a grid of G retentions takes one binned O(B*N + B*G) pass over the
     B x N draws (each claim's cell is read off the log spacing of the
@@ -147,46 +153,31 @@ class _CostOracle:
         self.b = cfg.b
         self._seed = cfg.seed
         self._key = key
-        total = self.b * self.n
-        if total <= _CHUNK_ELEMENTS:
-            rng = substream(self._seed, *key)
-            self._matrix = model.sample_rng(total, rng).reshape(self.b, self.n)
-        else:
-            self._matrix = None
 
-    def _blocks(self):
-        if self._matrix is not None:
-            yield self._matrix
-            return
+    def _blocks(self, rows: int):
+        """(first row, draws) for chunks of `rows` portfolios, drawn afresh."""
         rng = substream(self._seed, *self._key)
-        rows_per = max(1, _CHUNK_ELEMENTS // self.n)
-        done = 0
-        while done < self.b:
-            rows = min(rows_per, self.b - done)
-            yield self.model.sample_rng(rows * self.n, rng).reshape(rows, self.n)
-            done += rows
+        for first in range(0, self.b, rows):
+            r = min(rows, self.b - first)
+            yield first, self.model.sample_rng(r * self.n, rng).reshape(r, self.n)
 
     def _binned(self, edges: np.ndarray):
-        """Per-row cell sums and counts of the draws, a bounded row chunk at a time.
+        """Per-row cell sums and counts of the draws, in one streamed pass.
 
-        Yields (first row, draws, cell of each claim, sums, counts): a claim's
-        cell is the index of the first edge at or above it, and sums/counts
-        are (cells, rows), so that every row is reduced alone and the result
+        Yields (first row, draws, cell of each claim, sums, counts) per chunk
+        of at most _BIN_ELEMENTS claims plus cells: a claim's cell is the
+        index of the first edge at or above it, and sums/counts are
+        (cells, rows), so that every row is reduced alone and the result
         does not depend on the chunking.
         """
         cells = edges.size + 1
-        rows_per = max(1, _BIN_ELEMENTS // (self.n + cells))
-        first = 0
-        for block in self._blocks():
-            for lo in range(0, block.shape[0], rows_per):
-                part = block[lo:lo + rows_per]
-                r = part.shape[0]
-                cell = _cell_index(edges, part)
-                flat = (cell * r + np.arange(r)[:, None]).ravel()
-                sums = np.bincount(flat, weights=part.ravel(), minlength=cells * r)
-                counts = np.bincount(flat, minlength=cells * r)
-                yield first, part, cell, sums.reshape(cells, r), counts.reshape(cells, r)
-                first += r
+        for first, part in self._blocks(max(1, _BIN_ELEMENTS // (self.n + cells))):
+            r = part.shape[0]
+            cell = _cell_index(edges, part)
+            flat = (cell * r + np.arange(r)[:, None]).ravel()
+            sums = np.bincount(flat, weights=part.ravel(), minlength=cells * r)
+            counts = np.bincount(flat, minlength=cells * r)
+            yield first, part, cell, sums.reshape(cells, r), counts.reshape(cells, r)
 
     def capped_stats(self, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p-free pieces: all capped sums (b per d) and pooled excess means.
@@ -367,14 +358,16 @@ def brute_force_optimal(
     retention sees identical draws, keeping the averaged map deterministic
     through the refinement pass.
 
-    Each batch costs one binned O(B*N + B*G) pass for the G-point grid and
-    one O(B*N) pass for the refinement bracket, which also sorts the k
-    claims inside it; each golden step then costs O(B + j) per batch, for
-    the j of them at or below the step's retention, plus the quantile
-    selection.  The effective loading at each retention is computed once
-    and shared by the batches.  The result reports the portfolios drawn
-    over all batches and the standard error of the averaged VaR at the
-    optimum, from the spread of the batch VaRs there.
+    Each batch costs one streamed O(B*N + B*G) pass for the G-point grid
+    and one streamed O(B*N) pass for the refinement bracket, which also
+    sorts the k claims inside it; each golden step then costs O(B + j) per
+    batch, for the j of them at or below the step's retention, plus the
+    quantile selection.  No batch keeps its draws: memory is one batch's
+    B x G capped sums, the claims inside the five brackets and one chunk.
+    The effective loading at each retention is computed once and shared by
+    the batches.  The result reports the portfolios drawn over all batches
+    and the standard error of the averaged VaR at the optimum, from the
+    spread of the batch VaRs there.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
@@ -452,8 +445,9 @@ def turning_points(
     just when d is at most its threshold tau_i: with the row sorted and P_m
     its prefix sums, m* is the last m with P_m >= (m-i+1)*x_(m), and
     tau_i = P_m* / (m*-i+1).  The i-th point is the (j+1)-th largest tau_i,
-    for the largest j with j/b <= 1-p.  Only the b x (n-1) thresholds are
-    kept, so the draws are streamed as the cost oracle does.
+    for the largest j with j/b <= 1-p.  The draws are streamed in one pass,
+    at most _BIN_ELEMENTS claims at a time, and only the b x (n-1)
+    thresholds are kept.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"portfolio size must be at least 2, got {n}")
@@ -462,8 +456,7 @@ def turning_points(
     oracle = _CostOracle(model, n, cfg, _STREAM_TURNING, n)
     m = np.arange(1, n + 1)
     taus = np.empty((n - 1, cfg.b))
-    first = 0
-    for block in oracle._blocks():
+    for first, block in oracle._blocks(max(1, _BIN_ELEMENTS // n)):
         x = np.sort(block, axis=1)
         prefix = np.cumsum(x, axis=1)
         rows = np.arange(x.shape[0])
@@ -473,7 +466,6 @@ def turning_points(
             taus[i - 1, first:first + x.shape[0]] = (
                 prefix[rows, m_star - 1] / (m_star - i + 1)
             )
-        first += x.shape[0]
     # more than a 1-p share of rows meet the event exactly up to the
     # (j+1)-th largest threshold
     j = np.count_nonzero(np.arange(cfg.b + 1) / cfg.b <= 1.0 - p) - 1
@@ -488,7 +480,7 @@ def replicate_table1(
     model: SeverityModel,
     cfg: McConfig,
     p: float = 0.75,
-    n_values: tuple[int, ...] = (10, 25, 100),
+    n_values: tuple[int, ...] = TABLE1_SIZES,
     rho: float = 0.3,
     delta: float = 0.5,
     rho0: float = 0.5,
@@ -550,7 +542,7 @@ def replicate_table2(
     model: SeverityModel,
     cfg: McConfig,
     p: float = 0.75,
-    n_values: tuple[int, ...] = (500, 2000, 10000),
+    n_values: tuple[int, ...] = TABLE2_SIZES,
     delta: float = 0.5,
     rho0: float = 0.5,
     only: str | None = None,

@@ -140,6 +140,17 @@ class TestOptimize:
         )
         assert code == 64
 
+    def test_decreasing_needs_no_portfolio_size(self, capsys):
+        """Its rate falls as 1/sqrt(N), so its optimum is the same at any N."""
+        argv = ("optimize", *PARETO, "--rule", "decreasing", "--delta", "0.5")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["d_star"] == 0.5472474181397108
+        for n in ("10", "1000"):
+            code, at_n = run_cli(capsys, *argv, "--N", n)
+            assert code == 0
+            assert json.loads(at_n)["d_star"] == json.loads(out)["d_star"]
+
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ("optimize", *PARETO, "--rule", "sharpe", "--rho0", "0.5")
         _, out1 = run_cli(capsys, *argv)
@@ -220,11 +231,33 @@ class TestSimulate:
         assert code == 0
         run_cli(capsys, *argv, "--out", str(b))
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["params"]["n_values"] == [10, 25, 100]
+
+    @pytest.mark.parametrize("study, n", [("table1", 5), ("table2", 200), ("insolvency", 4)])
+    def test_portfolio_sizes_reach_every_study(self, capsys, tmp_path, study, n):
+        code, out = run_cli(
+            capsys, "simulate", study, "--N", str(n), "--B", "1000", "--M", "100",
+            "--out", str(tmp_path), "--json",
+            *(["--only", "decreasing"] if study != "insolvency" else []),
+        )
+        assert code == 0
+        assert {r["n"] for r in json.loads(out)} == {n}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"]["n_values"] == [n]
+
+    def test_insolvency_rejects_a_rule_filter(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "simulate", "insolvency", "--only", "sharpe", "--N", "2",
+            "--B", "1000", "--out", str(tmp_path),
+        )
+        assert code == 64
+        assert not (tmp_path / "insolvency.csv").exists()
 
     def test_table2_text_output(self, capsys, tmp_path):
         code, out = run_cli(
             capsys, "simulate", "table2", "--only", "decreasing",
-            "--N", "5", "--M", "100", "--B", "1000", "--out", str(tmp_path),
+            "--N", "200", "--M", "100", "--B", "1000", "--out", str(tmp_path),
         )
         assert code == 0
         assert "decreasing" in out

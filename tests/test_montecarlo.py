@@ -1,6 +1,7 @@
 """Tests for the simulation oracle: CRN quantiles, studies, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,12 +30,13 @@ from xolopt.retention import (
     StdDevLoading,
     effective_rho,
 )
-from xolopt.severity import ParetoII
+from xolopt.severity import EmpiricalLosses, ParetoII
 
 # aggregate-threshold retention for two contracts, frozen closed form
 TURNING_N2 = 0.640477911138
 
 MODEL = ParetoII(9.0, 8.0)
+EMPIRICAL = EmpiricalLosses(MODEL.sample(2000, 7))
 DESK = McConfig(b=20000, m=500, seed=0)
 SMALL = McConfig(b=2000, m=100, seed=11)
 
@@ -187,32 +189,31 @@ class TestBinnedOracle:
             assert nu1 == pytest.approx(full_nu1[0], rel=1e-12, abs=0.0)
             self._assert_direct(draws, [d], [sums], [nu1])
 
-    def test_chunking_changes_no_bit(self, monkeypatch):
-        """Draws regenerated in several blocks and binned in small row chunks
-        give exactly the results of one materialised matrix, turning points
-        included."""
+    @pytest.mark.parametrize("model", [MODEL, EMPIRICAL], ids=["lomax", "empirical"])
+    def test_chunking_changes_no_bit(self, monkeypatch, model):
+        """Every pass draws its rows afresh in chunks of _BIN_ELEMENTS claims;
+        chunks of a few rows give exactly the results of the default size,
+        turning points included, for the Lomax draws (`random`) and for the
+        empirical bootstrap (`integers`) alike."""
         rule = DecreasingLoading(0.5)
         grid = np.geomspace(0.05, 5.0, 40)
 
         def pieces():
-            oracle = _CostOracle(MODEL, 10, SMALL, 1, 10)
+            oracle = _CostOracle(model, 10, SMALL, 1, 10)
             sums, nu1 = oracle.capped_stats(grid)
             bracket_sums, bracket_nu1 = oracle.bracket(grid[9], grid[11]).capped_stats(0.5)
-            return oracle, [sums, nu1, bracket_sums, np.array([bracket_nu1])]
+            return [sums, nu1, bracket_sums, np.array([bracket_nu1])]
 
-        _, whole = pieces()
-        best = brute_force_optimal(MODEL, rule, 10, 0.75, SMALL)
-        insolvent = insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL)
-        kinks = turning_points(MODEL, 5, 0.75, SMALL)
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 3001)
+        whole = pieces()
+        best = brute_force_optimal(model, rule, 10, 0.75, SMALL)
+        insolvent = insolvency_probability(model, 3, 0.2, 0.75, SMALL)
+        kinks = turning_points(model, 5, 0.75, SMALL)
         monkeypatch.setattr(montecarlo, "_BIN_ELEMENTS", 997)
-        oracle, chunked = pieces()
-        assert oracle._matrix is None
-        for a, b in zip(whole, chunked):
+        for a, b in zip(whole, pieces()):
             np.testing.assert_array_equal(a, b)
-        assert brute_force_optimal(MODEL, rule, 10, 0.75, SMALL) == best
-        assert insolvency_probability(MODEL, 3, 0.2, 0.75, SMALL) == insolvent
-        assert turning_points(MODEL, 5, 0.75, SMALL) == kinks
+        assert brute_force_optimal(model, rule, 10, 0.75, SMALL) == best
+        assert insolvency_probability(model, 3, 0.2, 0.75, SMALL) == insolvent
+        assert turning_points(model, 5, 0.75, SMALL) == kinks
 
 
 _EDGES = st.one_of(
@@ -269,6 +270,21 @@ class TestBruteForce:
         res = brute_force_optimal(MODEL, DecreasingLoading(0.5), 100, 0.75, DESK)
         assert abs(res.d_actual - ref) / ref < 0.15
         assert res.var_at_optimum > 0.0
+
+    def test_peak_memory_does_not_grow_with_portfolio_size(self):
+        """No pass keeps the B x N draws: ten times the claims per portfolio
+        leave the traced peak about where it was."""
+        cfg = McConfig(b=5000, m=100, seed=0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                brute_force_optimal(MODEL, DecreasingLoading(0.5), n, 0.75, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) < 1.5 * peak(10)
 
     def test_reports_budget_and_batch_error(self):
         rule, n, p = SharpeLoading(0.5), 10, 0.75
