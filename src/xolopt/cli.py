@@ -212,8 +212,13 @@ _STUDY_SIZES = {"table1": TABLE1_SIZES, "table2": TABLE2_SIZES, "insolvency": (2
 
 
 def cmd_simulate(args, parser: _Parser) -> int:
+    # reject a flag the study would ignore, before any file is written
     if args.only is not None and args.study == "insolvency":
         parser.error("--only applies to table1 and table2, not insolvency")
+    if args.mc_b is not None and args.study == "table2":
+        parser.error("--B applies to table1 and insolvency, not table2")
+    if args.mc_m is not None and args.study != "table2":
+        parser.error("--M applies to table2 only")
     if args.n_values is None:
         args.n_values = list(_STUDY_SIZES[args.study])
     model = ParetoII(args.alpha, args.lam)
@@ -222,8 +227,7 @@ def cmd_simulate(args, parser: _Parser) -> int:
         cfg = cfg.full_scale()
     if args.mc_b is not None:
         cfg = replace(cfg, b=args.mc_b)
-    # only the estimator study has outer replications
-    if args.mc_m is not None and args.study == "table2":
+    if args.mc_m is not None:
         cfg = replace(cfg, m=args.mc_m)
     out = _resolve_out(args) or Path(".")
     if args.study == "table1":
@@ -538,7 +542,8 @@ def build_parser() -> _Parser:
                      help="portfolio sizes of the study (default: 10 25 100 for table1, "
                           "500 2000 10000 for table2, 2 3 5 10 for insolvency)")
     sim.add_argument("--only", help="restrict table1 or table2 rows to one rule")
-    sim.add_argument("--B", dest="mc_b", type=int, help="simulated portfolios per quantile")
+    sim.add_argument("--B", dest="mc_b", type=int,
+                     help="simulated portfolios per quantile of table1 and insolvency")
     sim.add_argument("--M", dest="mc_m", type=int,
                      help="outer replications of the table2 study")
     sim.add_argument("--full-scale", action="store_true",

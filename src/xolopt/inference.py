@@ -81,6 +81,7 @@ def estimate_decreasing(
     delta: float,
     measure: DistortionMeasure,
     level: float = 0.95,
+    bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the decreasing loading rule.
 
@@ -90,7 +91,7 @@ def estimate_decreasing(
     (-delta, 0, 0) in (sbar, nu1, nu2); the coefficients are reported as
     c0..c5.
     """
-    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, "c")
+    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, "c", bandwidth)
 
 
 def estimate_sd(
@@ -121,7 +122,7 @@ def _estimate_rule(
     measure: DistortionMeasure,
     level: float,
     prefix: str,
-    bandwidth: float = 0.1,
+    bandwidth: float,
 ) -> EstimationResult:
     """Plug-in estimate under any rule, with its delta-method standard error.
 
@@ -195,13 +196,10 @@ class CurvePoint:
     error: str | None = None
 
 
-# each rule's estimator; the lambdas look the estimator up by its module name
-# when called, so a rebound name (a test double, a tracer) is the one that runs
-_ESTIMATE = {
-    DecreasingLoading: lambda x, rule, m, level, bw: estimate_decreasing(x, rule.delta, m, level),
-    StdDevLoading: lambda x, rule, m, level, bw: estimate_sd(x, rule.rho0, m, level, bw),
-    SharpeLoading: lambda x, rule, m, level, bw: estimate_sharpe(x, rule.rho0, m, level, bw),
-}
+# each rule's estimator by its name in this module, looked up when called, so
+# that a rebound name (a test double, a tracer) is the one that runs
+_ESTIMATE = {DecreasingLoading: "estimate_decreasing", StdDevLoading: "estimate_sd",
+             SharpeLoading: "estimate_sharpe"}
 
 
 def _estimate(
@@ -212,7 +210,7 @@ def _estimate(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Plug-in estimate under any rule that has an estimator."""
-    return _ESTIMATE[type(rule)](losses, rule, measure, level, bandwidth)
+    return globals()[_ESTIMATE[type(rule)]](losses, rule.theta, measure, level, bandwidth)
 
 
 def retention_curve(
@@ -283,7 +281,7 @@ def _estimate_at_effective_rho(
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
-        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level), None
+        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level, bandwidth), None
 
     # initialise from the rate at the sample median
     param = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))

@@ -142,30 +142,6 @@ def expand_and_solve(
     )
 
 
-def rising_crossings(
-    f: Callable[[float], float],
-    grid: np.ndarray,
-    values: np.ndarray,
-) -> list[RootResult]:
-    """Every root where f rises through zero between neighbouring grid points.
-
-    A cell rises when both its values are finite, the left one is <= 0 and
-    the right one > 0; `values` holds f(grid).  Brent's method refines each
-    such cell (a left value of exactly 0 is its own root).  Roots come in
-    grid order.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    a, b = values[:-1], values[1:]
-    rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
-    out = []
-    for i in np.flatnonzero(rising):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        root, iterations = brentq(f, lo, hi)
-        out.append(RootResult(root, float(f(root)), (lo, hi), iterations))
-    return out
-
-
 def golden_refine(
     f: Callable[[float], float],
     grid: np.ndarray,

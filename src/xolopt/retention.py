@@ -36,7 +36,6 @@ from .numerics import (
     expand_and_solve,
     golden_refine,
     log_spaced_grid,
-    rising_crossings,
 )
 from .severity import EmpiricalLosses, ParetoII, SeverityModel
 
@@ -231,10 +230,13 @@ def _phi_or_raise(measure: DistortionMeasure) -> float:
 
 
 def effective_rho(model: SeverityModel, rule: LoadingRule, n: int, d: float) -> float:
-    """Premium loading actually applied at retention d."""
+    """Premium loading actually applied at retention d: 0 for a spread rule
+    on a layer without a claim, which carries no load."""
     if not rule.spread_dependent:
         return rule.rate(n)
     tm = model.truncated_moments(d)
+    if tm.nu1 == 0.0:
+        return 0.0
     spread = tm.nu2 - tm.nu1 ** 2
     if spread <= 0.0:
         raise DomainError(f"ceded layer at d={d:g} has no spread")
@@ -365,23 +367,22 @@ def solve_retention(
     objective; NoRootFound when there is none or an end of the search range
     is lower still.
 
-    On `ParetoII` the flat-rate root is bracketed by doubling, and the
-    derivative is sampled on `model.search_grid()` and refined by Brent's
-    method in every cell where it rises.  On `EmpiricalLosses` the roots are
-    the plug-in estimates.  There k, the count of losses at or below d, is
-    fixed between two neighbouring claims, and every moment is a polynomial
-    in d (`EmpiricalLosses.cell_moments`):
+    The flat-rate root is bracketed by doubling on `ParetoII`.  On
+    `EmpiricalLosses`, where the roots are the plug-in estimates, k, the
+    count of losses at or below d, is fixed between two neighbouring claims,
+    and every moment is a polynomial in d (`EmpiricalLosses.cell_moments`).
+    So the flat-rate function is an exact quadratic in each cell, and its
+    root has a closed form in the cell where it turns positive.
 
-    - the flat-rate function is an exact quadratic in each cell, so its root
-      has a closed form in the cell where it turns positive;
-    - the spread-rule derivative is taken on both sides of every distinct
-      positive claim up to the 0.999 quantile in one vectorised pass over
-      `model.claim_table()`: the moments are continuous at a claim and only
-      sbar jumps there, so one evaluation of them serves both sides.  Brent's
-      method runs, with k fixed, in every cell between claims where the
-      derivative rises.  A rise across a claim is a kink root: the claim, or
-      the float below it when the derivative is smaller in size there, the
-      end a Brent step on those two points would return.
+    The spread-rule search is the same on every model.  The model's
+    `knots()` table holds the moments at each knot, with sbar on both sides:
+    only sbar may jump at a knot, so one pass over the table gives the
+    derivative's limits on both sides of every knot.  Brent's method runs,
+    on `model.moments_in_cell`, in every cell between knots where the
+    derivative rises, and a rise across a knot is a kink root
+    (`_rising_roots`).  The Lomax knots are a 1000-point log grid; the
+    empirical knots are the distinct positive claims up to the 0.999
+    quantile.
 
     The diagnostics read: `bracket`, the cell of d_star; `iterations`, the
     Brent steps spent in it (0 for a closed form or a kink); and
@@ -392,7 +393,6 @@ def solve_retention(
     _validate_n(n)
     phi = _phi_or_raise(measure)
     checks = condition_report(model, rule, measure, n)
-    empirical = isinstance(model, EmpiricalLosses)
 
     if not rule.spread_dependent:
         if not checks["atom_condition"]:
@@ -401,7 +401,7 @@ def solve_retention(
                 f"P(X=0) = {model.prob_zero():g} >= {_atom_level(rule, measure, n):g}"
             )
         d2 = model.upper_quantile(_atom_level(rule, measure, n))
-        if empirical:
+        if isinstance(model, EmpiricalLosses):
             best = _flat_root_on_claims(model, (rule.scale(n) / phi) ** 2, d2)
         else:
             best = expand_and_solve(
@@ -412,14 +412,13 @@ def solve_retention(
         value = objective(model, rule, measure, n, best.root)
         smallest = best.root
     else:
-        if empirical:
-            roots, ends = _rising_roots_on_claims(model, rule, phi, n)
-        else:
-            grid = model.search_grid()
-            station = lambda d: stationarity_function(model, rule, measure, n, d)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                roots = rising_crossings(station, grid, station(grid))
-            ends = (grid[0], grid[-1])
+        t, left, right = _knot_sides(model, rule, phi, n)
+
+        def derivative(d, j):  # in the cell between knots j and j + 1
+            m = model.moments_in_cell(d, j)
+            return _derivative(rule, phi, n, m["sbar"], m).item()
+
+        roots, ends = _rising_roots(t, left, right, derivative)
         if roots:
             # the objective at each end of the range and at every local minimum
             values = objective(
@@ -494,63 +493,62 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     return RootResult(root, residual, bracket, 0)
 
 
-def _claim_sides(
-    emp: EmpiricalLosses, rule: LoadingRule, phi: float, n: int,
+def _knot_sides(
+    model: SeverityModel, rule: LoadingRule, phi: float, n: int,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Those rows of the claim table that hold the distinct positive claims
-    up to the 0.999 quantile, and the plug-in derivative's limits from the
-    left and from the right at each of them."""
-    t = emp.claim_table()
-    m = int(np.searchsorted(t["claims"], emp.quantile(0.999), side="right"))
-    g = {key: column[:m] for key, column in t.items()}
-    # the largest loss empties the layer: no load above it, and from below
-    # the ceded spread falls with the ceded mean, so the marginal load tends
-    # to 0 too (the formula reads 0 * inf there)
-    empty = g["nu1"] == 0.0
+    """The model's knot table, and the derivative's limits from the left and
+    from the right at each knot."""
+    t = model.knots()
+    if t["knots"].size == 0:
+        raise NoRootFound("no positive claim up to the 0.999 quantile")
+    # a layer without a claim carries no load; from below, the ceded spread
+    # falls with the ceded mean, so the marginal load tends to 0 too (the
+    # formula reads 0 * inf at the largest loss of an empirical model)
+    empty = t["nu1"] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         left, right = (
-            _capped_slope(phi, sbar, g)
-            + np.where(empty, 0.0, rule.marginal_load(n, sbar, g["nu1"], g["nu2"]))
-            for sbar in (g["sbar_left"], g["sbar"])
+            _capped_slope(phi, sbar, t)
+            + np.where(empty, 0.0, rule.marginal_load(n, sbar, t["nu1"], t["nu2"]))
+            for sbar in (t["sbar_left"], t["sbar"])
         )
-    return g, left, right
+    return t, left, right
 
 
-def _rising_roots_on_claims(
-    emp: EmpiricalLosses, rule: LoadingRule, phi: float, n: int,
+def _rising_roots(
+    t: dict, left: np.ndarray, right: np.ndarray, derivative,
 ) -> tuple[list[RootResult], tuple[float, float]]:
-    """Every point where the plug-in derivative rises through zero, and the
-    ends of the search range, the float below the smallest positive claim
-    and the largest claim up to the 0.999 quantile."""
-    g, left, right = _claim_sides(emp, rule, phi, n)
-    claims = g["claims"]
-    if claims.size == 0:
-        raise NoRootFound("no positive claim up to the 0.999 quantile")
-    # the derivative on either side of each claim, in order
+    """Every point where the derivative rises through zero, and the ends of
+    the search range, (below[0], knots[-1]).
+
+    `left` and `right` hold the derivative's one-sided limits at the knots
+    of the table t, and derivative(d, j) its value at d in the cell between
+    knots j and j + 1.  Taken in order, the limits rise through zero either
+    across a knot or in a cell.  A rise across a knot is a kink root: the
+    knot, or the point below it when the derivative is smaller in size
+    there, the end a Brent step on those two points would return.  A rising
+    cell is bracketed by (knots[j], below[j + 1]) and solved by Brent's
+    method.  Only pairs of finite limits count.
+    """
+    knots, below = t["knots"], t["below"]
     values = np.column_stack([left, right]).ravel()
     a, b = values[:-1], values[1:]
     rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
     roots = []
     for i in np.flatnonzero(rising):
         j = i // 2
-        if i % 2 == 0:  # across claim j
-            bracket = (math.nextafter(claims[j], 0.0), float(claims[j]))
+        if i % 2 == 0:  # across knot j
+            bracket = (float(below[j]), float(knots[j]))
             root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
                               else (bracket[1], right[j]))
             roots.append(RootResult(root, float(residual), bracket, 0))
-        else:  # between claims j and j + 1
-            k = int(g["k"][j])
-
-            def cell(d, k=k):
-                moments = emp.cell_moments(d, k)
-                return _derivative(rule, phi, n, moments["sbar"], moments)
-
-            lo, hi = float(claims[j]), math.nextafter(claims[j + 1], 0.0)
+        else:  # between knots j and j + 1
+            cell = partial(derivative, j=j)
+            lo, hi = float(knots[j]), float(below[j + 1])
             with np.errstate(divide="ignore", invalid="ignore"):
                 root, iterations = brentq(cell, lo, hi)
                 residual = float(cell(root))
             roots.append(RootResult(root, residual, (lo, hi), iterations))
-    return roots, (math.nextafter(claims[0], 0.0), float(claims[-1]))
+    return roots, (float(below[0]), float(knots[-1]))
 
 
 def edgeworth_objective(model: SeverityModel, rule: ConstantLoading, p: float, n: int,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class SeverityModel:
     def survival(self, x: float) -> float:
         raise NotImplementedError
 
-    def cdf(self, x: float) -> float:
-        return 1.0 - self.survival(x)
-
     def prob_zero(self) -> float:
         """Probability mass at zero (atom size)."""
         raise NotImplementedError
@@ -191,6 +188,33 @@ class SeverityModel:
 
     def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
         """Vectorised truncated moments over an array of retentions."""
+        raise NotImplementedError
+
+    def knots(self) -> dict[str, np.ndarray]:
+        """The retentions at which the solver reads the objective derivative,
+        ascending, with the moments there.
+
+        Columns: `knots`; `below`, the point at which the left-hand limit at
+        each knot is read (the knot itself where the moments are smooth);
+        the `moment_grid` columns at each knot, sbar being its right-hand
+        value; and `sbar_left`, the left-hand limit of sbar.  Only sbar may
+        jump at a knot.  Read-only, built on first use and kept.
+        """
+        return self._knots
+
+    @cached_property
+    def _knots(self) -> dict[str, np.ndarray]:
+        table = self._build_knots()
+        for column in table.values():
+            column.flags.writeable = False
+        return table
+
+    def _build_knots(self) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def moments_in_cell(self, d: float, j: int) -> dict:
+        """The moments at one retention d between knots j and j + 1, as
+        scalars or as 1-element arrays."""
         raise NotImplementedError
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
@@ -277,10 +301,17 @@ class ParetoII(SeverityModel):
         return {"sbar": powers[0], "mu1": mu1, "mu2": mu2, "gap": gap, "nu1": nu1,
                 "nu2": nu2, "var": var}
 
-    def search_grid(self) -> np.ndarray:
-        """Retentions at which the solver samples the objective derivative:
-        1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile."""
-        return log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
+    def _build_knots(self) -> dict[str, np.ndarray]:
+        # 1000 log-spaced points from the 1e-4 to the 1 - 1e-6 quantile; the
+        # moments are smooth, so each knot is its own left-hand point
+        grid = log_spaced_grid(self.quantile(1e-4), self.quantile(1.0 - 1e-6), 1000)
+        g = self.moment_grid(grid)
+        return {"knots": grid, "below": grid, **g, "sbar_left": g["sbar"]}
+
+    def moments_in_cell(self, d: float, j: int) -> dict:
+        # one formula on every cell; 1-element arrays keep the arithmetic of
+        # `moment_grid` on the knots
+        return self.moment_grid(np.array([d]))
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
         if not np.all(np.asarray(d) > 0.0):
@@ -315,9 +346,9 @@ class EmpiricalLosses(SeverityModel):
     fixed, so every first and second moment is a polynomial in d whose
     coefficients are prefix sums (`cell_moments`).  The moments are
     continuous at a claim and only sbar jumps there, by the claim's ties
-    over n: `claim_table` holds, for every distinct positive claim, the
-    moments at the claim and sbar on both sides of it.  It is built on
-    first use and kept, so repeated solves on one sample share it.
+    over n.  The knots are the distinct positive claims up to the 0.999
+    quantile, each with its left-hand limit read at the float below it and
+    its count k; repeated solves on one sample share the table.
     """
 
     def __init__(self, losses):
@@ -333,7 +364,6 @@ class EmpiricalLosses(SeverityModel):
         z = np.concatenate([[0.0], self.losses])
         self._cum1 = np.cumsum(z)
         self._cum2 = np.cumsum(z * z)
-        self._claims: dict[str, np.ndarray] | None = None
 
     def survival(self, x: float) -> float:
         if x < 0.0:
@@ -386,19 +416,9 @@ class EmpiricalLosses(SeverityModel):
         return {"sbar": sbar, "mu1": mu1, "mu2": mu2, "gap": d - mu1, "nu1": nu1,
                 "nu2": nu2, "var": mu2 - mu1 * mu1}
 
-    def claim_table(self) -> dict[str, np.ndarray]:
-        """The moments at every distinct positive claim, ascending.
-
-        Columns: `claims`; `k`, the count of losses at or below each claim;
-        the `cell_moments` there (sbar is the right-hand value); and
-        `sbar_left`, the share of losses at or above the claim.  Read-only;
-        AllZero when no loss is positive.
-        """
-        if self._claims is None:
-            self._claims = self._build_claim_table()
-        return self._claims
-
-    def _build_claim_table(self) -> dict[str, np.ndarray]:
+    def _build_knots(self) -> dict[str, np.ndarray]:
+        # every distinct positive claim up to the 0.999 quantile, with k, the
+        # count of losses at or below it
         x = self.losses
         # one past the last index of each run of equal losses
         k = np.flatnonzero(np.append(x[1:] != x[:-1], True)) + 1
@@ -406,13 +426,14 @@ class EmpiricalLosses(SeverityModel):
         positive = x[k - 1] > 0.0
         if not positive.any():
             raise AllZero("all losses are zero")
-        k, k_left = k[positive], k_left[positive]
+        kept = positive & (x[k - 1] <= self.quantile(0.999))
+        k, k_left = k[kept], k_left[kept]
         claims = x[k - 1]
-        table = {"claims": claims, "k": k, **self.cell_moments(claims, k),
-                 "sbar_left": (self.n - k_left) / self.n}
-        for column in table.values():
-            column.flags.writeable = False
-        return table
+        return {"knots": claims, "below": np.nextafter(claims, 0.0), "k": k,
+                **self.cell_moments(claims, k), "sbar_left": (self.n - k_left) / self.n}
+
+    def moments_in_cell(self, d: float, j: int) -> dict:
+        return self.cell_moments(d, int(self.knots()["k"][j]))
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
         if not np.all(np.asarray(d) > 0.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xolopt import cli, distortion
-from xolopt.severity import ParetoII
+from xolopt.severity import ParetoII, kde_density
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +188,26 @@ class TestEstimate:
 
         assert manifest["input_digest"] == content_digest(loss_csv)
 
+    @pytest.mark.parametrize("rule", [("decreasing", "--delta"), ("stddev", "--rho0"),
+                                      ("sharpe", "--rho0")], ids=lambda r: r[0])
+    def test_bandwidth_reaches_the_density_estimate(self, capsys, loss_csv, rule,
+                                                    monkeypatch):
+        """--bandwidth is the bandwidth of the density estimate behind every
+        rule's standard error."""
+        from xolopt import inference
+
+        seen = []
+
+        def kde(losses, x, bandwidth=0.1):
+            seen.append(bandwidth)
+            return kde_density(losses, x, bandwidth)
+
+        monkeypatch.setattr(inference, "kde_density", kde)
+        code, _ = run_cli(capsys, "estimate", "--input", str(loss_csv), "--rule", rule[0],
+                          rule[1], "0.5", "--bandwidth", "0.4")
+        assert code == 0
+        assert seen == [0.4]
+
 
 class TestSimulate:
     def test_insolvency_csv_and_json(self, capsys, tmp_path):
@@ -213,20 +233,26 @@ class TestSimulate:
         assert json.loads(out)["error"]["type"] == "DomainError"
         assert not (tmp_path / "insolvency.csv").exists()
 
-    def test_replication_count_reaches_table2_only(self, capsys, tmp_path):
-        code, _ = run_cli(
-            capsys, "simulate", "insolvency", "--N", "2", "--B", "1000", "--M", "50",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
+    def test_replication_count_reaches_table2(self, capsys, tmp_path):
         code, out = run_cli(capsys, "simulate", "table2", "--M", "50", "--out", str(tmp_path))
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("study, flag", [("table2", "--B"), ("table1", "--M"),
+                                             ("insolvency", "--M")])
+    def test_rejects_a_count_the_study_does_not_use(self, capsys, tmp_path, study, flag):
+        """table2 draws no portfolios of its own, and only table2 has outer
+        replications: a count the study would ignore is a usage error."""
+        code, out = run_cli(
+            capsys, "simulate", study, flag, "5000", "--N", "2", "--out", str(tmp_path),
+        )
+        assert code == 64
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert list(tmp_path.iterdir()) == []
+
     def test_table1_reruns_identically(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        argv = ("simulate", "table1", "--only", "decreasing", "--B", "2000",
-                "--M", "100")
+        argv = ("simulate", "table1", "--only", "decreasing", "--B", "2000")
         code, _ = run_cli(capsys, *argv, "--out", str(a))
         assert code == 0
         run_cli(capsys, *argv, "--out", str(b))
@@ -237,8 +263,8 @@ class TestSimulate:
     @pytest.mark.parametrize("study, n", [("table1", 5), ("table2", 200), ("insolvency", 4)])
     def test_portfolio_sizes_reach_every_study(self, capsys, tmp_path, study, n):
         code, out = run_cli(
-            capsys, "simulate", study, "--N", str(n), "--B", "1000", "--M", "100",
-            "--out", str(tmp_path), "--json",
+            capsys, "simulate", study, "--N", str(n), "--out", str(tmp_path), "--json",
+            *(["--M", "100"] if study == "table2" else ["--B", "1000"]),
             *(["--only", "decreasing"] if study != "insolvency" else []),
         )
         assert code == 0
@@ -257,7 +283,7 @@ class TestSimulate:
     def test_table2_text_output(self, capsys, tmp_path):
         code, out = run_cli(
             capsys, "simulate", "table2", "--only", "decreasing",
-            "--N", "200", "--M", "100", "--B", "1000", "--out", str(tmp_path),
+            "--N", "200", "--M", "100", "--out", str(tmp_path),
         )
         assert code == 0
         assert "decreasing" in out

@@ -13,7 +13,7 @@ from xolopt.inference import (
     estimate_sharpe,
     retention_curve,
 )
-from xolopt.severity import EmpiricalLosses, ParetoII
+from xolopt.severity import EmpiricalLosses, ParetoII, kde_density
 
 VAR75 = DistortionMeasure.var(0.75)
 
@@ -293,17 +293,36 @@ class TestRetentionCurve:
         with pytest.raises(DomainError):
             retention_curve(big_sample, "decreasing", "sideways", [0.01], 0.9)
 
+    @pytest.mark.parametrize("family", ["decreasing", "stddev", "sharpe"])
+    def test_bandwidth_reaches_every_family(self, big_sample, family, monkeypatch):
+        """Every point's standard error reads the density estimate at the
+        curve's bandwidth, which leaves the estimates as they are."""
+        from xolopt import inference
+
+        x = big_sample[:2000]
+        default = retention_curve(x, family, "rho", [0.01, 0.02], 0.9)
+        seen = []
+
+        def kde(losses, at, bandwidth=0.1):
+            seen.append(bandwidth)
+            return kde_density(losses, at, bandwidth)
+
+        monkeypatch.setattr(inference, "kde_density", kde)
+        wide = retention_curve(x, family, "rho", [0.01, 0.02], 0.9, bandwidth=0.4)
+        assert seen == [0.4, 0.4]
+        assert [pt.d_hat for pt in wide] == [pt.d_hat for pt in default]
+
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
-    def test_claim_table_is_built_once_per_curve(self, big_sample, family, monkeypatch):
+    def test_knots_are_built_once_per_curve(self, big_sample, family, monkeypatch):
         """Every fixed-point step of every point reuses the sample's table."""
         builds = []
-        build = EmpiricalLosses._build_claim_table
+        build = EmpiricalLosses._build_knots
 
         def spy(self):
             builds.append(self)
             return build(self)
 
-        monkeypatch.setattr(EmpiricalLosses, "_build_claim_table", spy)
+        monkeypatch.setattr(EmpiricalLosses, "_build_knots", spy)
         points = retention_curve(big_sample[:2000], family, "rho", [0.01, 0.02], 0.9)
         assert all(pt.error is None for pt in points)
         assert len(builds) == 1

@@ -265,6 +265,16 @@ class TestBruteForce:
         res = brute_force_optimal(MODEL, rule, 10, 0.75, SMALL)
         assert (res.d_actual, res.var_at_optimum, res.var_se) == self.PINNED[rule.name]
 
+    @pytest.mark.parametrize("rule, pinned", [(StdDevLoading(0.5), 0.7715800158946451),
+                                              (SharpeLoading(0.5), 0.28599080857929665)],
+                             ids=["stddev", "sharpe"])
+    def test_spread_rules_run_on_an_empirical_model(self, rule, pinned):
+        """The grid tops at the largest claim, where the ceded layer holds no
+        claim and carries no load (before, its rate raised DomainError)."""
+        res = brute_force_optimal(EMPIRICAL, rule, 10, 0.75, McConfig(b=2000, seed=11))
+        assert res.d_actual == pinned
+        assert EMPIRICAL.quantile(0.01) < res.d_actual < EMPIRICAL.losses[-1]
+
     def test_decreasing_matches_reference_actual(self):
         ref = 0.5472
         res = brute_force_optimal(MODEL, DecreasingLoading(0.5), 100, 0.75, DESK)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -19,11 +19,13 @@ from xolopt import (
     DecreasingLoading,
     DistortionMeasure,
     ParetoII,
+    SharpeLoading,
+    StdDevLoading,
     solve_retention,
     stationarity_function,
 )
 from xolopt import numerics
-from xolopt.numerics import brentq, expand_and_solve, golden_refine, rising_crossings
+from xolopt.numerics import brentq, expand_and_solve, golden_refine
 
 
 def _scipy(f, a, b):
@@ -108,12 +110,17 @@ def test_decreasing_rule_stationarity_on_the_solver_bracket():
     assert res.root == sol.d_star == expected[0]
 
 
-def test_rising_crossings_match_scipy():
-    grid = np.linspace(0.05, 12.0, 40)
-    values = _decreasing_stationarity(grid)
-    (res,) = rising_crossings(_decreasing_stationarity, grid, values)
-    lo, hi = res.bracket
-    assert (res.root, res.iterations) == _scipy(_decreasing_stationarity, lo, hi)
+@pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                         ids=lambda r: r.name)
+def test_spread_rule_solves_match_scipy(rule):
+    """The spread rules' Brent step on a Lomax cell is scipy's on the
+    stationarity function over the same cell."""
+    model, measure = ParetoII(9.0, 8.0), DistortionMeasure.var(0.75)
+    sol = solve_retention(model, rule, measure, 100)
+    lo, hi = sol.diagnostics.bracket
+    assert lo < sol.d_star < hi
+    expected = _scipy(lambda d: stationarity_function(model, rule, measure, 100, d), lo, hi)
+    assert (sol.d_star, sol.diagnostics.iterations) == expected
 
 
 # interpolated, the cell [2, 3] makes the inverse quadratic step's
@@ -128,44 +135,6 @@ def test_underflowing_interpolation_step_bisects_like_scipy():
         return float(np.interp(x, grid, UNDERFLOWING_VALUES))
 
     assert brentq(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0) == (2.0000000004147083, 4)
-
-
-def _rising_cells(values):
-    """The cells the scan must pick: every pair of finite values that goes
-    from <= 0 to > 0, as a plain loop finds them."""
-    return [
-        i for i in range(len(values) - 1)
-        if math.isfinite(values[i]) and math.isfinite(values[i + 1])
-        and values[i] <= 0.0 < values[i + 1]
-    ]
-
-
-@given(
-    values=st.lists(
-        st.one_of(
-            st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
-            st.floats(-1e300, 1e300),
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-@example(values=UNDERFLOWING_VALUES)
-def test_rising_crossings_find_every_rising_finite_cell(values):
-    grid = np.arange(float(len(values)))
-
-    def f(x):
-        # linear between the grid values, so each root stays in its cell
-        return float(np.interp(x, grid, values))
-
-    found = rising_crossings(f, grid, np.array(values))
-    cells = _rising_cells(values)
-    assert [res.bracket for res in found] == [(i, i + 1) for i in cells]
-    for i, res in zip(cells, found):
-        if values[i] == 0.0:
-            assert (res.root, res.iterations) == (i, 0)
-        else:
-            assert i <= res.root <= i + 1
 
 
 @given(

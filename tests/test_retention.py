@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from xolopt import retention
 from xolopt.distortion import DistortionMeasure
@@ -67,7 +69,7 @@ class TestSolveRetention:
         """sharpe rho0 = 1 under wang(0.5): the derivative rises through zero
         once, but the objective is lower still at an end of the grid."""
         rule, measure = SharpeLoading(1.0), DistortionMeasure.wang(0.5)
-        grid = model.search_grid()
+        grid = model.knots()["knots"]
         station = stationarity_function(model, rule, measure, 100, grid)
         assert np.any((station[:-1] <= 0.0) & (station[1:] > 0.0))
         with pytest.raises(NoRootFound):
@@ -237,6 +239,77 @@ class TestObjective:
             assert objective(model, StdDevLoading(0.5), VAR75, 50, d) > sol.objective_value
 
 
+# the cell [2, 3] of these values makes the interpolating Brent step's
+# denominator underflow to 0 (see tests/test_numerics.py)
+UNDERFLOWING_VALUES = [0.0, 0.0, -2.6774738800891943e-243, 6.45627945690787e-234]
+
+_LIMITS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(-1e300, 1e300),
+)
+
+
+def _rising_pairs(values):
+    """The pairs the scan must pick: every pair of finite neighbours that
+    goes from <= 0 to > 0, as a plain loop finds them."""
+    return [
+        i for i in range(len(values) - 1)
+        if math.isfinite(values[i]) and math.isfinite(values[i + 1])
+        and values[i] <= 0.0 < values[i + 1]
+    ]
+
+
+class TestRisingRoots:
+    """The spread rules' scan over the one-sided limits at the knots, on
+    knots 0, 1, 2, ... with a derivative that is linear in each cell."""
+
+    @given(values=st.lists(_LIMITS, min_size=1, max_size=12))
+    @example(values=UNDERFLOWING_VALUES)
+    def test_finds_every_rising_finite_cell(self, values):
+        """Smooth knots (below = knots, equal limits) leave only cells."""
+        knots = np.arange(float(len(values)))
+
+        def derivative(d, j):
+            return float(np.interp(d, knots, values))
+
+        roots, ends = retention._rising_roots(
+            {"knots": knots, "below": knots}, np.array(values), np.array(values), derivative)
+        cells = _rising_pairs(values)
+        assert [res.bracket for res in roots] == [(i, i + 1) for i in cells]
+        for i, res in zip(cells, roots):
+            if values[i] == 0.0:
+                assert (res.root, res.iterations) == (i, 0)
+            else:
+                assert i <= res.root <= i + 1
+        assert ends == (0.0, len(values) - 1.0)
+
+    @given(limits=st.lists(st.tuples(_LIMITS, _LIMITS), min_size=1, max_size=8))
+    def test_a_rise_across_a_knot_is_a_kink_root(self, limits):
+        """With a jump at each knot, the limits read in order (left, right,
+        left, ...) rise through zero across a knot or inside a cell."""
+        left, right = (np.array(side) for side in zip(*limits))
+        knots = np.arange(1.0, len(limits) + 1.0)
+        below = knots - 0.25
+
+        def derivative(d, j):  # linear from right[j] at knot j to left[j + 1]
+            return float(np.interp(d, [knots[j], below[j + 1]], [right[j], left[j + 1]]))
+
+        roots, ends = retention._rising_roots(
+            {"knots": knots, "below": below}, left, right, derivative)
+        pairs = _rising_pairs(np.column_stack([left, right]).ravel())
+        assert len(roots) == len(pairs)
+        for i, res in zip(pairs, roots):
+            j = i // 2
+            if i % 2 == 0:
+                assert res.bracket == (below[j], knots[j]) and res.iterations == 0
+                nearer = below[j] if abs(left[j]) < right[j] else knots[j]
+                assert res.root == nearer
+            else:
+                assert res.bracket == (knots[j], below[j + 1])
+                assert knots[j] <= res.root <= below[j + 1]
+        assert ends == (0.75, float(len(limits)))
+
+
 class TestPlugInDerivative:
     """The spread-rule solver's limits of the plug-in derivative on both
     sides of each claim agree with `stationarity_function` there."""
@@ -249,13 +322,21 @@ class TestPlugInDerivative:
         x = {"ties": np.round(base, 2),
              "zeros": np.concatenate([np.zeros(200), np.round(base[:1800], 1)])}[sample]
         emp = EmpiricalLosses(x)
-        g, left, right = retention._claim_sides(emp, rule, VAR75.phi_normal(), emp.n)
-        claims = g["claims"]
+        t, left, right = retention._knot_sides(emp, rule, VAR75.phi_normal(), emp.n)
+        claims = t["knots"]
         assert np.array_equal(claims, np.unique(x[(x > 0.0) & (x <= emp.quantile(0.999))]))
-        below = stationarity_function(emp, rule, VAR75, emp.n, np.nextafter(claims, 0.0))
+        below = stationarity_function(emp, rule, VAR75, emp.n, t["below"])
         at = stationarity_function(emp, rule, VAR75, emp.n, claims)
         np.testing.assert_allclose(left, below, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(right, at, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_lomax_limits_are_the_stationarity_function(self, model, rule):
+        """On smooth knots both limits are the derivative at the knot."""
+        t, left, right = retention._knot_sides(model, rule, VAR75.phi_normal(), 100)
+        at = stationarity_function(model, rule, VAR75, 100, t["knots"])
+        assert np.array_equal(left, at) and np.array_equal(right, at)
 
     @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
                              ids=lambda r: r.name)
@@ -266,10 +347,10 @@ class TestPlugInDerivative:
         noise, so `stationarity_function` there is no reference.)"""
         x = np.round(ParetoII(9.0, 8.0).sample(800, 5), 2)
         emp = EmpiricalLosses(x)
-        g, left, right = retention._claim_sides(emp, rule, VAR75.phi_normal(), emp.n)
-        assert g["claims"][-1] == x.max()
-        gap = x.max() - g["mu1"][-1]
-        lead = VAR75.phi_normal() * g["sbar_left"][-1] * gap / math.sqrt(g["var"][-1])
+        t, left, right = retention._knot_sides(emp, rule, VAR75.phi_normal(), emp.n)
+        assert t["knots"][-1] == x.max()
+        gap = x.max() - t["mu1"][-1]
+        lead = VAR75.phi_normal() * t["sbar_left"][-1] * gap / math.sqrt(t["var"][-1])
         assert left[-1] == pytest.approx(lead, rel=1e-12)
         assert right[-1] == 0.0
 
@@ -287,6 +368,18 @@ class TestEffectiveRho:
         sd = effective_rho(model, StdDevLoading(0.5), n, d)
         sh = effective_rho(model, SharpeLoading(0.5), n, d)
         assert sd * sh == pytest.approx(0.25 / n, rel=1e-10)
+
+    @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_a_layer_without_a_claim_carries_no_load(self, rule):
+        emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(500, 3))
+        top = emp.losses[-1]
+        assert effective_rho(emp, rule, 10, top) == 0.0
+        assert effective_rho(emp, rule, 10, 2.0 * top) == 0.0
+        assert effective_rho(emp, rule, 10, emp.quantile(0.9)) > 0.0
+        # a layer with claims but no spread has no spread-dependent rate
+        with pytest.raises(DomainError, match="no spread"):
+            effective_rho(EmpiricalLosses([3.0, 3.0]), rule, 10, 1.0)
 
 
 class TestConditionReport:

@@ -287,6 +287,49 @@ class TestEmpiricalLosses:
             EmpiricalLosses([1.0, -0.5, 2.0])
 
 
+class TestKnots:
+    """The knot tables the spread-rule solver reads."""
+
+    def test_lomax_knots_are_smooth(self):
+        model = ParetoII(9.0, 8.0)
+        t = model.knots()
+        knots = t["knots"]
+        assert knots.size == 1000
+        assert knots[0] == pytest.approx(model.quantile(1e-4), rel=1e-12)
+        assert knots[-1] == pytest.approx(model.quantile(1.0 - 1e-6), rel=1e-12)
+        np.testing.assert_allclose(np.diff(np.log(knots)), math.log(knots[-1] / knots[0]) / 999)
+        assert np.array_equal(t["below"], knots)
+        assert np.array_equal(t["sbar_left"], t["sbar"])
+        for key, column in model.moment_grid(knots).items():
+            assert np.array_equal(t[key], column)
+        d = 0.5 * (knots[500] + knots[501])
+        assert model.moments_in_cell(d, 500) == model.moment_grid(np.array([d]))
+        assert model.knots() is t and not knots.flags.writeable
+
+    @pytest.mark.parametrize("zeros", [0, 40])
+    def test_empirical_knots_end_at_the_0999_quantile(self, zeros):
+        x = np.concatenate([np.zeros(zeros), np.round(ParetoII(9.0, 8.0).sample(3000, 4), 2)])
+        emp = EmpiricalLosses(x)
+        t = emp.knots()
+        claims = t["knots"]
+        assert np.array_equal(claims, np.unique(x[(x > 0.0) & (x <= emp.quantile(0.999))]))
+        assert claims[-1] == emp.quantile(0.999) < x.max()
+        assert np.array_equal(t["below"], np.nextafter(claims, 0.0))
+        assert np.array_equal(t["k"], np.searchsorted(emp.losses, claims, side="right"))
+        for key, column in emp.moment_grid(claims).items():
+            assert np.array_equal(t[key], column)
+        assert np.array_equal(t["sbar_left"], [np.mean(x >= c) for c in claims])
+        # inside a cell the moments are those of moment_grid
+        d = 0.5 * (claims[10] + claims[11])
+        inside = emp.moments_in_cell(d, 10)
+        assert inside == {key: column[0] for key, column in emp.moment_grid(np.array([d])).items()}
+        assert emp.knots() is t and not claims.flags.writeable
+
+    def test_empirical_knots_need_a_positive_claim(self):
+        with pytest.raises(AllZero):
+            EmpiricalLosses(np.zeros(50)).knots()
+
+
 class TestKdeDensity:
     def test_matches_hand_gaussian_sum(self):
         x = np.array([1.0, 2.0])
