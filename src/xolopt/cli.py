@@ -528,7 +528,7 @@ def build_parser() -> _Parser:
     est.add_argument("--p", type=float, default=0.75, help="risk level")
     est.add_argument("--measure", help="distortion measure, e.g. var:0.75")
     est.add_argument("--level", type=float, default=0.95, help="confidence level")
-    est.add_argument("--bandwidth", type=float, default=0.1, help="KDE bandwidth")
+    est.add_argument("--bandwidth", type=_bandwidth, default=0.1, help="KDE bandwidth")
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo studies")
@@ -565,7 +565,7 @@ def build_parser() -> _Parser:
                      default=["decreasing", "stddev", "sharpe"],
                      choices=("decreasing", "stddev", "sharpe"))
     ana.add_argument("--level", type=float, default=0.95)
-    ana.add_argument("--bandwidth", type=float, default=0.1)
+    ana.add_argument("--bandwidth", type=_bandwidth, default=0.1)
     ana.add_argument("--svg", action="store_true", help="also render SVG plots")
     ana.set_defaults(func=cmd_analyze)
 
@@ -582,6 +582,17 @@ def _add_model_flags(p: _Parser, empirical: bool = True) -> None:
                    help="Pareto scale")
     if empirical:
         p.add_argument("--input", help="loss CSV for an empirical model")
+
+
+def _bandwidth(text: str) -> float:
+    """--bandwidth: a positive finite number, checked before any work."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"bandwidth must be positive and finite, got {text}")
+    return value
 
 
 def _add_rule_params(p: _Parser) -> None:

@@ -137,13 +137,17 @@ class _CostOracle:
     sees the same portfolios whatever its chunk size, and memory is one
     chunk plus what the pass keeps, never the B x N draws.
 
-    Cost: a grid of G retentions takes one binned O(B*N + B*G) pass over the
-    B x N draws (each claim's cell is read off the log spacing of the
-    retentions and corrected against its neighbours, and per-row cumulative
-    cell sums give every capped sum), and a refinement bracket takes one
-    more pass plus an O(k log k) sort of the k claims inside it; each
-    retention inside the bracket then costs O(B + j) for the j of them at or
-    below it, plus the O(B) quantile selection.
+    Cost: a grid of G retentions takes one binned O(B*N) pass over the
+    B x N draws, which keeps each row's sum and count of claims in every
+    cell between neighbouring retentions: (G+1) x B sums plus as many
+    counts, the counts in the smallest unsigned type that holds N.  A loop
+    over the retentions in ascending order then adds one cell at a time to
+    a running sum below the retention and a running count above it, so
+    each retention costs O(B) for its capped sums in one scratch vector and
+    O(B) for the in-place quantile selection; no B x G capped sums are
+    kept.  A refinement bracket takes one more pass plus an O(k log k) sort
+    of the k claims inside it; each retention inside the bracket then costs
+    O(B + j) for the j of them at or below it, plus the quantile selection.
     """
 
     def __init__(self, model: SeverityModel, n: int, cfg: McConfig, *key: int):
@@ -161,29 +165,30 @@ class _CostOracle:
             r = min(rows, self.b - first)
             yield first, self.model.sample_rng(r * self.n, rng).reshape(r, self.n)
 
-    def _binned(self, edges: np.ndarray):
+    def _binned(self, cells: int, cell_of):
         """Per-row cell sums and counts of the draws, in one streamed pass.
 
         Yields (first row, draws, cell of each claim, sums, counts) per chunk
-        of at most _BIN_ELEMENTS claims plus cells: a claim's cell is the
-        index of the first edge at or above it, and sums/counts are
-        (cells, rows), so that every row is reduced alone and the result
-        does not depend on the chunking.
+        of at most _BIN_ELEMENTS claims plus cells: cell_of(draws) gives each
+        claim's cell, the index of the first edge at or above it, and
+        sums/counts are (cells, rows), so that every row is reduced alone and
+        the result does not depend on the chunking.
         """
-        cells = edges.size + 1
         for first, part in self._blocks(max(1, _BIN_ELEMENTS // (self.n + cells))):
             r = part.shape[0]
-            cell = _cell_index(edges, part)
+            cell = cell_of(part)
             flat = (cell * r + np.arange(r)[:, None]).ravel()
             sums = np.bincount(flat, weights=part.ravel(), minlength=cells * r)
             counts = np.bincount(flat, minlength=cells * r)
             yield first, part, cell, sums.reshape(cells, r), counts.reshape(cells, r)
 
-    def capped_stats(self, d_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p-free pieces: all capped sums (b per d) and pooled excess means.
+    def capped_sums(self, d_values):
+        """Capped sums and pooled excess mean at each retention.
 
-        The retentions may come in any order; row j of the sums belongs to
-        d_values[j].
+        Yields (j, sums, nu1) for the retentions in ascending order, j being
+        the position in d_values, which may come in any order and repeat.
+        `sums` is one scratch vector of b capped sums that the next step
+        overwrites, so a caller may reorder it in place.
         """
         d_values = np.asarray(d_values, dtype=float)
         if not (d_values.ndim == 1 and d_values.size
@@ -191,18 +196,40 @@ class _CostOracle:
             raise DomainError("retentions must be a nonempty list of positive finite numbers")
         order = np.argsort(d_values, kind="stable")
         edges = d_values[order]
-        sums = np.empty((d_values.size, self.b))
-        totals = np.empty(self.b)
-        for first, part, _, cell_sums, cell_counts in self._binned(edges):
+        cell_sums = np.empty((edges.size + 1, self.b))
+        cell_counts = np.empty((edges.size + 1, self.b), dtype=np.min_scalar_type(self.n))
+        for first, part, _, sums, counts in self._binned(
+                edges.size + 1, lambda x: _cell_index(edges, x)):
             span = slice(first, first + part.shape[0])
-            below = np.cumsum(cell_sums, axis=0, out=cell_sums)
-            above = np.cumsum(cell_counts[:-1], axis=0)
-            np.subtract(self.n, above, out=above)
-            sums[order, span] = edges[:, None] * above + below[:-1]
-            totals[span] = below[-1]
-        # the excess comes from whole per-row totals, so chunking moves no bit
-        excess = np.array([(totals - s).sum() for s in sums])
-        return sums, excess / (self.b * self.n)
+            cell_sums[:, span] = sums
+            cell_counts[:, span] = counts
+        # per-row totals, added cell by cell in the order of the running sum below
+        totals = np.zeros(self.b)
+        for s in cell_sums:
+            totals += s
+        below = np.zeros(self.b)
+        above = np.full(self.b, float(self.n))
+        capped = np.empty(self.b)
+        excess = np.empty(self.b)
+        for j, d, s, c in zip(order, edges, cell_sums, cell_counts):
+            below += s
+            above -= c
+            np.multiply(above, d, out=capped)
+            capped += below
+            # the excess comes from whole per-row totals, so chunking moves no bit
+            np.subtract(totals, capped, out=excess)
+            yield int(j), capped, float(excess.sum()) / (self.b * self.n)
+
+    def quantiles(self, p: float, d_values) -> tuple[np.ndarray, np.ndarray]:
+        """The p-quantile of the capped sums and the pooled excess mean at
+        each retention; entry j of both belongs to d_values[j]."""
+        k = self.quantile_index(p)
+        # an invalid d_values raises in capped_sums, before any entry is read
+        quant, nu1 = np.empty(np.size(d_values)), np.empty(np.size(d_values))
+        for j, sums, e in self.capped_sums(d_values):
+            sums.partition(k)
+            quant[j], nu1[j] = sums[k], e
+        return quant, nu1
 
     def bracket(self, lo: float, hi: float) -> "_Bracket":
         """Capped sums for any retention in [lo, hi], from one more pass."""
@@ -210,7 +237,8 @@ class _CostOracle:
         count = np.empty(self.b, dtype=np.int64)
         totals = np.empty(self.b)
         xs, row_ids = [], []
-        for first, part, cell, cell_sums, cell_counts in self._binned(np.array([lo, hi])):
+        for first, part, cell, cell_sums, cell_counts in self._binned(
+                3, lambda x: (x > lo).astype(np.intp) + (x > hi)):
             span = slice(first, first + part.shape[0])
             below[span] = cell_sums[0]
             count[span] = cell_counts[0]
@@ -228,18 +256,6 @@ class _CostOracle:
         k = int(math.ceil(p * self.b - 1e-9))
         return min(max(k, 1), self.b) - 1
 
-    def var_values(self, p: float, d_values, rates) -> np.ndarray:
-        """Total-cost quantiles at the retentions, rates[j] being the
-        effective loading at d_values[j]."""
-        sums, nu1 = self.capped_stats(d_values)
-        return np.array([self.var_from(p, s, e, rate) for s, e, rate in zip(sums, nu1, rates)])
-
-    def var_from(self, p: float, sums: np.ndarray, nu1: float, rate: float) -> float:
-        """Total-cost quantile from the capped sums and pooled excess mean at
-        one retention and the effective loading there."""
-        idx = self.quantile_index(p)
-        quant = np.partition(sums, idx)[idx]
-        return float(quant + (1.0 + rate) * self.n * nu1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +285,15 @@ class _Bracket:
 
     def var(self, p: float, d: float, rate: float) -> float:
         sums, nu1 = self.capped_stats(d)
-        return self.oracle.var_from(p, sums, nu1, rate)
+        k = self.oracle.quantile_index(p)
+        sums.partition(k)
+        return float(_var(self.oracle.n, sums[k], nu1, rate))
+
+
+def _var(n: int, quant, nu1, rate):
+    """Total-cost quantile of n contracts from the capped-sum quantile, the
+    pooled excess mean and the effective loading at a retention."""
+    return quant + (1.0 + rate) * n * nu1
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,7 +356,9 @@ def mc_var_total_cost(
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
     oracle = _CostOracle(model, n, cfg, _STREAM_VAR_COST, n)
-    return float(oracle.var_values(p, [d], [effective_rho(model, rule, n, d)])[0])
+    rate = effective_rho(model, rule, n, d)
+    quant, nu1 = oracle.quantiles(p, [d])
+    return float(_var(n, quant[0], nu1[0], rate))
 
 
 def _default_grid(model: SeverityModel, size: int = 80) -> np.ndarray:
@@ -358,17 +384,29 @@ def brute_force_optimal(
     retention sees identical draws, keeping the averaged map deterministic
     through the refinement pass.
 
-    Each batch costs one streamed O(B*N + B*G) pass for the G-point grid
-    and one streamed O(B*N) pass for the refinement bracket, which also
-    sorts the k claims inside it; each golden step then costs O(B + j) per
-    batch, for the j of them at or below the step's retention, plus the
-    quantile selection.  No batch keeps its draws: memory is one batch's
-    B x G capped sums, the claims inside the five brackets and one chunk.
-    The effective loading at each retention is computed once and shared by
-    the batches.  The result reports the portfolios drawn over all batches
-    and the standard error of the averaged VaR at the optimum, from the
-    spread of the batch VaRs there.
+    Each batch costs one streamed O(B*N) pass for the G-point grid and
+    then O(B) per grid retention.  The pass keeps (G+1) x B cell sums plus
+    counts while it runs and leaves G (quantile, excess mean) pairs, which
+    no rule touches: the rule's loading is added to them afterwards, so
+    replicate_table1 shares one grid pass per size among its rules.  One
+    more streamed O(B*N) pass per batch builds the refinement bracket,
+    which also sorts the k claims inside it; each golden step then costs
+    O(B + j) per batch, for the j of them at or below the step's
+    retention, plus the quantile selection.  No batch keeps its draws or
+    any B x G capped sums: memory is one batch's cell sums and counts
+    during its grid pass, the claims inside the five brackets and one
+    chunk.  The effective loading at each retention is computed once and
+    shared by the batches.  The result reports the portfolios drawn over
+    all batches and the standard error of the averaged VaR at the optimum,
+    from the spread of the batch VaRs there.
     """
+    return _grid_pass(model, n, p, cfg)(rule)
+
+
+def _grid_pass(model: SeverityModel, n: int, p: float, cfg: McConfig):
+    """The grid pass of every batch at (n, p), which depends on no rule;
+    returns brute_force_optimal(model, rule, n, p, cfg) as a function of the
+    rule."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"risk level must be in (0, 1), got {p}")
     grid = _default_grid(model)
@@ -376,31 +414,37 @@ def brute_force_optimal(
         _CostOracle(model, n, cfg, _STREAM_VAR_COST, n, batch)
         for batch in range(_VAR_BATCHES)
     ]
-    rates = [effective_rho(model, rule, n, float(d)) for d in grid]
-    batches = np.array([o.var_values(p, grid, rates) for o in oracles])
-    values = batches.mean(axis=0)
-    i = int(np.argmin(values))
-    if i == 0 or i == grid.size - 1:
-        raise GridBoundaryMinimum(
-            f"simulated optimum sits at the grid edge d={grid[i]:g}; widen the grid"
+    pairs = [o.quantiles(p, grid) for o in oracles]
+    quant, nu1 = np.array([q for q, _ in pairs]), np.array([e for _, e in pairs])
+
+    def optimum(rule: LoadingRule) -> BruteForceResult:
+        rates = np.array([effective_rho(model, rule, n, float(d)) for d in grid])
+        batches = _var(n, quant, nu1, rates)
+        values = batches.mean(axis=0)
+        i = int(np.argmin(values))
+        if i == 0 or i == grid.size - 1:
+            raise GridBoundaryMinimum(
+                f"simulated optimum sits at the grid edge d={grid[i]:g}; widen the grid"
+            )
+        brackets = [o.bracket(grid[i - 1], grid[i + 1]) for o in oracles]
+        seen = {}
+
+        def averaged(d: float) -> float:
+            rate = effective_rho(model, rule, n, d)
+            seen[d] = np.array([br.var(p, d, rate) for br in brackets])
+            return float(seen[d].mean())
+
+        res = golden_refine(averaged, grid, values, i)
+        # golden_refine keeps grid[i] when the search ends higher
+        at_optimum = seen.get(res.x, batches[:, i])
+        return BruteForceResult(
+            d_actual=res.x,
+            var_at_optimum=res.fx,
+            portfolios=_VAR_BATCHES * cfg.b,
+            var_se=float(at_optimum.std(ddof=1)) / math.sqrt(_VAR_BATCHES),
         )
-    brackets = [o.bracket(grid[i - 1], grid[i + 1]) for o in oracles]
-    seen = {}
 
-    def averaged(d: float) -> float:
-        rate = effective_rho(model, rule, n, d)
-        seen[d] = np.array([br.var(p, d, rate) for br in brackets])
-        return float(seen[d].mean())
-
-    res = golden_refine(averaged, grid, values, i)
-    # golden_refine keeps grid[i] when the search ends higher
-    at_optimum = seen.get(res.x, batches[:, i])
-    return BruteForceResult(
-        d_actual=res.x,
-        var_at_optimum=res.fx,
-        portfolios=_VAR_BATCHES * cfg.b,
-        var_se=float(at_optimum.std(ddof=1)) / math.sqrt(_VAR_BATCHES),
-    )
+    return optimum
 
 
 def insolvency_probability(
@@ -423,11 +467,10 @@ def insolvency_probability(
     best = brute_force_optimal(model, rule, n, p, cfg)
     d_star = best.d_actual
     oracle = _CostOracle(model, n, cfg, _STREAM_VAR_COST, n)
-    sums, _ = oracle.capped_stats(np.array([d_star]))
-    s = sums[0]
-    idx = oracle.quantile_index(p)
-    quant = np.partition(s, idx)[idx]
-    prob = float(np.count_nonzero(s > quant)) / cfg.b
+    _, s, _ = next(oracle.capped_sums([d_star]))
+    k = oracle.quantile_index(p)
+    s.partition(k)
+    prob = float(np.count_nonzero(s > s[k])) / cfg.b
     analytic = (1.0 - p) if model.survival(d_star) < (1.0 - p) ** (1.0 / n) else 0.0
     return InsolvencyResult(n=n, d_star=d_star, prob=prob, analytic_prob=analytic)
 
@@ -492,9 +535,13 @@ def replicate_table1(
     rules = _only([constant, DecreasingLoading(delta), StdDevLoading(rho0),
                    SharpeLoading(rho0)], only)
     rows: list[McTableRow] = []
+    # the grid pass depends on no rule, so each size's pass serves them all
+    shared = {}
     for rule in rules:
         for n in n_values:
-            brute = brute_force_optimal(model, rule, n, p, cfg)
+            if n not in shared:
+                shared[n] = _grid_pass(model, n, p, cfg)
+            brute = shared[n](rule)
             approx = [solve_retention(model, rule, measure, n).d_star]
             if rule is constant:  # the Edgeworth refinements exist for it alone
                 approx += [solve_retention_edgeworth(model, rule, p, n, order).d_star

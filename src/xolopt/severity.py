@@ -457,22 +457,31 @@ def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
     return HigherTruncatedMoments(d, kappa3, kappa4)
 
 
+# kernel terms evaluated at once by kde_density
+_KDE_TERMS = 1 << 16
+
+
 def kde_density(losses, x, bandwidth: float = 0.1):
     """Gaussian kernel density estimate of the loss density at x.
 
     Accepts scalar or array x; the bandwidth is the kernel standard
-    deviation on the loss scale.
+    deviation on the loss scale.  The points are taken a block at a time,
+    about _KDE_TERMS kernel terms each, so memory does not grow with the
+    number of points times the number of losses; each point's terms are
+    summed alone, so the blocking moves no bit.
     """
-    if bandwidth <= 0.0:
-        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < math.inf:
+        raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
     losses = np.asarray(losses, dtype=float).ravel()
     if losses.size == 0:
         raise DomainError("need at least one loss for a density estimate")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    z = (xs[:, None] - losses[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (
-        losses.size * bandwidth * math.sqrt(2.0 * math.pi)
-    )
+    sums = np.empty(xs.shape)
+    step = max(1, _KDE_TERMS // losses.size)
+    for i in range(0, xs.size, step):
+        z = (xs[i:i + step, None] - losses[None, :]) / bandwidth
+        sums[i:i + step] = np.exp(-0.5 * z * z).sum(axis=1)
+    dens = sums / (losses.size * bandwidth * math.sqrt(2.0 * math.pi))
     return float(dens[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else dens
 
 

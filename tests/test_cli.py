@@ -112,6 +112,19 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "UsageError"
         assert not (tmp_path / "ana").exists()
 
+    @pytest.mark.parametrize("bandwidth", ["0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["analyze", "estimate"])
+    def test_bad_bandwidth_is_usage_before_any_file(self, capsys, tmp_path, loss_csv,
+                                                    command, bandwidth):
+        argv = (["analyze", "--synthetic", "--sweep", "rho"] if command == "analyze" else
+                ["estimate", "--input", str(loss_csv), "--rule", "decreasing",
+                 "--delta", "0.5"])
+        code, out = run_cli(capsys, *argv, "--bandwidth", bandwidth,
+                            "--out", str(tmp_path / "out"))
+        assert code == 64
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert not (tmp_path / "out").exists()
+
     def test_version_flag(self, capsys):
         code, out = run_cli(capsys, "--version")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestBinnedOracle:
         ])
 
     @staticmethod
+    def _stats(oracle, d_values):
+        """The streamed pass's capped sums (row j for d_values[j]) and
+        pooled excess means, copied out of its scratch vector."""
+        sums = np.empty((len(d_values), oracle.b))
+        nu1 = np.empty(len(d_values))
+        for j, s, e in oracle.capped_sums(d_values):
+            sums[j], nu1[j] = s, e
+        return sums, nu1
+
+    @staticmethod
     def _assert_direct(draws, d_values, sums, nu1):
         for d, s, e in zip(d_values, sums, nu1):
             capped = np.minimum(draws, d)
@@ -140,15 +151,14 @@ class TestBinnedOracle:
     def test_grid_matches_direct_sum(self):
         oracle, draws = self._oracle()
         grid = self._grid(draws)
-        sums, nu1 = oracle.capped_stats(grid)
-        assert sums.shape == (grid.size, SMALL.b)
+        sums, nu1 = self._stats(oracle, grid)
         assert nu1[-1] == 0.0
         self._assert_direct(draws, grid, sums, nu1)
 
     def test_one_point_grid_matches_direct_sum(self):
         oracle, draws = self._oracle()
         d = np.array([float(draws[10, 4])])
-        sums, nu1 = oracle.capped_stats(d)
+        sums, nu1 = self._stats(oracle, d)
         self._assert_direct(draws, d, sums, nu1)
 
     def test_retentions_in_any_order(self):
@@ -157,16 +167,37 @@ class TestBinnedOracle:
         oracle, draws = self._oracle()
         grid = self._grid(draws)
         order = [3, 0, 4, 2, 1, 3]
-        sums, nu1 = oracle.capped_stats(grid[order])
-        ascending, ascending_nu1 = oracle.capped_stats(grid)
+        sums, nu1 = self._stats(oracle, grid[order])
+        ascending, ascending_nu1 = self._stats(oracle, grid)
         np.testing.assert_array_equal(sums, ascending[order])
         np.testing.assert_array_equal(nu1, ascending_nu1[order])
         self._assert_direct(draws, grid[order], sums, nu1)
 
+    @pytest.mark.parametrize("pick", [
+        lambda g: np.sort(g),
+        lambda g: np.sort(g)[[0, 1, 1, 2, 3, 3, 3, 4]],
+        lambda g: g[[4, 2, 0, 3, 1]],
+    ], ids=["ascending", "repeated", "unsorted"])
+    def test_quantile_pairs_select_from_the_capped_sums(self, pick):
+        """quantiles() is np.partition of the pass's own capped sums at the
+        order statistic ceil(p*b), bit for bit, with the pass's excess
+        means; against the direct sums it is as close as the sums are."""
+        oracle, draws = self._oracle()
+        d_values = pick(self._grid(draws))
+        sums, nu1 = self._stats(oracle, d_values)
+        quant, excess = oracle.quantiles(0.75, d_values)
+        k = oracle.quantile_index(0.75)
+        assert k == math.ceil(0.75 * SMALL.b) - 1
+        np.testing.assert_array_equal(quant, np.partition(sums, k, axis=1)[:, k])
+        np.testing.assert_array_equal(excess, nu1)
+        direct = np.minimum(draws, d_values[:, None, None]).sum(axis=2)
+        np.testing.assert_allclose(quant, np.partition(direct, k, axis=1)[:, k],
+                                   rtol=1e-12, atol=0.0)
+
     def test_descending_pair_matches_direct_sum(self):
         n, cfg = 3, McConfig(b=1000, m=100, seed=SMALL.seed)
         draws = MODEL.sample_rng(cfg.b * n, substream(cfg.seed, 1, n)).reshape(cfg.b, n)
-        sums, nu1 = _CostOracle(MODEL, n, cfg, 1, n).capped_stats([1.0, 0.5])
+        sums, nu1 = self._stats(_CostOracle(MODEL, n, cfg, 1, n), [1.0, 0.5])
         self._assert_direct(draws, [1.0, 0.5], sums, nu1)
 
     @pytest.mark.parametrize("d_values", [[], [0.0], [0.5, -1.0], [math.nan], [math.inf],
@@ -174,7 +205,9 @@ class TestBinnedOracle:
     def test_rejects_bad_retentions(self, d_values):
         oracle, _ = self._oracle()
         with pytest.raises(DomainError):
-            oracle.capped_stats(d_values)
+            list(oracle.capped_sums(d_values))
+        with pytest.raises(DomainError):
+            oracle.quantiles(0.75, d_values)
 
     def test_bracket_matches_full_pass(self):
         oracle, draws = self._oracle()
@@ -184,7 +217,7 @@ class TestBinnedOracle:
         inside = np.linspace(grid[1], grid[3], 7)[1:-1]
         for d in [grid[1], grid[2], grid[3], *inside]:
             sums, nu1 = bracket.capped_stats(float(d))
-            full, full_nu1 = oracle.capped_stats(np.array([d]))
+            full, full_nu1 = self._stats(oracle, np.array([d]))
             np.testing.assert_allclose(sums, full[0], rtol=1e-12, atol=0.0)
             assert nu1 == pytest.approx(full_nu1[0], rel=1e-12, abs=0.0)
             self._assert_direct(draws, [d], [sums], [nu1])
@@ -193,23 +226,25 @@ class TestBinnedOracle:
     def test_chunking_changes_no_bit(self, monkeypatch, model):
         """Every pass draws its rows afresh in chunks of _BIN_ELEMENTS claims;
         chunks of a few rows give exactly the results of the default size,
-        turning points included, for the Lomax draws (`random`) and for the
-        empirical bootstrap (`integers`) alike."""
+        the grid pass's capped sums and quantile pairs and turning points
+        included, for the Lomax draws (`random`) and for the empirical
+        bootstrap (`integers`) alike."""
         rule = DecreasingLoading(0.5)
         grid = np.geomspace(0.05, 5.0, 40)
 
         def pieces():
             oracle = _CostOracle(model, 10, SMALL, 1, 10)
-            sums, nu1 = oracle.capped_stats(grid)
+            sums, nu1 = self._stats(oracle, grid)
+            quant, excess = oracle.quantiles(0.75, grid)
             bracket_sums, bracket_nu1 = oracle.bracket(grid[9], grid[11]).capped_stats(0.5)
-            return [sums, nu1, bracket_sums, np.array([bracket_nu1])]
+            return [sums, nu1, quant, excess, bracket_sums, np.array([bracket_nu1])]
 
         whole = pieces()
         best = brute_force_optimal(model, rule, 10, 0.75, SMALL)
         insolvent = insolvency_probability(model, 3, 0.2, 0.75, SMALL)
         kinks = turning_points(model, 5, 0.75, SMALL)
         monkeypatch.setattr(montecarlo, "_BIN_ELEMENTS", 997)
-        for a, b in zip(whole, pieces()):
+        for a, b in zip(whole, pieces(), strict=True):
             np.testing.assert_array_equal(a, b)
         assert brute_force_optimal(model, rule, 10, 0.75, SMALL) == best
         assert insolvency_probability(model, 3, 0.2, 0.75, SMALL) == insolvent
@@ -300,11 +335,12 @@ class TestBruteForce:
         rule, n, p = SharpeLoading(0.5), 10, 0.75
         res = brute_force_optimal(MODEL, rule, n, p, SMALL)
         assert res.portfolios == _VAR_BATCHES * SMALL.b
-        batch = [
-            _CostOracle(MODEL, n, SMALL, 1, n, k).var_values(
-                p, [res.d_actual], [effective_rho(MODEL, rule, n, res.d_actual)])[0]
-            for k in range(_VAR_BATCHES)
-        ]
+        rate = effective_rho(MODEL, rule, n, res.d_actual)
+        batch = []
+        for k in range(_VAR_BATCHES):
+            oracle = _CostOracle(MODEL, n, SMALL, 1, n, k)
+            quant, nu1 = oracle.quantiles(p, [res.d_actual])
+            batch.append(quant[0] + (1.0 + rate) * n * nu1[0])
         assert np.mean(batch) == pytest.approx(res.var_at_optimum, rel=1e-12)
         se = np.std(batch, ddof=1) / math.sqrt(_VAR_BATCHES)
         assert res.var_se == pytest.approx(se, rel=1e-9)
@@ -414,6 +450,15 @@ class TestReplicateTable1:
             "o(1/sqrt(N))",
         ]
         assert len({r.d_actual for r in rows}) == 1
+
+    def test_all_rules_give_the_rows_of_their_own_runs(self):
+        """The rules share each size's grid pass; every row of the full table
+        equals, field by field, the row of its rule's `only` run."""
+        n_values = (10, 25)
+        table = replicate_table1(MODEL, SMALL, n_values=n_values)
+        alone = [row for only in ("constant", "decreasing", "stddev", "sharpe")
+                 for row in replicate_table1(MODEL, SMALL, n_values=n_values, only=only)]
+        assert [astuple(row) for row in table] == [astuple(row) for row in alone]
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(DomainError):
