@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distortion import DistortionMeasure, normal_quantile
-from .errors import DegenerateVariance, DomainError, NumericalFailure, XoloptError
+from .errors import DegenerateVariance, DomainError, XoloptError
+from .numerics import fixed_point
 from .retention import (
     _RULES,
     DecreasingLoading,
@@ -274,23 +275,22 @@ def _estimate_at_effective_rho(
     """Map a target effective loading to the rule parameter and estimate.
 
     A flat rate maps directly.  A spread-dependent rate depends on the
-    solved retention, so a damped fixed-point iteration of the solver aligns
-    the rule parameter with the target; the estimate, with its standard
-    error, is taken once at the converged parameter.
+    solved retention, so the rule parameter is the fixed point of
+    target(param), the parameter whose rate at the retention solved under
+    param is rho: `numerics.fixed_point` finds it by safeguarded secant
+    steps, to a relative tolerance of 1e-8, from the previous curve point's
+    parameter or else from the rate at the sample median.  The estimate,
+    with its standard error, is taken once at that parameter.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
         return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level, bandwidth), None
 
-    # initialise from the rate at the sample median
-    param = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
-    for _ in range(100):
+    def target(param: float) -> float:
         d_hat = solve_retention(emp, cls(param), measure, emp.n).d_star
-        target = _param_at_rate(cls, rho, emp, d_hat)
-        if abs(target - param) <= 1e-8 * max(1.0, abs(param)):
-            return _estimate(emp, cls(param), measure, level, bandwidth), param
-        param = 0.5 * param + 0.5 * target
-    raise NumericalFailure(
-        f"effective-loading fixed point did not converge for rho={rho:g}"
-    )
+        return _param_at_rate(cls, rho, emp, d_hat)
+
+    start = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
+    param, _ = fixed_point(target, start)
+    return _estimate(emp, cls(param), measure, level, bandwidth), param

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from xolopt.dataio import make_synthetic_losses
 from xolopt.distortion import DistortionMeasure
 from xolopt.errors import AllZero, AtomConditionViolated, DomainError
 from xolopt.inference import (
@@ -21,6 +22,9 @@ VAR75 = DistortionMeasure.var(0.75)
 D_DECREASING = 0.54724741814
 D_STDDEV = 0.818944971281
 D_SHARPE = 0.321769977934
+
+# analyze's default effective-loading grid
+RHO_GRID = np.geomspace(0.001, 0.05, 12)
 
 # Delta-method standard errors at the population law, scaled to sqrt(n):
 # se(n) = SE_SCALE / sqrt(n).  The decreasing value is exact; the other two
@@ -144,6 +148,19 @@ class TestEstimateSpreadRules:
         assert twice.std_error == pytest.approx(
             once.std_error / math.sqrt(2.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize("c", [10.0, 100.0])
+    @pytest.mark.parametrize("estimator, power", [(estimate_sd, -1), (estimate_sharpe, 1)])
+    def test_scale_equivariance(self, big_sample, estimator, power, c):
+        """With the claims and the bandwidth times c, and the rule parameter,
+        which carries the claims' units, rescaled to match (rho0 / c for
+        stddev, rho0 c for sharpe), the estimate and its standard error
+        scale by c."""
+        x = big_sample[:5000]
+        base = estimator(x, 0.5, VAR75)
+        scaled = estimator(c * x, 0.5 * c ** power, VAR75, bandwidth=0.1 * c)
+        assert scaled.d_hat == pytest.approx(c * base.d_hat, rel=1e-9)
+        assert scaled.std_error == pytest.approx(c * base.std_error, rel=1e-9)
 
     @pytest.mark.parametrize("estimator", [estimate_sd, estimate_sharpe])
     def test_all_zero_losses_raise_without_a_warning(self, estimator):
@@ -344,3 +361,51 @@ class TestRetentionCurve:
         points = retention_curve(emp, family, "rho", [rho_target], 0.9)
         assert points[0].error is None
         assert points[0].d_hat == pytest.approx(direct.d_hat, rel=1e-5)
+
+    @pytest.mark.parametrize("family", ["stddev", "sharpe"])
+    def test_fixed_point_takes_few_solves_to_a_relative_tolerance(
+        self, big_sample, family, monkeypatch
+    ):
+        """On the default grid a spread-rule point costs at most 8 solves on
+        average, the final estimate included, and the parameter it returns
+        satisfies |target(param) - param| <= 1e-8 param."""
+        from xolopt import inference
+
+        solve = inference.solve_retention
+        estimate_at = inference._estimate_at_effective_rho
+        calls, points = [0], []
+
+        def counting(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        def recording(emp, cls, rho, measure, *rest):
+            before = calls[0]
+            result, param = estimate_at(emp, cls, rho, measure, *rest)
+            d_hat = solve(emp, cls(param), measure, emp.n).d_star
+            target = inference._param_at_rate(cls, rho, emp, d_hat)
+            points.append((calls[0] - before, param, target))
+            return result, param
+
+        monkeypatch.setattr(inference, "solve_retention", counting)
+        monkeypatch.setattr(inference, "_estimate_at_effective_rho", recording)
+        retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
+        assert len(points) >= 6
+        assert np.mean([solves for solves, _, _ in points]) <= 8.0
+        for _, param, target in points:
+            assert abs(target - param) <= 1e-8 * param
+
+    @pytest.mark.parametrize("family", ["stddev", "sharpe"])
+    @pytest.mark.parametrize("sample", ["lomax", "synthetic"])
+    def test_curve_is_free_of_the_claims_units(self, big_sample, family, sample):
+        """Claims and bandwidth scaled by c scale every curve point by c: the
+        effective loading has no units, and the fixed point's stopping test
+        is relative."""
+        x = big_sample[:2000] if sample == "lomax" else make_synthetic_losses()
+        base = retention_curve(x, family, "rho", RHO_GRID, 0.9)
+        for c in (0.01, 100.0):
+            scaled = retention_curve(c * x, family, "rho", RHO_GRID, 0.9, bandwidth=0.1 * c)
+            assert [pt.error is None for pt in scaled] == [pt.error is None for pt in base]
+            for pt, at_c in zip(base, scaled):
+                if pt.error is None:
+                    assert at_c.d_hat == pytest.approx(c * pt.d_hat, rel=1e-8)
