@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -79,6 +80,8 @@ class RunManifest:
     seed: int
     input_digest: str | None
     version: str
+    python: str
+    numpy: str
     created_utc: str
 
 
@@ -94,6 +97,8 @@ def _manifest(args: argparse.Namespace, digest: str | None) -> dict:
         seed=args.seed,
         input_digest=digest,
         version=__version__,
+        python=platform.python_version(),
+        numpy=np.__version__,
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     return asdict(man)

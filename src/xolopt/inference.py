@@ -22,6 +22,7 @@ from .retention import (
     _RULES,
     DecreasingLoading,
     LoadingRule,
+    RetentionSolution,
     SharpeLoading,
     StdDevLoading,
     effective_rho,
@@ -92,7 +93,7 @@ def estimate_decreasing(
     (-delta, 0, 0) in (sbar, nu1, nu2); the coefficients are reported as
     c0..c5.
     """
-    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, "c", bandwidth)
+    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, bandwidth)
 
 
 def estimate_sd(
@@ -103,7 +104,7 @@ def estimate_sd(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the standard-deviation loading."""
-    return _estimate_rule(losses, StdDevLoading(rho0), measure, level, "b", bandwidth)
+    return _estimate_rule(losses, StdDevLoading(rho0), measure, level, bandwidth)
 
 
 def estimate_sharpe(
@@ -114,7 +115,11 @@ def estimate_sharpe(
     bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the Sharpe-ratio loading."""
-    return _estimate_rule(losses, SharpeLoading(rho0), measure, level, "a", bandwidth)
+    return _estimate_rule(losses, SharpeLoading(rho0), measure, level, bandwidth)
+
+
+# the letter each rule's coefficients are reported under
+_PREFIX = {DecreasingLoading: "c", StdDevLoading: "b", SharpeLoading: "a"}
 
 
 def _estimate_rule(
@@ -122,8 +127,8 @@ def _estimate_rule(
     rule: LoadingRule,
     measure: DistortionMeasure,
     level: float,
-    prefix: str,
     bandwidth: float,
+    sol: RetentionSolution | None = None,
 ) -> EstimationResult:
     """Plug-in estimate under any rule, with its delta-method standard error.
 
@@ -132,10 +137,13 @@ def _estimate_rule(
     nu2), with the rule supplying the gradient of its marginal load.  The
     standard error is the spread of the per-claim values of that linear
     form over |c0| sqrt(n), where c0 is the derivative in d; the
-    coefficients are reported as prefix0..prefix5.
+    coefficients are reported as c0..c5 under the rule's letter.  sol, when
+    given, is the solve of this rule on these losses, which is then not
+    repeated.
     """
     emp = _as_empirical(losses)
-    sol = solve_retention(emp, rule, measure, emp.n)
+    if sol is None:
+        sol = solve_retention(emp, rule, measure, emp.n)
     d_hat = sol.d_star
     phi = measure.phi_normal()
     tm = emp.truncated_moments(d_hat)
@@ -174,7 +182,7 @@ def _estimate_rule(
         rule=rule,
         measure=measure,
         n=emp.n,
-        coefficients={f"{prefix}{i}": float(c)
+        coefficients={f"{_PREFIX[type(rule)]}{i}": float(c)
                       for i, c in enumerate([c0, c1, c2, c3, load_nu1, load_nu2])},
         warnings=_condition_warnings(sol.diagnostics.condition_checks),
     )
@@ -280,17 +288,19 @@ def _estimate_at_effective_rho(
     param is rho: `numerics.fixed_point` finds it by safeguarded secant
     steps, to a relative tolerance of 1e-8, from the previous curve point's
     parameter or else from the rate at the sample median.  The estimate,
-    with its standard error, is taken once at that parameter.
+    with its standard error, linearises the solve that fixed_point's last
+    evaluation made at that parameter.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
         return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level, bandwidth), None
+    solved: dict[float, RetentionSolution] = {}
 
     def target(param: float) -> float:
-        d_hat = solve_retention(emp, cls(param), measure, emp.n).d_star
-        return _param_at_rate(cls, rho, emp, d_hat)
+        solved[param] = solve_retention(emp, cls(param), measure, emp.n)
+        return _param_at_rate(cls, rho, emp, solved[param].d_star)
 
     start = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
     param, _ = fixed_point(target, start)
-    return _estimate(emp, cls(param), measure, level, bandwidth), param
+    return _estimate_rule(emp, cls(param), measure, level, bandwidth, solved[param]), param

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -183,6 +184,8 @@ class TestOptimize:
         assert manifest["command"] == "optimize"
         assert manifest["seed"] == 0
         assert "created_utc" in manifest and "version" in manifest
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
 
 class TestEstimate:

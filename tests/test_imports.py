@@ -1,10 +1,15 @@
-"""xolopt runs without scipy.
+"""What importing xolopt loads: no scipy, and numpy with one BLAS thread.
 
 The package needs only numpy and the standard library; scipy is a test
 dependency.  A fresh interpreter blocks every scipy import
 (`sys.modules["scipy"] = None` makes `import scipy...` fail) and then runs
 each kind of work the package does: import, phi for every distortion kind,
 the model solvers, the estimators and three commands.
+
+The package loads numpy with OPENBLAS_NUM_THREADS=1 unless the caller set a
+BLAS thread count or imported numpy first, and leaves the environment as it
+found it.  Each case runs in a fresh interpreter, and the outputs of three
+commands must not move by a bit with the caller's thread count.
 """
 
 import json
@@ -14,7 +19,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 SCRIPT = textwrap.dedent(
     """
@@ -63,11 +71,18 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_solvers_and_estimators_never_import_scipy(tmp_path):
-    env = dict(os.environ)
+def _env(**overrides) -> dict:
+    """This environment with src first on the path, no BLAS thread count,
+    and the given variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env | overrides
+
+
+def test_solvers_and_estimators_never_import_scipy(tmp_path):
+    env = _env()
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
         cwd=tmp_path, timeout=300,
@@ -78,3 +93,120 @@ def test_solvers_and_estimators_never_import_scipy(tmp_path):
     assert all(isinstance(v, float) for v in report["phi"].values())
     assert report["exit"] == {"selfcheck": 0, "insolvency": 0, "analyze": 0}
     assert report["scipy_loaded"] == []
+
+
+# Imports xolopt (after numpy with argv[1] == "numpy-first") and reports the
+# threads of the process and every change made to a BLAS thread variable of
+# the C environment (numpy's own import sets and unsets OPENBLAS_MAIN_FREE).
+PIN_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+    if sys.argv[1] == "numpy-first":
+        import numpy
+    changes = []
+    watched = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+
+    def putenv(key, value, _putenv=os.putenv):
+        if os.fsdecode(key) in watched:
+            changes.append(["set", os.fsdecode(key), os.fsdecode(value)])
+        _putenv(key, value)
+
+    def unsetenv(key, _unsetenv=os.unsetenv):
+        if os.fsdecode(key) in watched:
+            changes.append(["unset", os.fsdecode(key)])
+        _unsetenv(key)
+
+    os.putenv, os.unsetenv = putenv, unsetenv
+    before = dict(os.environ)
+    import xolopt
+    tasks = "/proc/self/task"
+    print(json.dumps({
+        "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+        "unchanged": dict(os.environ) == before,
+        "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "changes": changes,
+    }))
+    """
+)
+
+MULTICORE_LINUX = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and (os.cpu_count() or 1) >= 2),
+    reason="thread counts are read from /proc/self/task on 2 or more cores",
+)
+
+
+def _import_xolopt(tmp_path, order="xolopt-first", **env) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", PIN_SCRIPT, order], env=_env(**env), capture_output=True,
+        text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_leaves_the_environment_as_it_found_it(tmp_path):
+    report = _import_xolopt(tmp_path)
+    assert report["unchanged"]
+    assert report["openblas"] is None
+    assert report["changes"] == [["set", "OPENBLAS_NUM_THREADS", "1"],
+                                 ["unset", "OPENBLAS_NUM_THREADS"]]
+
+
+@MULTICORE_LINUX
+def test_cold_import_loads_one_blas_thread(tmp_path):
+    assert _import_xolopt(tmp_path)["threads"] == 1
+
+
+@MULTICORE_LINUX
+def test_caller_thread_count_is_honoured(tmp_path):
+    report = _import_xolopt(tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert report["threads"] == 2
+    assert report["openblas"] == "2"
+    assert report["unchanged"] and report["changes"] == []
+
+
+@pytest.mark.parametrize("var", ["GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_any_blas_thread_variable_turns_the_pin_off(tmp_path, var):
+    report = _import_xolopt(tmp_path, **{var: "1"})
+    assert report["unchanged"] and report["changes"] == []
+
+
+def test_numpy_imported_first_sets_nothing(tmp_path):
+    report = _import_xolopt(tmp_path, "numpy-first")
+    assert report["unchanged"] and report["changes"] == []
+
+
+COMMANDS = {
+    "table1": ["simulate", "table1", "--only", "stddev", "--B", "1000"],
+    "table2": ["simulate", "table2", "--M", "100", "--only", "sharpe"],
+    "analyze": ["analyze", "--synthetic", "--sweep", "rho"],
+}
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under out by relative path, with the manifest's creation
+    time and output directory left out."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["created_utc"], manifest["params"]["out"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[str(path.relative_to(out))] = data
+    return files
+
+
+def test_blas_thread_count_moves_no_output_bit(tmp_path):
+    """The outputs of the pinned load equal, byte for byte, those of a load
+    with two BLAS threads chosen by the caller."""
+    outputs = []
+    for side, env in (("pinned", _env()), ("two", _env(OPENBLAS_NUM_THREADS="2"))):
+        for name, argv in COMMANDS.items():
+            subprocess.run(
+                [sys.executable, "-m", "xolopt.cli", *argv, "--out", str(tmp_path / side / name)],
+                env=env, check=True, capture_output=True, cwd=tmp_path, timeout=300,
+            )
+        outputs.append(_outputs(tmp_path / side))
+    assert len(outputs[0]) == 11
+    assert outputs[0] == outputs[1]

@@ -396,6 +396,38 @@ class TestRetentionCurve:
             assert abs(target - param) <= 1e-8 * param
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
+    def test_point_solves_only_inside_the_fixed_point(self, big_sample, family, monkeypatch):
+        """The estimate at the converged parameter reuses the fixed point's
+        last solve, so a point costs exactly its evaluations of target."""
+        from xolopt import inference
+
+        solve, fixed = inference.solve_retention, inference.fixed_point
+        estimate_at = inference._estimate_at_effective_rho
+        calls, evaluations, points = [0], [], []
+
+        def counting(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        def recording_fixed(g, x0):
+            param, n = fixed(g, x0)
+            evaluations.append(n)
+            return param, n
+
+        def recording(*args):
+            before = calls[0]
+            result = estimate_at(*args)
+            points.append((calls[0] - before, evaluations[-1]))
+            return result
+
+        monkeypatch.setattr(inference, "solve_retention", counting)
+        monkeypatch.setattr(inference, "fixed_point", recording_fixed)
+        monkeypatch.setattr(inference, "_estimate_at_effective_rho", recording)
+        retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
+        assert len(points) >= 6
+        assert all(solves == n for solves, n in points)
+
+    @pytest.mark.parametrize("family", ["stddev", "sharpe"])
     @pytest.mark.parametrize("sample", ["lomax", "synthetic"])
     def test_curve_is_free_of_the_claims_units(self, big_sample, family, sample):
         """Claims and bandwidth scaled by c scale every curve point by c: the
