@@ -90,8 +90,8 @@ class LoadingRule:
 
     def __post_init__(self):
         (param,) = fields(self)
-        if not self.theta > 0.0:
-            raise DomainError(f"{param.name} must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"{param.name} must be positive and finite, got {self.theta}")
 
     def scale(self, n: int) -> float:
         """c(N), the coefficient of the load."""
@@ -110,16 +110,17 @@ class LoadingRule:
         # infinite where a ratio load meets a layer without spread, except a
         # layer without a claim, which carries no load
         with np.errstate(divide="ignore", invalid="ignore"):
-            load = c * nu1 * spread ** k
+            load = c * nu1 * np.power(spread, k)
         return np.where(nu1 == 0.0, 0.0, load) if k < 0 else load
 
     def marginal_load(self, n: int, sbar, nu1, nu2):
         # runs at every root-finding step, so it leaves masking the warnings
-        # of a layer without spread to its callers
+        # of a layer without spread to its callers; numpy's power, not **,
+        # gives a float the bits of an array entry
         k = self.spread_power
-        spread = np.sqrt(nu2 - nu1 ** 2)
-        tilt = k * (1.0 - sbar) * nu1 ** 2 * spread ** (k - 2) if k else 0.0
-        return -self.scale(n) * (sbar * spread ** k + tilt)
+        spread = np.sqrt(nu2 - nu1 * nu1)
+        tilt = k * (1.0 - sbar) * (nu1 * nu1) * np.power(spread, k - 2) if k else 0.0
+        return -self.scale(n) * (sbar * np.power(spread, k) + tilt)
 
     def load_gradient(self, n: int, sbar, nu1, nu2) -> tuple[float, float, float]:
         k, c = self.spread_power, self.scale(n)
@@ -257,13 +258,13 @@ def objective(
     """
     _validate_n(n)
     phi = _phi_or_raise(measure)
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    g = model.moment_grid(d_arr)
+    d, scalar = _retentions(d)
+    g = model.moment_grid(d)
     mean = model.mean()
     sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
-    spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] ** 2, 0.0))
+    spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] * g["nu1"], 0.0))
     out = n * mean + math.sqrt(n) * (phi * sd_capped + rule.load(n, g["nu1"], spread))
-    return float(out[0]) if np.asarray(d).ndim == 0 else out
+    return float(out) if scalar else out
 
 
 def stationarity_function(
@@ -280,20 +281,28 @@ def stationarity_function(
     """
     _validate_n(n)
     phi = _phi_or_raise(measure)
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    g = model.moment_grid(d_arr)
+    d, scalar = _retentions(d)
+    g = model.moment_grid(d)
     if not rule.spread_dependent:
         out = _flat_condition((rule.scale(n) / phi) ** 2, g)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _derivative(rule, phi, n, g["sbar"], g)
-    return float(out[0]) if np.asarray(d).ndim == 0 else out
+    return float(out) if scalar else out
+
+
+def _retentions(d) -> tuple:
+    """d as a float when it is a scalar, else as a float array, and whether
+    it is a scalar: the models read one float without making an array."""
+    if isinstance(d, float) or np.ndim(d) == 0:
+        return float(d), True
+    return np.asarray(d, dtype=float), False
 
 
 def _flat_condition(q: float, g: dict):
     """The flat rules' stationarity function from the moments g at d, with
     q = (c(N)/phi)^2."""
-    return g["gap"] ** 2 - q * g["var"]
+    return g["gap"] * g["gap"] - q * g["var"]
 
 
 def _derivative(rule: LoadingRule, phi: float, n: int, sbar, g: dict):
@@ -416,15 +425,15 @@ def solve_retention(
 
         def derivative(d, j):  # in the cell between knots j and j + 1
             m = model.moments_in_cell(d, j)
-            return _derivative(rule, phi, n, m["sbar"], m).item()
+            return float(_derivative(rule, phi, n, m["sbar"], m))
 
         roots, ends = _rising_roots(t, left, right, derivative)
         if roots:
-            # the objective at each end of the range and at every local minimum
-            values = objective(
-                model, rule, measure, n,
-                np.array([ends[0], *(r.root for r in roots), ends[1]]),
-            )
+            # the objective at each end of the range and at every local
+            # minimum, read a point at a time: a float skips the series
+            # wherever it is not needed
+            values = [objective(model, rule, measure, n, d)
+                      for d in (ends[0], *(r.root for r in roots), ends[1])]
             k = int(np.argmin(values))
         if not roots or k in (0, len(values) - 1):
             raise NoRootFound(
@@ -432,7 +441,7 @@ def solve_retention(
                 "no interior optimal retention (trivial full or no reinsurance)"
             )
         best = roots[k - 1]
-        value = float(values[k])
+        value = values[k]
         smallest = roots[0].root
     diag = SolverDiagnostics(
         bracket=best.bracket,
@@ -564,18 +573,18 @@ def edgeworth_objective(model: SeverityModel, rule: ConstantLoading, p: float, n
     z = normal_quantile(p)
     if z <= 0.0:
         raise NonpositivePhi(f"risk level p={p:g} gives a nonpositive quantile")
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    g = model.moment_grid(d_arr)
-    hm = model.higher_truncated_moments(d_arr)
+    d, scalar = _retentions(d)
+    g = model.moment_grid(d)
+    hm = model.higher_truncated_moments(d)
     x = p if HERMITE_AT_RISK_LEVEL else z  # the argument of the Hermite polynomials
     he2, he3, he5 = x * x - 1.0, x ** 3 - 3.0 * x, x ** 5 - 10.0 * x ** 3 + 15.0 * x
     quant = z + SKEW_TERM_SIGN * hm.kappa3 * he2 / 6.0 / math.sqrt(n)
     if order >= 3:
         quant = quant + (hm.kappa4 * he3 / 24.0
-                         + hm.kappa3 ** 2 * (he5 + 4.0 * x * he2 - x * he2 ** 2) / 72.0) / n
+                         + hm.kappa3 * hm.kappa3 * (he5 + 4.0 * x * he2 - x * he2 ** 2) / 72.0) / n
     sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
     out = n * model.mean() + n * rule.rho * g["nu1"] + math.sqrt(n) * sd_capped * quant
-    return float(out[0]) if np.asarray(d).ndim == 0 else out
+    return float(out) if scalar else out
 
 
 def solve_retention_edgeworth(

@@ -434,6 +434,50 @@ class TestConditionReport:
 RULES = [ConstantLoading(0.3), DecreasingLoading(0.5), StdDevLoading(0.5), SharpeLoading(0.5)]
 
 
+@pytest.mark.parametrize("cls", [ConstantLoading, DecreasingLoading, StdDevLoading,
+                                 SharpeLoading], ids=lambda c: c.name)
+@pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, math.inf])
+def test_rule_parameter_must_be_positive_and_finite(cls, theta):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        cls(theta)
+
+
+def _spy_on_moment_grid(monkeypatch) -> list:
+    """The retentions of every `ParetoII.moment_grid` call, in order."""
+    reads = []
+    read = ParetoII.moment_grid
+
+    def spy(self, d):
+        reads.append(d)
+        return read(self, d)
+
+    monkeypatch.setattr(ParetoII, "moment_grid", spy)
+    return reads
+
+
+class TestRootStepsReadFloats:
+    """Root and golden-section steps read the Lomax moments at one float,
+    not at a 1-element array."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    def test_solve_retention(self, rule, monkeypatch):
+        reads = _spy_on_moment_grid(monkeypatch)
+        sol = solve_retention(ParetoII(9.0, 8.0), rule, VAR75, 100)
+        if rule.spread_dependent:  # the knot table, built on first use
+            table = reads.pop(0)
+            assert isinstance(table, np.ndarray) and table.size == 1000
+        assert len(reads) > sol.diagnostics.iterations
+        assert all(isinstance(d, float) for d in reads)
+
+    def test_solve_retention_edgeworth(self, monkeypatch):
+        reads = _spy_on_moment_grid(monkeypatch)
+        sol = solve_retention_edgeworth(ParetoII(9.0, 8.0), ConstantLoading(0.3), 0.75, 25, 3)
+        grid = reads.pop(0)  # the objective on its 200-point grid
+        assert isinstance(grid, np.ndarray) and grid.size == 200
+        assert len(reads) == sol.diagnostics.iterations + 3
+        assert all(isinstance(d, float) for d in reads)
+
+
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
 class TestLoadingFamily:
     """Every rule loads the ceded mean by c(N) nu1 sigma^k; the marginal load
@@ -559,7 +603,7 @@ class TestEdgeworth:
         grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
         values = edgeworth_objective(model, rule, 0.75, n, order, grid)
         alone = [edgeworth_objective(model, rule, 0.75, n, order, float(d)) for d in grid]
-        np.testing.assert_allclose(values, alone, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(values, alone)
 
     def test_grid_is_read_in_one_call(self, model, monkeypatch):
         """One call reads the 200-point grid; only the golden steps and the
