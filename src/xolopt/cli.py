@@ -271,7 +271,7 @@ def _sweep_grid(args, parser: _Parser) -> np.ndarray:
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
         except ValueError:
             parser.error(f"bad --grid {args.grid!r}, expected lo:hi:count")
-        if not (0.0 < lo < hi and count >= 1):
+        if not (0.0 < lo < hi < math.inf and count >= 1):
             parser.error(f"bad --grid range {args.grid!r}")
         if args.sweep == "p" and not hi < 1.0:
             parser.error(f"bad --grid {args.grid!r}: risk levels must lie in (0, 1)")
@@ -284,6 +284,8 @@ def _sweep_grid(args, parser: _Parser) -> np.ndarray:
 
 
 def cmd_analyze(args, parser: _Parser) -> int:
+    # validate the sweep before any work
+    grid = _sweep_grid(args, parser)
     if args.input:
         losses = read_loss_csv(args.input)
         digest = content_digest(args.input)
@@ -292,8 +294,6 @@ def cmd_analyze(args, parser: _Parser) -> int:
         digest = "synthetic"
     else:
         parser.error("analyze needs --input FILE or --synthetic")
-    # validate the sweep before any file is written
-    grid = _sweep_grid(args, parser)
     fixed = args.fixed_p if args.sweep == "rho" else args.fixed_rho
     out = _resolve_out(args) or Path(".")
     summary = summary_and_lorenz(losses)
@@ -532,8 +532,8 @@ def build_parser() -> _Parser:
     _add_rule_params(est)
     est.add_argument("--p", type=float, default=0.75, help="risk level")
     est.add_argument("--measure", help="distortion measure, e.g. var:0.75")
-    est.add_argument("--level", type=float, default=0.95, help="confidence level")
-    est.add_argument("--bandwidth", type=_bandwidth, default=0.1, help="KDE bandwidth")
+    est.add_argument("--level", type=_probability, default=0.95, help="confidence level")
+    est.add_argument("--bandwidth", type=_positive, default=0.1, help="KDE bandwidth")
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo studies")
@@ -561,16 +561,16 @@ def build_parser() -> _Parser:
     ana.add_argument("--synthetic", action="store_true",
                      help="use the bundled synthetic loss sample")
     ana.add_argument("--sweep", required=True, choices=("rho", "p"))
-    ana.add_argument("--fixed-p", type=float, default=0.9,
+    ana.add_argument("--fixed-p", type=_probability, default=0.9,
                      help="risk level when sweeping rho")
-    ana.add_argument("--fixed-rho", type=float, default=0.005,
+    ana.add_argument("--fixed-rho", type=_positive, default=0.005,
                      help="effective loading when sweeping p")
     ana.add_argument("--grid", help="sweep grid as lo:hi:count")
     ana.add_argument("--families", nargs="+",
                      default=["decreasing", "stddev", "sharpe"],
                      choices=("decreasing", "stddev", "sharpe"))
-    ana.add_argument("--level", type=float, default=0.95)
-    ana.add_argument("--bandwidth", type=_bandwidth, default=0.1)
+    ana.add_argument("--level", type=_probability, default=0.95)
+    ana.add_argument("--bandwidth", type=_positive, default=0.1)
     ana.add_argument("--svg", action="store_true", help="also render SVG plots")
     ana.set_defaults(func=cmd_analyze)
 
@@ -589,15 +589,24 @@ def _add_model_flags(p: _Parser, empirical: bool = True) -> None:
         p.add_argument("--input", help="loss CSV for an empirical model")
 
 
-def _bandwidth(text: str) -> float:
-    """--bandwidth: a positive finite number, checked before any work."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"bandwidth must be positive and finite, got {text}")
-    return value
+def _between(lo: float, hi: float):
+    """An argparse type for a number strictly between lo and hi, so that a
+    bad value is a usage error before any work."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"expected a number in ({lo:g}, {hi:g}), got {text}")
+        return value
+
+    return parse
+
+
+_positive = _between(0.0, math.inf)
+_probability = _between(0.0, 1.0)
 
 
 def _add_rule_params(p: _Parser) -> None:

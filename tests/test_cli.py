@@ -30,6 +30,10 @@ def loss_csv(tmp_path):
 PARETO = ["--model", "pareto", "--alpha", "9", "--lambda", "8"]
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a bad argument must stop the command before any work")
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out = run_cli(
@@ -126,6 +130,36 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "UsageError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--sweep", "rho", "--level", "1.5"],
+        ["--sweep", "rho", "--level", "0"],
+        ["--sweep", "rho", "--fixed-p", "1.5"],
+        ["--sweep", "rho", "--fixed-p", "nan"],
+        ["--sweep", "p", "--fixed-rho", "-1"],
+        ["--sweep", "p", "--fixed-rho", "inf"],
+        ["--sweep", "rho", "--grid", "0.01:inf:3"],
+        ["--sweep", "rho", "--grid", "nan:0.03:3"],
+    ], ids=" ".join)
+    def test_bad_analyze_value_is_usage_before_any_file(self, capsys, tmp_path, argv,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli, "make_synthetic_losses", _no_work)
+        code, out = run_cli(capsys, "analyze", "--synthetic", *argv,
+                            "--out", str(tmp_path / "out"))
+        assert code == 64
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("level", ["2", "1", "0", "-0.5", "nan"])
+    def test_bad_confidence_level_is_usage_before_the_estimate(self, capsys, tmp_path,
+                                                               loss_csv, level, monkeypatch):
+        monkeypatch.setattr(cli, "read_loss_csv", _no_work)
+        code, out = run_cli(capsys, "estimate", "--input", str(loss_csv), "--rule",
+                            "decreasing", "--delta", "0.5", "--level", level,
+                            "--out", str(tmp_path / "out"))
+        assert code == 64
+        assert json.loads(out)["error"]["type"] == "UsageError"
+        assert not (tmp_path / "out").exists()
+
     def test_version_flag(self, capsys):
         code, out = run_cli(capsys, "--version")
         assert code == 0
@@ -140,6 +174,14 @@ class TestOptimize:
         )
         assert code == 0
         assert json.loads(out)["d_star"] == pytest.approx(0.163716285415, abs=1e-9)
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_stop_loss_rejects_a_loading_that_is_not_finite(self, capsys, rho):
+        code, out = run_cli(capsys, "optimize", *PARETO, "--rule", "sl", "--rho", rho)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "DomainError"
+        assert "positive and finite" in err["message"]
 
     def test_spread_rules_default_portfolio_size(self, capsys):
         code, out = run_cli(
@@ -331,6 +373,18 @@ class TestAnalyze:
         assert len(curve) == 5
         svg = (out_dir / "curve_decreasing.svg").read_text()
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("sweep", ["rho", "p"])
+    def test_default_values_run(self, capsys, tmp_path, sweep):
+        """The defaults of --level, --fixed-p, --fixed-rho and the grid pass
+        the argument checks and give a curve without gaps."""
+        out_dir = tmp_path / "ana"
+        code, _ = run_cli(capsys, "analyze", "--synthetic", "--sweep", sweep,
+                          "--families", "decreasing", "--out", str(out_dir))
+        assert code == 0
+        rows = (out_dir / "curve_decreasing.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        assert all(row.endswith(",") for row in rows)  # no error column
 
     def test_requires_an_input_source(self, capsys):
         code, _ = run_cli(capsys, "analyze", "--sweep", "rho")

@@ -3,7 +3,8 @@ the safeguarded secant fixed point, and the golden-section refinement.
 
 The port must reproduce scipy's roots and iteration counts exactly, and
 raise the same error types, so solver results and iteration counters do not
-depend on which implementation ran.
+depend on which implementation ran.  Only the comparisons with scipy are
+skipped where it is not installed.
 """
 
 import math
@@ -12,8 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-optimize = pytest.importorskip("scipy.optimize")
 
 from xolopt import (
     DecreasingLoading,
@@ -37,7 +36,9 @@ from xolopt.numerics import (
 
 
 def _scipy(f, a, b):
-    """scipy's brentq with the port's tolerances and iteration cap."""
+    """scipy's brentq with the port's tolerances and iteration cap; the
+    calling test is skipped where scipy is not installed."""
+    optimize = pytest.importorskip("scipy.optimize")
     root, info = optimize.brentq(
         f, a, b, xtol=numerics.BRENT_XTOL, rtol=numerics.BRENT_RTOL,
         maxiter=numerics.BRENT_MAXITER, full_output=True,
@@ -170,6 +171,7 @@ def test_random_polynomials_match_scipy(roots, a, b):
     ],
 )
 def test_bracket_without_sign_change_raises_the_scipy_error(f, a, b):
+    optimize = pytest.importorskip("scipy.optimize")
     with pytest.raises(ValueError) as theirs:
         optimize.brentq(f, a, b)
     with pytest.raises(ValueError) as ours:
@@ -178,6 +180,7 @@ def test_bracket_without_sign_change_raises_the_scipy_error(f, a, b):
 
 
 def test_nan_raises_the_scipy_error():
+    optimize = pytest.importorskip("scipy.optimize")
     def f(x):
         return float("nan") if x > 0.5 else -1.0
 

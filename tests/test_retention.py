@@ -456,8 +456,8 @@ def _spy_on_moment_grid(monkeypatch) -> list:
 
 
 class TestRootStepsReadFloats:
-    """Root and golden-section steps read the Lomax moments at one float,
-    not at a 1-element array."""
+    """Root steps read the Lomax moments at one float, not at a 1-element
+    array."""
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
     def test_solve_retention(self, rule, monkeypatch):
@@ -535,12 +535,6 @@ class TestEdgeworth:
     REFS_O1 = {10: 1.6276, 25: 2.9634, 100: 6.3361}
     REFS_O3 = {10: 1.5921, 25: 2.9969, 100: 6.6660}
 
-    def test_calibration_constants(self):
-        # pinned: this pair reproduces every reference optimum below; no
-        # other sign/argument combination lands within 1e-2 of all of them
-        assert retention.SKEW_TERM_SIGN == 1.0
-        assert retention.HERMITE_AT_RISK_LEVEL is True
-
     @pytest.mark.parametrize("n", [10, 25, 100])
     def test_second_order_reference_optima(self, model, n):
         sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, n, 2)
@@ -560,27 +554,47 @@ class TestEdgeworth:
         assert abs(order2 - actual) < abs(plain - actual)
         assert abs(order3 - actual) < abs(order2 - actual)
 
-    def test_sign_convention_is_load_bearing(self, model, monkeypatch):
-        """Flipping the skew-term sign misses the frozen optimum."""
-        monkeypatch.setattr(retention, "SKEW_TERM_SIGN", -1.0)
-        try:
-            got = solve_retention_edgeworth(
-                model, ConstantLoading(0.3), 0.75, 100, 2
-            ).d_star
-        except Exception:
-            return
-        assert abs(got - self.REFS_O1[100]) > 1e-2
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [10, 25, 100])
+    def test_slope_is_the_derivative_of_the_objective(self, model, n, order):
+        rule = ConstantLoading(0.3)
+        d = np.geomspace(0.3, 20.0, 150)
+        h = 1e-5 * d
+        up, down = (edgeworth_objective(model, rule, 0.75, n, order, d + s * h) for s in (1, -1))
+        numeric = (up - down) / (2.0 * h)
+        slope = retention._edgeworth(model, rule, 0.75, n, order, d)[1]
+        scale = np.maximum(np.abs(slope), 1e-3 * n)
+        assert np.max(np.abs(slope - numeric) / scale) < 1e-6
 
-    def test_hermite_argument_is_load_bearing(self, model, monkeypatch):
-        """Evaluating Hermite terms at the normal quantile misses too."""
-        monkeypatch.setattr(retention, "HERMITE_AT_RISK_LEVEL", False)
-        try:
-            got = solve_retention_edgeworth(
-                model, ConstantLoading(0.3), 0.75, 100, 2
-            ).d_star
-        except Exception:
-            return
-        assert abs(got - self.REFS_O1[100]) > 1e-2
+    def test_optima_are_stable_under_slope_rounding(self, model, monkeypatch):
+        """A relative error of one ulp in the slope moves no optimum by more
+        than 1e-12."""
+        cases = [(n, order) for n in (10, 25, 100) for order in (2, 3)]
+        rule = ConstantLoading(0.3)
+        exact = [solve_retention_edgeworth(model, rule, 0.75, n, order).d_star
+                 for n, order in cases]
+        rng = np.random.default_rng(20)
+        edgeworth = retention._edgeworth
+
+        def rounded(*args):
+            value, slope = edgeworth(*args)
+            return value, slope * (1.0 + 2.2e-16 * rng.standard_normal(np.shape(slope)))
+
+        monkeypatch.setattr(retention, "_edgeworth", rounded)
+        for (n, order), want in zip(cases, exact):
+            for _ in range(5):
+                got = solve_retention_edgeworth(model, rule, 0.75, n, order).d_star
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, order", [(10, 2), (100, 3)])
+    def test_diagnostics_report_the_stationary_point(self, model, n, order):
+        sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, n, order)
+        diag = sol.diagnostics
+        assert math.isfinite(diag.stationarity_residual)
+        assert diag.stationarity_residual < 1e-9 * n
+        assert diag.smallest_stationary_point == sol.d_star
+        lo, hi = diag.bracket
+        assert lo <= sol.d_star <= hi
 
     @pytest.mark.parametrize("rho, n, order, d_star, lowest", [
         (0.3, 100, 3, 6.6675, True),
@@ -604,10 +618,14 @@ class TestEdgeworth:
         values = edgeworth_objective(model, rule, 0.75, n, order, grid)
         alone = [edgeworth_objective(model, rule, 0.75, n, order, float(d)) for d in grid]
         np.testing.assert_array_equal(values, alone)
+        # Brent reads the slope again at the ends of the cell the grid chose
+        slopes = retention._edgeworth(model, rule, 0.75, n, order, grid)[1]
+        alone = [retention._edgeworth(model, rule, 0.75, n, order, float(d))[1] for d in grid]
+        np.testing.assert_array_equal(slopes, alone)
 
     def test_grid_is_read_in_one_call(self, model, monkeypatch):
-        """One call reads the 200-point grid; only the golden steps and the
-        final point are read one at a time."""
+        """One call reads the 200-point grid; only the Brent steps, the
+        residual and the objective at the root are read one at a time."""
         sizes = []
         read = ParetoII.higher_truncated_moments
 
@@ -631,6 +649,11 @@ class TestStopLoss:
         """No finite retention when the premium beats the tail risk."""
         with pytest.raises(ConditionNotMet):
             stop_loss_retention(model, 5.0, 0.75)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.2])
+    def test_rejects_a_loading_that_is_not_positive_and_finite(self, model, rho):
+        with pytest.raises(DomainError, match="positive and finite"):
+            stop_loss_retention(model, rho, 0.75)
 
     def test_monotone_in_loading(self, model):
         vals = [stop_loss_retention(model, rho, 0.75) for rho in (0.1, 0.2, 0.3)]
