@@ -169,10 +169,18 @@ def _measure_from(args) -> DistortionMeasure:
 
 
 def cmd_optimize(args, parser: _Parser) -> int:
-    model, digest = _build_model(args, parser)
     if args.rule == "sl":
+        # one contract's VaR optimum at a constant loading: it reads no other
+        # measure, portfolio size or loading rule
+        ignored = [flag for flag, value in (("--measure", args.measure), ("--N", args.n),
+                                            ("--delta", args.delta), ("--rho0", args.rho0))
+                   if value is not None]
+        if ignored:
+            parser.error(f"--rule sl takes only --rho and --p, not {' '.join(ignored)}")
         if args.rho is None:
             parser.error("--rule sl requires --rho")
+    model, digest = _build_model(args, parser)
+    if args.rule == "sl":
         d = stop_loss_retention(model, args.rho, args.p)
         result = {"rule": "sl", "rho": args.rho, "p": args.p, "d_star": d}
     else:

@@ -47,31 +47,42 @@ class MinResult:
     iterations: int
 
 
-def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]:
-    """Root of f in [a, b] by Brent's method; returns (root, iterations).
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float | None = None,
+    fb: float | None = None,
+) -> tuple[float, int, float]:
+    """Root of f in [a, b] by Brent's method; returns (root, iterations,
+    f(root)).
 
     A line-by-line port of scipy's ``brentq.c``: the same bracket updates,
     inverse quadratic / secant steps and stopping rule, so roots and
     iteration counts agree bit for bit with ``scipy.optimize.brentq`` called
     with ``xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER``.  A
-    root at either end takes no iterations (scipy leaves its count unset
-    there).  Like scipy, raises ValueError when f(a) and f(b) have the same
-    sign or f returns NaN, and RuntimeError when the cap is reached.
+    caller that already holds f(a) or f(b) passes it as fa or fb, and f is
+    read only at the points the steps reach, each once; f(root) is the value
+    read there, not a further call.  A root at either end takes no
+    iterations (scipy leaves its count unset there).  Like scipy, raises
+    ValueError when f(a) and f(b) have the same sign or a value of f is
+    NaN, and RuntimeError when the cap is reached.
     """
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def checked(x: float, fx: float) -> float:
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = checked(xpre, f(xpre) if fa is None else fa)
+    fcur = checked(xcur, f(xcur) if fb is None else fb)
     if fpre == 0.0:
-        return xpre, 0
+        return xpre, 0, fpre
     if fcur == 0.0:
-        return xcur, 0
+        return xcur, 0, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -85,7 +96,7 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]
         delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, i
+            return xcur, i, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # secant step
@@ -110,7 +121,7 @@ def brentq(f: Callable[[float], float], a: float, b: float) -> tuple[float, int]
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
@@ -153,6 +164,9 @@ def expand_and_solve(
 
     Requires f(lo) <= 0.  The upper end doubles from hi_start until
     f(hi) > 0; if EXPAND_CAP is passed first, no root exists in range.
+    Brent's method starts from f(lo) and the last probe's value, so f is
+    read once at each point: lo, the probes and Brent's steps.  The
+    residual is the value Brent's method read at the root.
     """
     flo = f(lo)
     if flo > 0.0:
@@ -160,18 +174,19 @@ def expand_and_solve(
         # collapses onto the bracket start.
         return RootResult(root=lo, residual=flo, bracket=(lo, lo), iterations=0)
     hi = max(hi_start, lo * 2.0, 1e-12)
-    expansions = 0
-    while f(hi) <= 0.0:
+    fhi, expansions = f(hi), 0
+    while fhi <= 0.0:
         hi *= 2.0
         expansions += 1
         if hi > EXPAND_CAP:
             raise NoRootFound(
                 f"no sign change found up to {EXPAND_CAP:g}; retention appears unbounded"
             )
-    root, iterations = brentq(f, lo, hi)
+        fhi = f(hi)
+    root, iterations, residual = brentq(f, lo, hi, flo, fhi)
     return RootResult(
         root=root,
-        residual=float(f(root)),
+        residual=residual,
         bracket=(float(lo), float(hi)),
         iterations=iterations + expansions,
     )

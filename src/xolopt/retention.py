@@ -400,11 +400,12 @@ def solve_retention(
                 f"P(X=0) = {model.prob_zero():g} >= {_atom_level(rule, measure, n):g}"
             )
         d2 = model.upper_quantile(_atom_level(rule, measure, n))
+        q = (rule.scale(n) / phi) ** 2
         if isinstance(model, EmpiricalLosses):
-            best = _flat_root_on_claims(model, (rule.scale(n) / phi) ** 2, d2)
+            best = _flat_root_on_claims(model, q, d2)
         else:
             best = expand_and_solve(
-                lambda d: stationarity_function(model, rule, measure, n, d),
+                lambda d: float(_flat_condition(q, model.moment_grid(d))),
                 lo=d2,
                 hi_start=max(2.0 * d2, 1.0),
             )
@@ -462,7 +463,8 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     losses and of their squares over n, the function is the quadratic
     A d^2 - 2 B d + C with A = a e, B = b e and C = b^2 - q (m2 - b^2).  The
     root is the larger one, (B + sqrt(B^2 - A C)) / A, which does not cancel
-    since B >= 0.
+    since B >= 0.  The residual is the function read at the root, as
+    `stationarity_function` reads it, not the rounded quadratic.
     """
     x = emp.losses
 
@@ -487,7 +489,7 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     e = a - q * at_zero["sbar"]
     big_a, big_b, big_c = a * e, b * e, b * b - q * (m2 - b * b)
     root = float((big_b + math.sqrt(max(big_b * big_b - big_a * big_c, 0.0))) / big_a)
-    residual = float(big_a * root * root - 2.0 * big_b * root + big_c)
+    residual = float(_flat_condition(q, emp.moment_grid(root)))
     bracket = (float(x[lo]), float(x[hi]) if hi < emp.n else math.inf)
     return RootResult(root, residual, bracket, 0)
 
@@ -504,12 +506,15 @@ def _knot_sides(
     # falls with the ceded mean, so the marginal load tends to 0 too (the
     # formula reads 0 * inf at the largest loss of an empirical model)
     empty = t["nu1"] == 0.0
+
+    def limit(sbar):
+        return (_capped_slope(phi, sbar, t)
+                + np.where(empty, 0.0, rule.marginal_load(n, sbar, t["nu1"], t["nu2"])))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        left, right = (
-            _capped_slope(phi, sbar, t)
-            + np.where(empty, 0.0, rule.marginal_load(n, sbar, t["nu1"], t["nu2"]))
-            for sbar in (t["sbar_left"], t["sbar"])
-        )
+        right = limit(t["sbar"])
+        # where sbar does not jump (the Lomax table), the two limits agree
+        left = right if t["sbar_left"] is t["sbar"] else limit(t["sbar_left"])
     return t, left, right
 
 
@@ -524,9 +529,13 @@ def _rising_roots(
     knots j and j + 1.  Taken in order, the limits rise through zero either
     across a knot or in a cell.  A rise across a knot is a kink root: the
     knot, or the point below it when the derivative is smaller in size
-    there, the end a Brent step on those two points would return.  A rising
-    cell is bracketed by (knots[j], below[j + 1]) and solved by Brent's
-    method.  Only pairs of finite limits count.
+    there, the end a Brent step on those two points would return; its
+    residual is that limit.  A rising cell is bracketed by
+    (knots[j], below[j + 1]) and solved by Brent's method, which starts from
+    the limits the table holds: right[j] at the lower end, and left[j + 1]
+    at the upper end where below[j + 1] is knot j + 1 itself (smooth knots).
+    So each retention is read once, and the residual is the value Brent's
+    method read at the root.  Only pairs of finite limits count.
     """
     knots, below = t["knots"], t["below"]
     values = np.column_stack([left, right]).ravel()
@@ -541,11 +550,11 @@ def _rising_roots(
                               else (bracket[1], right[j]))
             roots.append(RootResult(root, float(residual), bracket, 0))
         else:  # between knots j and j + 1
-            cell = partial(derivative, j=j)
             lo, hi = float(knots[j]), float(below[j + 1])
+            f_hi = left[j + 1] if below[j + 1] == knots[j + 1] else None
             with np.errstate(divide="ignore", invalid="ignore"):
-                root, iterations = brentq(cell, lo, hi)
-                residual = float(cell(root))
+                root, iterations, residual = brentq(partial(derivative, j=j), lo, hi,
+                                                    right[j], f_hi)
             roots.append(RootResult(root, residual, (lo, hi), iterations))
     return roots, (float(below[0]), float(knots[-1]))
 

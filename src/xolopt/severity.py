@@ -487,9 +487,19 @@ class EmpiricalLosses(SeverityModel):
 
 
 def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
-    """Skewness and excess kurtosis from the central moments of min(X, d)."""
+    """Skewness and excess kurtosis from the central moments of min(X, d).
+
+    A retention without capped variance raises DegenerateVariance, which
+    names it and, for a grid, the first such point and the grid's ends."""
     if not np.all(var > 0.0):
-        raise DegenerateVariance(f"capped loss at d={d} has zero variance")
+        if np.ndim(d) == 0:
+            raise DegenerateVariance(f"capped loss at d={d} has zero variance")
+        grid = np.ravel(d)
+        first = np.flatnonzero(~(np.ravel(var) > 0.0))[0]
+        raise DegenerateVariance(
+            f"capped loss at d={float(grid[first])} has zero variance (the first "
+            f"such point of {grid.size} retentions from {float(grid[0])} to {float(grid[-1])})"
+        )
     kappa3, kappa4 = third / np.power(var, 1.5), fourth / (var * var) - 3.0
     if np.ndim(d) == 0:
         d, kappa3, kappa4 = float(d), float(kappa3), float(kappa4)

@@ -183,6 +183,22 @@ class TestOptimize:
         assert err["type"] == "DomainError"
         assert "positive and finite" in err["message"]
 
+    @pytest.mark.parametrize("flag", [["--measure", "es:0.9"], ["--N", "25"],
+                                      ["--delta", "0.5"], ["--rho0", "0.5"]], ids=" ".join)
+    def test_stop_loss_rejects_a_flag_it_would_ignore(self, capsys, tmp_path, flag,
+                                                      monkeypatch):
+        """The stop-loss retention is the VaR, constant-loading answer at
+        --rho and --p; any other measure, size or loading is a usage error,
+        raised before the model is built."""
+        monkeypatch.setattr(cli, "_build_model", _no_work)
+        monkeypatch.setattr(cli, "stop_loss_retention", _no_work)
+        code, out = run_cli(capsys, "optimize", *PARETO, "--rule", "sl", "--rho", "0.3",
+                            *flag, "--out", str(tmp_path / "out"))
+        assert code == 64
+        err = json.loads(out)["error"]
+        assert err["type"] == "UsageError" and flag[0] in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_spread_rules_default_portfolio_size(self, capsys):
         code, out = run_cli(
             capsys, "optimize", *PARETO, "--rule", "stddev", "--rho0", "0.5"

@@ -1,10 +1,11 @@
 """The Brent root finder in xolopt.numerics against scipy.optimize.brentq,
 the safeguarded secant fixed point, and the golden-section refinement.
 
-The port must reproduce scipy's roots and iteration counts exactly, and
-raise the same error types, so solver results and iteration counters do not
-depend on which implementation ran.  Only the comparisons with scipy are
-skipped where it is not installed.
+The port must reproduce scipy's roots and iteration counts exactly, whether
+it reads f at the bracket ends itself or is handed the values there, return
+f at the root as a fresh call gives it, and raise the same error types, so
+solver results and iteration counters do not depend on which implementation
+ran.  Only the comparisons with scipy are skipped where it is not installed.
 """
 
 import math
@@ -36,22 +37,33 @@ from xolopt.numerics import (
 
 
 def _scipy(f, a, b):
-    """scipy's brentq with the port's tolerances and iteration cap; the
-    calling test is skipped where scipy is not installed."""
+    """scipy's brentq with the port's tolerances and iteration cap, and f
+    read afresh at its root; the calling test is skipped where scipy is not
+    installed."""
     optimize = pytest.importorskip("scipy.optimize")
     root, info = optimize.brentq(
         f, a, b, xtol=numerics.BRENT_XTOL, rtol=numerics.BRENT_RTOL,
         maxiter=numerics.BRENT_MAXITER, full_output=True,
     )
-    return root, info.iterations
+    return root, info.iterations, float(f(root))
 
 
 def _outcome(solver, *args):
-    """(root, iterations), or the type and text of the error raised."""
+    """(root, iterations, f(root)), or the type and text of the error
+    raised."""
     try:
         return solver(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+def _both(f, a, b):
+    """The port's outcome, which must be the same whether it reads f at the
+    bracket ends itself or is handed f(a) and f(b), as the solvers hand it
+    the values they hold."""
+    outcome = _outcome(brentq, f, a, b)
+    assert _outcome(brentq, f, a, b, f(a), f(b)) == outcome
+    return outcome
 
 
 def _plateau(x):
@@ -81,7 +93,7 @@ CASES = [
 @pytest.mark.parametrize("xtol", [2e-12, 1e-12, 1e-6])
 def test_matches_scipy_exactly(name, f, a, b, xtol, monkeypatch):
     monkeypatch.setattr(numerics, "BRENT_XTOL", xtol)
-    assert brentq(f, a, b) == _scipy(f, a, b)
+    assert _both(f, a, b) == _scipy(f, a, b)
 
 
 @pytest.mark.parametrize(
@@ -91,19 +103,19 @@ def test_root_at_a_bracket_end(f, a, b):
     # scipy returns the end without entering its loop and leaves the
     # iteration count unset (it reads back as arbitrary memory), so only the
     # root is comparable; the port counts no iterations
-    root, iterations = brentq(f, a, b)
+    root, iterations, value = _both(f, a, b)
     assert root == _scipy(f, a, b)[0]
-    assert f(root) == 0.0 and iterations == 0
+    assert f(root) == value == 0.0 and iterations == 0
 
 
 def test_iteration_cap_matches_scipy(monkeypatch):
     f = CASES[0][1]
     monkeypatch.setattr(numerics, "BRENT_MAXITER", 3)
-    failure = _outcome(brentq, f, 2.0, 3.0)
+    failure = _both(f, 2.0, 3.0)
     assert failure == _outcome(_scipy, f, 2.0, 3.0)
     assert failure[0] is RuntimeError
     monkeypatch.setattr(numerics, "BRENT_MAXITER", 200)
-    assert brentq(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0)
+    assert _both(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0)
 
 
 def test_decreasing_rule_stationarity_on_the_solver_bracket():
@@ -129,7 +141,10 @@ def test_spread_rule_solves_match_scipy(rule):
     lo, hi = sol.diagnostics.bracket
     assert lo < sol.d_star < hi
     expected = _scipy(lambda d: stationarity_function(model, rule, measure, 100, d), lo, hi)
-    assert (sol.d_star, sol.diagnostics.iterations) == expected
+    root, iterations, value = expected
+    diag = sol.diagnostics
+    assert (sol.d_star, diag.iterations, diag.stationarity_residual) == (
+        root, iterations, abs(value))
 
 
 # interpolated, the cell [2, 3] makes the inverse quadratic step's
@@ -143,7 +158,9 @@ def test_underflowing_interpolation_step_bisects_like_scipy():
     def f(x):
         return float(np.interp(x, grid, UNDERFLOWING_VALUES))
 
-    assert brentq(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0) == (2.0000000004147083, 4)
+    result = _both(f, 2.0, 3.0)
+    assert result == _scipy(f, 2.0, 3.0)
+    assert result[:2] == (2.0000000004147083, 4)
 
 
 @given(
@@ -160,7 +177,7 @@ def test_random_polynomials_match_scipy(roots, a, b):
     def f(x):
         return float(np.prod([x - r for r in roots]))
 
-    assert _outcome(brentq, f, a, b) == _outcome(_scipy, f, a, b)
+    assert _both(f, a, b) == _outcome(_scipy, f, a, b)
 
 
 @pytest.mark.parametrize(
@@ -188,6 +205,13 @@ def test_nan_raises_the_scipy_error():
         optimize.brentq(f, 0.0, 1.0)
     with pytest.raises(ValueError):
         brentq(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("fa, fb", [(math.nan, 1.0), (-1.0, math.nan)])
+def test_a_nan_end_value_raises(fa, fb):
+    """An end value handed in is checked as one read by the port."""
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: x - 0.5, 0.0, 1.0, fa, fb)
 
 
 def test_golden_refine_finds_the_vertex_of_a_parabola():

@@ -13,6 +13,7 @@ from xolopt.errors import (
     AtomConditionViolated,
     ConditionNotMet,
     ConditionViolated,
+    DegenerateVariance,
     DomainError,
     NonpositivePhi,
     NoRootFound,
@@ -474,8 +475,92 @@ class TestRootStepsReadFloats:
         sol = solve_retention_edgeworth(ParetoII(9.0, 8.0), ConstantLoading(0.3), 0.75, 25, 3)
         grid = reads.pop(0)  # the objective on its 200-point grid
         assert isinstance(grid, np.ndarray) and grid.size == 200
-        assert len(reads) == sol.diagnostics.iterations + 3
+        # Brent starts from the grid's slopes and stops without a step at
+        # its last iteration; then the objective at the root
+        assert len(reads) == sol.diagnostics.iterations
         assert all(isinstance(d, float) for d in reads)
+
+
+# the Lomax model and a 2000-claim plug-in model, each keeping its knot table
+MODELS = {"lomax": ParetoII(9.0, 8.0),
+          "empirical": EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 3))}
+
+
+def _spy_on_reads(monkeypatch) -> list:
+    """(name, retention) of every `moment_grid` and `moments_in_cell` call
+    at one retention, on both models, in order; ("objective", None) marks
+    each call of `retention.objective`, which `solve_retention` makes only
+    once its root search is done."""
+    reads = []
+
+    def spy(name, read):
+        def wrapped(self, d, *args):
+            if np.ndim(d) == 0:
+                reads.append((name, float(d)))
+            return read(self, d, *args)
+        return wrapped
+
+    for cls in (ParetoII, EmpiricalLosses):
+        for name in ("moment_grid", "moments_in_cell"):
+            monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+
+    def marked(*args):
+        reads.append(("objective", None))
+        return objective(*args)
+
+    monkeypatch.setattr(retention, "objective", marked)
+    return reads
+
+
+class TestRootSearchReadsEachRetentionOnce:
+    """Brent starts from the end values its caller holds and returns the
+    value at its root: a root search reads the first-order condition once at
+    each retention, and the residual is that read."""
+
+    @pytest.mark.parametrize("measure", [VAR75, DistortionMeasure("es", 0.9)],
+                             ids=lambda m: m.describe())
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_residual_is_the_condition_at_the_root(self, kind, rule, measure):
+        model = MODELS[kind]
+        sol = solve_retention(model, rule, measure, 100)
+        fresh = abs(stationarity_function(model, rule, measure, 100, sol.d_star))
+        assert sol.diagnostics.stationarity_residual.hex() == fresh.hex()
+
+    def test_residual_of_a_kink_root_below_a_claim_is_the_left_limit(self):
+        """A kink root is taken at the float below a claim when the
+        derivative's left-hand limit there is the smaller in size; its
+        residual is that limit, which the function read at that float
+        gives only to rounding."""
+        emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 1))
+        rule, measure = SharpeLoading(0.5), DistortionMeasure("es", 0.9)
+        sol = solve_retention(emp, rule, measure, 10)
+        t, left, _ = retention._knot_sides(emp, rule, measure.phi_normal(), 10)
+        (j,) = np.flatnonzero(t["below"] == sol.d_star)
+        assert sol.diagnostics.bracket == (t["below"][j], t["knots"][j])
+        assert sol.diagnostics.stationarity_residual == abs(left[j])
+        fresh = abs(stationarity_function(emp, rule, measure, 10, sol.d_star))
+        assert fresh == pytest.approx(abs(left[j]), rel=1e-9)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_no_retention_is_read_twice(self, kind, rule, monkeypatch):
+        model = MODELS[kind]
+        model.knots()
+        reads = _spy_on_reads(monkeypatch)
+        sol = solve_retention(model, rule, VAR75, 100)
+        search = reads[:reads.index(("objective", None))]
+        for name in ("moment_grid", "moments_in_cell"):
+            points = [d for what, d in search if what == name]
+            assert len(points) == len(set(points))
+        if kind == "lomax":
+            # the lower end, each probe and each Brent step but the last,
+            # which stops without one; a spread rule's cell starts from the
+            # knot table, and the Lomax cell reads through moment_grid
+            steps = [d for what, d in search if what == "moment_grid"]
+            expected = sol.diagnostics.iterations + (-1 if rule.spread_dependent else 1)
+            assert len(steps) == expected
+            assert sol.d_star in steps
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
@@ -623,9 +708,20 @@ class TestEdgeworth:
         alone = [retention._edgeworth(model, rule, 0.75, n, order, float(d))[1] for d in grid]
         np.testing.assert_array_equal(slopes, alone)
 
+    def test_sample_without_capped_variance_at_the_grid_start(self):
+        """The grid starts at the 1e-4 quantile, which for 2000 claims is the
+        smallest claim, where min(X, d) is constant: the solve raises, and
+        the message names that retention and the grid's ends."""
+        emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 3))
+        with pytest.raises(DegenerateVariance) as err:
+            solve_retention_edgeworth(emp, ConstantLoading(0.3), 0.75, 25, 3)
+        lo, hi = emp.losses[0], emp.quantile(1.0 - 1e-6)
+        assert str(err.value) == (f"capped loss at d={lo} has zero variance (the first "
+                                  f"such point of 200 retentions from {lo} to {hi})")
+
     def test_grid_is_read_in_one_call(self, model, monkeypatch):
-        """One call reads the 200-point grid; only the Brent steps, the
-        residual and the objective at the root are read one at a time."""
+        """One call reads the 200-point grid; only the Brent steps and the
+        objective at the root are read one at a time."""
         sizes = []
         read = ParetoII.higher_truncated_moments
 
@@ -636,7 +732,7 @@ class TestEdgeworth:
         monkeypatch.setattr(ParetoII, "higher_truncated_moments", spy)
         sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
         assert sizes[0] == 200
-        assert sizes[1:] == [1] * (sol.diagnostics.iterations + 3)
+        assert sizes[1:] == [1] * sol.diagnostics.iterations
 
 
 class TestStopLoss:

@@ -348,6 +348,18 @@ class TestKnots:
             with pytest.raises(DegenerateVariance):
                 model.higher_truncated_moments(d)
 
+    def test_degenerate_grid_names_its_first_point_and_ends(self):
+        """min(X, d) is constant for d at or below the smallest loss 1.0;
+        the message names the first such retention of the grid and the
+        grid's two ends, not the whole grid."""
+        emp = EmpiricalLosses([1.0, 1.0, 2.0, 5.0])
+        with pytest.raises(DegenerateVariance) as err:
+            emp.higher_truncated_moments(np.array([1.5, 0.5, 3.0, 1.0, 0.8]))
+        assert str(err.value) == ("capped loss at d=0.5 has zero variance (the first such "
+                                  "point of 5 retentions from 1.5 to 0.8)")
+        with pytest.raises(DegenerateVariance, match=r"^capped loss at d=0.5 has zero variance$"):
+            emp.higher_truncated_moments(0.5)
+
     @pytest.mark.parametrize("zeros", [0, 40])
     def test_empirical_knots_end_at_the_0999_quantile(self, zeros):
         x = np.concatenate([np.zeros(zeros), np.round(ParetoII(9.0, 8.0).sample(3000, 4), 2)])
