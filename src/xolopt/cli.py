@@ -209,7 +209,7 @@ def cmd_estimate(args, parser: _Parser) -> int:
     digest = content_digest(args.input)
     rule = _build_rule(args, parser)
     measure = _measure_from(args)
-    result = _estimate(losses, rule, measure, args.level, args.bandwidth).to_json_dict()
+    result = _estimate(losses, rule, measure, args.level).to_json_dict()
     _print_json(result)
     out = _resolve_out(args)
     if out is not None:
@@ -317,16 +317,14 @@ def cmd_analyze(args, parser: _Parser) -> int:
     write_csv_atomic(
         out / "lorenz.csv", ("u", "share"), [tuple(pt) for pt in summary.lorenz]
     )
+    emp = EmpiricalLosses(losses)
     xs = np.linspace(0.0, float(np.quantile(losses, 0.99)), 200)
-    dens = kde_density(losses, xs, args.bandwidth)
+    dens = kde_density(emp, xs)
     write_csv_atomic(out / "density.csv", ("x", "density"), list(zip(xs, dens)))
 
     curves = {}
     for family in args.families:
-        points = retention_curve(
-            losses, family, args.sweep, grid, fixed,
-            level=args.level, bandwidth=args.bandwidth,
-        )
+        points = retention_curve(emp, family, args.sweep, grid, fixed, level=args.level)
         curves[family] = points
         write_csv_atomic(
             out / f"curve_{family}.csv",
@@ -541,7 +539,6 @@ def build_parser() -> _Parser:
     est.add_argument("--p", type=float, default=0.75, help="risk level")
     est.add_argument("--measure", help="distortion measure, e.g. var:0.75")
     est.add_argument("--level", type=_probability, default=0.95, help="confidence level")
-    est.add_argument("--bandwidth", type=_positive, default=0.1, help="KDE bandwidth")
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo studies")
@@ -578,7 +575,6 @@ def build_parser() -> _Parser:
                      default=["decreasing", "stddev", "sharpe"],
                      choices=("decreasing", "stddev", "sharpe"))
     ana.add_argument("--level", type=_probability, default=0.95)
-    ana.add_argument("--bandwidth", type=_positive, default=0.1)
     ana.add_argument("--svg", action="store_true", help="also render SVG plots")
     ana.set_defaults(func=cmd_analyze)
 

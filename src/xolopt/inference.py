@@ -83,7 +83,6 @@ def estimate_decreasing(
     delta: float,
     measure: DistortionMeasure,
     level: float = 0.95,
-    bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the decreasing loading rule.
 
@@ -93,7 +92,7 @@ def estimate_decreasing(
     (-delta, 0, 0) in (sbar, nu1, nu2); the coefficients are reported as
     c0..c5.
     """
-    return _estimate_rule(losses, DecreasingLoading(delta), measure, level, bandwidth)
+    return _estimate_rule(losses, DecreasingLoading(delta), measure, level)
 
 
 def estimate_sd(
@@ -101,10 +100,9 @@ def estimate_sd(
     rho0: float,
     measure: DistortionMeasure,
     level: float = 0.95,
-    bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the standard-deviation loading."""
-    return _estimate_rule(losses, StdDevLoading(rho0), measure, level, bandwidth)
+    return _estimate_rule(losses, StdDevLoading(rho0), measure, level)
 
 
 def estimate_sharpe(
@@ -112,10 +110,9 @@ def estimate_sharpe(
     rho0: float,
     measure: DistortionMeasure,
     level: float = 0.95,
-    bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Estimate the optimal retention under the Sharpe-ratio loading."""
-    return _estimate_rule(losses, SharpeLoading(rho0), measure, level, bandwidth)
+    return _estimate_rule(losses, SharpeLoading(rho0), measure, level)
 
 
 # the letter each rule's coefficients are reported under
@@ -127,7 +124,6 @@ def _estimate_rule(
     rule: LoadingRule,
     measure: DistortionMeasure,
     level: float,
-    bandwidth: float,
     sol: RetentionSolution | None = None,
 ) -> EstimationResult:
     """Plug-in estimate under any rule, with its delta-method standard error.
@@ -151,7 +147,8 @@ def _estimate_rule(
     if var_mu <= 0.0 or (rule.spread_dependent and tm.nu2 - tm.nu1 ** 2 <= 0.0):
         raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")
     x = emp.losses
-    fhat = float(kde_density(x, d_hat, bandwidth))
+    # at a flat rate's root phi gap/sd = c(N): c1 below vanishes, and so does the density's term
+    fhat = kde_density(emp, d_hat) if rule.spread_dependent else 0.0
     sbar = tm.sbar
     sd_mu = math.sqrt(var_mu)
     load_sbar, load_nu1, load_nu2 = rule.load_gradient(emp.n, sbar, tm.nu1, tm.nu2)
@@ -216,10 +213,9 @@ def _estimate(
     rule: LoadingRule,
     measure: DistortionMeasure,
     level: float = 0.95,
-    bandwidth: float = 0.1,
 ) -> EstimationResult:
     """Plug-in estimate under any rule that has an estimator."""
-    return globals()[_ESTIMATE[type(rule)]](losses, rule.theta, measure, level, bandwidth)
+    return globals()[_ESTIMATE[type(rule)]](losses, rule.theta, measure, level)
 
 
 def retention_curve(
@@ -229,7 +225,6 @@ def retention_curve(
     grid,
     fixed: float,
     level: float = 0.95,
-    bandwidth: float = 0.1,
 ) -> list[CurvePoint]:
     """Estimated retention as a function of the loading or the risk level.
 
@@ -251,12 +246,9 @@ def retention_curve(
         p = float(fixed) if sweep == "rho" else float(value)
         try:
             measure = DistortionMeasure.var(p)
-            result, param_guess = _estimate_at_effective_rho(
-                emp, cls, rho, measure, level, bandwidth, param_guess
-            )
-            points.append(
-                CurvePoint(float(value), result.d_hat, result.ci[0], result.ci[1])
-            )
+            result, param_guess = _estimate_at_effective_rho(emp, cls, rho, measure, level,
+                                                             param_guess)
+            points.append(CurvePoint(float(value), result.d_hat, *result.ci))
         except XoloptError as exc:  # gap marker, sweep continues
             points.append(
                 CurvePoint(float(value), float("nan"), float("nan"), float("nan"),
@@ -277,7 +269,6 @@ def _estimate_at_effective_rho(
     rho: float,
     measure: DistortionMeasure,
     level: float,
-    bandwidth: float,
     param_guess: float | None,
 ):
     """Map a target effective loading to the rule parameter and estimate.
@@ -294,7 +285,7 @@ def _estimate_at_effective_rho(
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
-        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level, bandwidth), None
+        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level), None
     solved: dict[float, RetentionSolution] = {}
 
     def target(param: float) -> float:
@@ -303,4 +294,4 @@ def _estimate_at_effective_rho(
 
     start = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
     param, _ = fixed_point(target, start)
-    return _estimate_rule(emp, cls(param), measure, level, bandwidth, solved[param]), param
+    return _estimate_rule(emp, cls(param), measure, level, solved[param]), param

@@ -30,12 +30,7 @@ from .errors import (
     NonpositivePhi,
     NoRootFound,
 )
-from .numerics import (
-    RootResult,
-    brentq,
-    expand_and_solve,
-    log_spaced_grid,
-)
+from .numerics import RootResult, brentq, expand_and_solve
 from .severity import EmpiricalLosses, ParetoII, SeverityModel
 
 class LoadingRule:
@@ -530,7 +525,8 @@ def _rising_roots(
     across a knot or in a cell.  A rise across a knot is a kink root: the
     knot, or the point below it when the derivative is smaller in size
     there, the end a Brent step on those two points would return; its
-    residual is that limit.  A rising cell is bracketed by
+    residual is the limit at the knot, and the derivative read in the cell
+    below (j - 1) at a point below it.  A rising cell is bracketed by
     (knots[j], below[j + 1]) and solved by Brent's method, which starts from
     the limits the table holds: right[j] at the lower end, and left[j + 1]
     at the upper end where below[j + 1] is knot j + 1 itself (smooth knots).
@@ -548,6 +544,9 @@ def _rising_roots(
             bracket = (float(below[j]), float(knots[j]))
             root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
                               else (bracket[1], right[j]))
+            if root < knots[j]:  # read in the cell below, -1 below the first knot
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    residual = derivative(root, j - 1)
             roots.append(RootResult(root, float(residual), bracket, 0))
         else:  # between knots j and j + 1
             lo, hi = float(knots[j]), float(below[j + 1])
@@ -615,22 +614,20 @@ def solve_retention_edgeworth(
     order=2 keeps the skewness correction (error o(1)); order=3 adds the
     kurtosis term (error o(1/sqrt(N))).  Only the plain quantile risk level
     p is supported here.  The optimum is the first point where the refined
-    objective's derivative rises through zero on a 200-point log grid, read
-    in one call, solved by Brent's method in its cell (`_rising_roots`);
-    `is_global_grid_min` says whether it is also below every grid value.
+    objective's derivative rises through zero on the model's knots, read in
+    one call, solved by Brent's method in its cell (`_rising_roots`);
+    `is_global_grid_min` says whether it is also below every knot's value.
     """
     # The corrected objective flattens toward the no-ceding asymptote and may
     # dip below the interior basin far in the tail, where the polynomial
     # correction is no longer a valid quantile approximation.  The meaningful
     # solution is the first interior dip.
-    grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
-    values, slopes = _edgeworth(model, rule, p, n, order, grid)
-    roots, _ = _rising_roots({"knots": grid, "below": grid}, slopes, slopes,
-                             lambda d, j: _edgeworth(model, rule, p, n, order, d)[1])
+    t = model.knots()
+    values, slopes = _edgeworth(model, rule, p, n, order, t["knots"])
+    roots, (lo, hi) = _rising_roots(t, slopes, slopes,
+                                    lambda d, j: _edgeworth(model, rule, p, n, order, d)[1])
     if not roots:
-        raise NoRootFound(
-            f"refined objective has no interior dip on [{grid[0]:g}, {grid[-1]:g}]"
-        )
+        raise NoRootFound(f"refined objective has no interior dip on [{lo:g}, {hi:g}]")
     best = roots[0]
     value = edgeworth_objective(model, rule, p, n, order, best.root)
     measure = DistortionMeasure.var(p)

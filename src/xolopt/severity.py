@@ -248,8 +248,9 @@ class SeverityModel:
         raise NotImplementedError
 
     def moments_in_cell(self, d: float, j: int) -> dict:
-        """The moments at one retention d between knots j and j + 1, as
-        floats that equal the `moment_grid` arrays' entries at d."""
+        """The moments at one retention d between knots j and j + 1 (below
+        the first knot for j = -1), as floats that equal the `moment_grid`
+        arrays' entries at d."""
         raise NotImplementedError
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
@@ -472,7 +473,9 @@ class EmpiricalLosses(SeverityModel):
                 **self.cell_moments(claims, k), "sbar_left": (self.n - k_left) / self.n}
 
     def moments_in_cell(self, d: float, j: int) -> dict:
-        return self.cell_moments(d, int(self.knots()["k"][j]))
+        # below the first knot the count is read at d
+        k = self.knots()["k"][j] if j >= 0 else np.searchsorted(self.losses, d, side="right")
+        return self.cell_moments(d, int(k))
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
         if not np.all(np.asarray(d) > 0.0):
@@ -506,32 +509,38 @@ def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
     return HigherTruncatedMoments(d, kappa3, kappa4)
 
 
-# kernel terms evaluated at once by kde_density
-_KDE_TERMS = 1 << 16
+def kde_density(losses, x):
+    """Gaussian kernel density estimate of the loss density at x >= 0.
 
-
-def kde_density(losses, x, bandwidth: float = 0.1):
-    """Gaussian kernel density estimate of the loss density at x.
-
-    Accepts scalar or array x; the bandwidth is the kernel standard
-    deviation on the loss scale.  The points are taken a block at a time,
-    about _KDE_TERMS kernel terms each, so memory does not grow with the
-    number of points times the number of losses; each point's terms are
-    summed alone, so the blocking moves no bit.
+    losses is an `EmpiricalLosses` model or a loss sample.  The bandwidth is
+    the sample's own, Silverman's rule (Density Estimation, 1986, eq. 3.31):
+    h = 0.9 min(sd, IQR/1.34) n^(-1/5), with the sd alone where the quartiles
+    coincide; a sample without spread raises DegenerateVariance.  Losses are
+    nonnegative, so the kernels are reflected at 0.  Each point sums the
+    kernels of the claims, and of their mirror images, within 9h of it: a
+    term left out is below exp(-40.5).  The points are taken one at a time,
+    so memory does not grow with their number, and a point's density does
+    not depend on the others.
     """
-    if not 0.0 < bandwidth < math.inf:
-        raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
-    losses = np.asarray(losses, dtype=float).ravel()
-    if losses.size == 0:
-        raise DomainError("need at least one loss for a density estimate")
+    emp = losses if isinstance(losses, EmpiricalLosses) else EmpiricalLosses(losses)
+    claims = emp.losses
+    if claims[0] == claims[-1]:
+        raise DegenerateVariance("a sample without spread has no density bandwidth")
+    dev = claims - emp.mean()
+    sd, iqr = math.sqrt(dev @ dev / emp.n), emp.quantile(0.75) - emp.quantile(0.25)
+    h = 0.9 * (min(sd, iqr / 1.34) if iqr > 0.0 else sd) * emp.n ** -0.2
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    cut = 9.0 * h
+    lo, hi, mirrored = (np.searchsorted(claims, v) for v in (xs - cut, xs + cut, cut - xs))
     sums = np.empty(xs.shape)
-    step = max(1, _KDE_TERMS // losses.size)
-    for i in range(0, xs.size, step):
-        z = (xs[i:i + step, None] - losses[None, :]) / bandwidth
-        sums[i:i + step] = np.exp(-0.5 * z * z).sum(axis=1)
-    dens = sums / (losses.size * bandwidth * math.sqrt(2.0 * math.pi))
-    return float(dens[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else dens
+    for i, at in enumerate(xs):
+        z = at - np.concatenate([claims[lo[i]:hi[i]], -claims[:mirrored[i]]])
+        z /= h
+        z *= z
+        z *= -0.5
+        sums[i] = np.exp(z, out=z).sum()
+    dens = sums / (emp.n * h * math.sqrt(2.0 * math.pi))
+    return float(dens[0]) if np.ndim(x) == 0 else dens
 
 
 def summary_and_lorenz(losses) -> LossSummary:

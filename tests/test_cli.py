@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xolopt import cli, distortion
-from xolopt.severity import ParetoII, kde_density
+from xolopt.severity import ParetoII
 
 
 def run_cli(capsys, *argv):
@@ -117,14 +117,13 @@ class TestExitCodes:
         assert json.loads(out)["error"]["type"] == "UsageError"
         assert not (tmp_path / "ana").exists()
 
-    @pytest.mark.parametrize("bandwidth", ["0", "-0.5", "nan", "inf"])
     @pytest.mark.parametrize("command", ["analyze", "estimate"])
-    def test_bad_bandwidth_is_usage_before_any_file(self, capsys, tmp_path, loss_csv,
-                                                    command, bandwidth):
+    def test_bandwidth_is_no_option(self, capsys, tmp_path, loss_csv, command):
+        """The density's bandwidth is worked out from the claims."""
         argv = (["analyze", "--synthetic", "--sweep", "rho"] if command == "analyze" else
                 ["estimate", "--input", str(loss_csv), "--rule", "decreasing",
                  "--delta", "0.5"])
-        code, out = run_cli(capsys, *argv, "--bandwidth", bandwidth,
+        code, out = run_cli(capsys, *argv, "--bandwidth", "0.4",
                             "--out", str(tmp_path / "out"))
         assert code == 64
         assert json.loads(out)["error"]["type"] == "UsageError"
@@ -262,25 +261,35 @@ class TestEstimate:
 
         assert manifest["input_digest"] == content_digest(loss_csv)
 
-    @pytest.mark.parametrize("rule", [("decreasing", "--delta"), ("stddev", "--rho0"),
-                                      ("sharpe", "--rho0")], ids=lambda r: r[0])
-    def test_bandwidth_reaches_the_density_estimate(self, capsys, loss_csv, rule,
-                                                    monkeypatch):
-        """--bandwidth is the bandwidth of the density estimate behind every
-        rule's standard error."""
-        from xolopt import inference
+    @pytest.mark.parametrize("rule", [("decreasing", "--delta", "0.5"),
+                                      ("stddev", "--rho0", "0.0005"),
+                                      ("sharpe", "--rho0", "500")], ids=lambda r: r[0])
+    def test_claims_in_other_units_scale_the_standard_error(self, capsys, tmp_path, rule):
+        """The claims times 1000, with a rule parameter that carries their
+        units rescaled to match, give d_hat and its standard error times
+        1000."""
+        x = ParetoII(9.0, 8.0).sample(2000, 55)
+        results = []
+        for c, param in ((1.0, "0.5"), (1000.0, rule[2])):
+            path = tmp_path / f"losses_{c:g}.csv"
+            path.write_text("loss\n" + "\n".join(repr(float(c * v)) for v in x) + "\n")
+            code, out = run_cli(capsys, "estimate", "--input", str(path), "--rule", rule[0],
+                                rule[1], param)
+            assert code == 0
+            results.append(json.loads(out))
+        base, scaled = results
+        assert scaled["d_hat"] == pytest.approx(1000.0 * base["d_hat"], rel=1e-9)
+        assert scaled["std_error"] == pytest.approx(1000.0 * base["std_error"], rel=1e-9)
 
-        seen = []
-
-        def kde(losses, x, bandwidth=0.1):
-            seen.append(bandwidth)
-            return kde_density(losses, x, bandwidth)
-
-        monkeypatch.setattr(inference, "kde_density", kde)
-        code, _ = run_cli(capsys, "estimate", "--input", str(loss_csv), "--rule", rule[0],
-                          rule[1], "0.5", "--bandwidth", "0.4")
-        assert code == 0
-        assert seen == [0.4]
+    def test_claims_without_spread_are_a_domain_error(self, capsys, tmp_path):
+        """Equal claims have no density bandwidth: analyze stops with the
+        error, never a zero or NaN bandwidth."""
+        path = tmp_path / "equal.csv"
+        path.write_text("loss\n" + "1.5\n" * 100)
+        code, out = run_cli(capsys, "analyze", "--input", str(path), "--sweep", "rho",
+                            "--out", str(tmp_path / "ana"))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DegenerateVariance"
 
 
 class TestSimulate:

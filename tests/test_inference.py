@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from xolopt import inference
 from xolopt.dataio import make_synthetic_losses
 from xolopt.distortion import DistortionMeasure
 from xolopt.errors import AllZero, AtomConditionViolated, DomainError
 from xolopt.inference import (
+    _estimate,
     estimate_decreasing,
     estimate_sd,
     estimate_sharpe,
     retention_curve,
 )
+from xolopt.retention import _RULES
 from xolopt.severity import EmpiricalLosses, ParetoII, kde_density
 
 VAR75 = DistortionMeasure.var(0.75)
@@ -35,6 +38,22 @@ SE_SCALE = {"decreasing": 0.876148, "stddev": 2.634, "sharpe": 1.044}
 @pytest.fixture(scope="module")
 def big_sample():
     return ParetoII(9.0, 8.0).sample(20000, 101)
+
+
+def _density_at_fixed_bandwidth(losses, at):
+    """The Gaussian density estimate at the fixed bandwidth 0.1 and without
+    reflection, which the standard-error algebra tests below were pinned on."""
+    x = losses.losses if isinstance(losses, EmpiricalLosses) else np.asarray(losses)
+    z = (at - x) / 0.1
+    return float(np.exp(-0.5 * z * z).sum() / (x.size * 0.1 * math.sqrt(2.0 * math.pi)))
+
+
+@pytest.fixture()
+def fixed_bandwidth(monkeypatch):
+    """Holds the density behind every standard error at bandwidth 0.1, so
+    that a test of the linearisation does not see the bandwidth move with
+    the sample size."""
+    monkeypatch.setattr(inference, "kde_density", _density_at_fixed_bandwidth)
 
 
 def _quadratic_se(x, delta, phi, d):
@@ -139,7 +158,7 @@ class TestEstimateSpreadRules:
 
     @pytest.mark.parametrize("estimator", [estimate_sd, estimate_sharpe])
     def test_duplicating_the_sample_scales_se_by_root_two(
-        self, big_sample, estimator
+        self, big_sample, estimator, fixed_bandwidth
     ):
         x = big_sample[:4000]
         once = estimator(x, 0.5, VAR75)
@@ -152,13 +171,13 @@ class TestEstimateSpreadRules:
     @pytest.mark.parametrize("c", [10.0, 100.0])
     @pytest.mark.parametrize("estimator, power", [(estimate_sd, -1), (estimate_sharpe, 1)])
     def test_scale_equivariance(self, big_sample, estimator, power, c):
-        """With the claims and the bandwidth times c, and the rule parameter,
-        which carries the claims' units, rescaled to match (rho0 / c for
-        stddev, rho0 c for sharpe), the estimate and its standard error
-        scale by c."""
+        """With the claims times c, and the rule parameter, which carries the
+        claims' units, rescaled to match (rho0 / c for stddev, rho0 c for
+        sharpe), the estimate and its standard error scale by c: the density
+        behind the standard error takes its bandwidth from the claims."""
         x = big_sample[:5000]
         base = estimator(x, 0.5, VAR75)
-        scaled = estimator(c * x, 0.5 * c ** power, VAR75, bandwidth=0.1 * c)
+        scaled = estimator(c * x, 0.5 * c ** power, VAR75)
         assert scaled.d_hat == pytest.approx(c * base.d_hat, rel=1e-9)
         assert scaled.std_error == pytest.approx(c * base.std_error, rel=1e-9)
 
@@ -237,7 +256,7 @@ class TestPlugInMinimum:
 
         assert condition(d_hat * (1.0 - 1e-9)) <= 0.0 < condition(d_hat * (1.0 + 1e-9))
 
-    def test_kink_estimate_is_pinned(self):
+    def test_kink_estimate_is_pinned(self, fixed_bandwidth):
         """Lomax(9, 8), 2000 claims, seed 2: the sharpe derivative rises
         through zero across a claim, and the estimate is that claim, on the
         side where the derivative is smaller in size."""
@@ -311,23 +330,31 @@ class TestRetentionCurve:
             retention_curve(big_sample, "decreasing", "sideways", [0.01], 0.9)
 
     @pytest.mark.parametrize("family", ["decreasing", "stddev", "sharpe"])
-    def test_bandwidth_reaches_every_family(self, big_sample, family, monkeypatch):
-        """Every point's standard error reads the density estimate at the
-        curve's bandwidth, which leaves the estimates as they are."""
-        from xolopt import inference
-
+    def test_every_family_reads_the_density_at_the_samples_bandwidth(
+        self, big_sample, family, monkeypatch
+    ):
+        """Every spread-rule standard error, of one estimate and of each
+        curve point, reads the density estimate of the claims themselves at
+        d_hat, so at the bandwidth that `kde_density` works out from them;
+        no bandwidth is passed.  At a flat rate's root the density's
+        coefficient vanishes, and the decreasing rule reads no density."""
         x = big_sample[:2000]
-        default = retention_curve(x, family, "rho", [0.01, 0.02], 0.9)
+        rule = _RULES[family](0.5)
         seen = []
 
-        def kde(losses, at, bandwidth=0.1):
-            seen.append(bandwidth)
-            return kde_density(losses, at, bandwidth)
+        def kde(losses, at):
+            value = kde_density(losses, at)
+            seen.append((losses, at, value))
+            return value
 
         monkeypatch.setattr(inference, "kde_density", kde)
-        wide = retention_curve(x, family, "rho", [0.01, 0.02], 0.9, bandwidth=0.4)
-        assert seen == [0.4, 0.4]
-        assert [pt.d_hat for pt in wide] == [pt.d_hat for pt in default]
+        one = _estimate(x, rule, VAR75)
+        curve = retention_curve(x, family, "rho", [0.01, 0.02], 0.9)
+        reads = [one.d_hat] + [pt.d_hat for pt in curve] if rule.spread_dependent else []
+        assert [at for _, at, _ in seen] == reads
+        for losses, at, value in seen:
+            assert np.array_equal(losses.losses, np.sort(x))
+            assert value == kde_density(x, at)
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
     def test_knots_are_built_once_per_curve(self, big_sample, family, monkeypatch):
@@ -430,14 +457,18 @@ class TestRetentionCurve:
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
     @pytest.mark.parametrize("sample", ["lomax", "synthetic"])
     def test_curve_is_free_of_the_claims_units(self, big_sample, family, sample):
-        """Claims and bandwidth scaled by c scale every curve point by c: the
-        effective loading has no units, and the fixed point's stopping test
-        is relative."""
+        """Claims scaled by c scale every curve point and its interval by c:
+        the effective loading has no units, the fixed point's stopping test
+        is relative, and the density's bandwidth scales with the claims."""
         x = big_sample[:2000] if sample == "lomax" else make_synthetic_losses()
         base = retention_curve(x, family, "rho", RHO_GRID, 0.9)
         for c in (0.01, 100.0):
-            scaled = retention_curve(c * x, family, "rho", RHO_GRID, 0.9, bandwidth=0.1 * c)
+            scaled = retention_curve(c * x, family, "rho", RHO_GRID, 0.9)
             assert [pt.error is None for pt in scaled] == [pt.error is None for pt in base]
             for pt, at_c in zip(base, scaled):
                 if pt.error is None:
                     assert at_c.d_hat == pytest.approx(c * pt.d_hat, rel=1e-8)
+                    # the interval moves with the rule parameter, which the
+                    # fixed point finds to a relative 1e-8
+                    assert at_c.ci_hi - at_c.ci_lo == pytest.approx(
+                        c * (pt.ci_hi - pt.ci_lo), rel=5e-8)

@@ -472,10 +472,13 @@ class TestRootStepsReadFloats:
 
     def test_solve_retention_edgeworth(self, monkeypatch):
         reads = _spy_on_moment_grid(monkeypatch)
-        sol = solve_retention_edgeworth(ParetoII(9.0, 8.0), ConstantLoading(0.3), 0.75, 25, 3)
-        grid = reads.pop(0)  # the objective on its 200-point grid
-        assert isinstance(grid, np.ndarray) and grid.size == 200
-        # Brent starts from the grid's slopes and stops without a step at
+        model = ParetoII(9.0, 8.0)
+        sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
+        # the knot table, built on first use, then the objective at its knots
+        for _ in range(2):
+            grid = reads.pop(0)
+            assert np.array_equal(grid, model.knots()["knots"])
+        # Brent starts from the knots' slopes and stops without a step at
         # its last iteration; then the objective at the root
         assert len(reads) == sol.diagnostics.iterations
         assert all(isinstance(d, float) for d in reads)
@@ -527,20 +530,35 @@ class TestRootSearchReadsEachRetentionOnce:
         fresh = abs(stationarity_function(model, rule, measure, 100, sol.d_star))
         assert sol.diagnostics.stationarity_residual.hex() == fresh.hex()
 
-    def test_residual_of_a_kink_root_below_a_claim_is_the_left_limit(self):
+    def test_residual_of_a_kink_root_below_a_claim_is_the_condition_there(self):
         """A kink root is taken at the float below a claim when the
         derivative's left-hand limit there is the smaller in size; its
-        residual is that limit, which the function read at that float
-        gives only to rounding."""
+        residual is the function read at that float, in the cell below the
+        claim, not the limit, which agrees only to rounding."""
         emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 1))
         rule, measure = SharpeLoading(0.5), DistortionMeasure("es", 0.9)
         sol = solve_retention(emp, rule, measure, 10)
         t, left, _ = retention._knot_sides(emp, rule, measure.phi_normal(), 10)
         (j,) = np.flatnonzero(t["below"] == sol.d_star)
         assert sol.diagnostics.bracket == (t["below"][j], t["knots"][j])
-        assert sol.diagnostics.stationarity_residual == abs(left[j])
         fresh = abs(stationarity_function(emp, rule, measure, 10, sol.d_star))
-        assert fresh == pytest.approx(abs(left[j]), rel=1e-9)
+        assert sol.diagnostics.stationarity_residual.hex() == fresh.hex()
+        assert fresh == 4.559806589210513e-05
+        assert abs(left[j]) == pytest.approx(fresh, rel=1e-9) and abs(left[j]) != fresh
+
+    def test_residual_of_a_kink_root_below_the_first_knot(self):
+        """Below the first knot the cell has no knot under it: the residual
+        at the float below the first claim is read with the count of the
+        losses under it, the zeros."""
+        emp = EmpiricalLosses(np.concatenate([np.zeros(2), np.linspace(1.0, 2.0, 6)]))
+        t = emp.knots()
+        left, right = np.array([-1e-3, 1.0]), np.array([1.0, 2.0])
+        roots, _ = retention._rising_roots(
+            {"knots": t["knots"][:2], "below": t["below"][:2]}, left, right,
+            lambda d, j: emp.moments_in_cell(d, j)["mu1"])
+        (root,) = roots
+        assert root.root == t["below"][0] and root.iterations == 0
+        assert root.residual == emp.moment_grid(t["below"][0])["mu1"] == 0.75 * t["below"][0]
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
     @pytest.mark.parametrize("kind", MODELS)
@@ -708,19 +726,19 @@ class TestEdgeworth:
         alone = [retention._edgeworth(model, rule, 0.75, n, order, float(d))[1] for d in grid]
         np.testing.assert_array_equal(slopes, alone)
 
-    def test_sample_without_capped_variance_at_the_grid_start(self):
-        """The grid starts at the 1e-4 quantile, which for 2000 claims is the
-        smallest claim, where min(X, d) is constant: the solve raises, and
-        the message names that retention and the grid's ends."""
+    def test_sample_without_capped_variance_at_the_first_knot(self):
+        """The empirical knots start at the smallest positive claim, where
+        min(X, d) is constant: the solve raises, and the message names that
+        retention and the ends of the knots."""
         emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 3))
         with pytest.raises(DegenerateVariance) as err:
             solve_retention_edgeworth(emp, ConstantLoading(0.3), 0.75, 25, 3)
-        lo, hi = emp.losses[0], emp.quantile(1.0 - 1e-6)
+        lo, hi, size = emp.losses[0], emp.quantile(0.999), emp.knots()["knots"].size
         assert str(err.value) == (f"capped loss at d={lo} has zero variance (the first "
-                                  f"such point of 200 retentions from {lo} to {hi})")
+                                  f"such point of {size} retentions from {lo} to {hi})")
 
-    def test_grid_is_read_in_one_call(self, model, monkeypatch):
-        """One call reads the 200-point grid; only the Brent steps and the
+    def test_knots_are_read_in_one_call(self, model, monkeypatch):
+        """One call reads the 1000 knots; only the Brent steps and the
         objective at the root are read one at a time."""
         sizes = []
         read = ParetoII.higher_truncated_moments
@@ -731,8 +749,24 @@ class TestEdgeworth:
 
         monkeypatch.setattr(ParetoII, "higher_truncated_moments", spy)
         sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
-        assert sizes[0] == 200
+        assert sizes[0] == 1000
         assert sizes[1:] == [1] * sol.diagnostics.iterations
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [10, 25, 100])
+    def test_knots_keep_the_optimum_of_the_200_point_grid(self, model, n, order):
+        """The solve reads the model's 1000 knots; the 200-point log grid
+        over the same range, which it read before, gives the same first
+        rising root to 1e-13."""
+        rule = ConstantLoading(0.3)
+        grid = log_spaced_grid(model.quantile(1e-4), model.quantile(1.0 - 1e-6), 200)
+        slopes = retention._edgeworth(model, rule, 0.75, n, order, grid)[1]
+        roots, _ = retention._rising_roots(
+            {"knots": grid, "below": grid}, slopes, slopes,
+            lambda d, j: retention._edgeworth(model, rule, 0.75, n, order, d)[1])
+        sol = solve_retention_edgeworth(model, rule, 0.75, n, order)
+        assert sol.d_star == pytest.approx(roots[0].root, rel=1e-13, abs=0.0)
+        assert sol.diagnostics.is_global_grid_min
 
 
 class TestStopLoss:

@@ -377,6 +377,10 @@ class TestKnots:
         d = 0.5 * (claims[10] + claims[11])
         inside = emp.moments_in_cell(d, 10)
         assert inside == {key: column[0] for key, column in emp.moment_grid(np.array([d])).items()}
+        # cell -1 lies below the first knot, with the zeros or with no loss
+        below = t["below"][0]
+        assert emp.moments_in_cell(below, -1) == {
+            key: column[0] for key, column in emp.moment_grid(np.array([below])).items()}
         assert emp.knots() is t and not claims.flags.writeable
 
     def test_empirical_knots_need_a_positive_claim(self):
@@ -384,45 +388,70 @@ class TestKnots:
             EmpiricalLosses(np.zeros(50)).knots()
 
 
+def _silverman_kde(x, at):
+    """The reflected Gaussian density estimate at Silverman's bandwidth,
+    written out over every claim and its mirror image."""
+    x, at = np.asarray(x, dtype=float), np.asarray(at, dtype=float)[:, None]
+    q1, q3 = np.quantile(x, [0.25, 0.75], method="inverted_cdf")
+    spread = min(np.std(x), (q3 - q1) / 1.34) if q3 > q1 else np.std(x)
+    h = 0.9 * spread * x.size ** -0.2
+    kernel = np.exp(-0.5 * ((at - x) / h) ** 2) + np.exp(-0.5 * ((at + x) / h) ** 2)
+    return kernel.sum(axis=1) / (x.size * h * math.sqrt(2 * math.pi))
+
+
 class TestKdeDensity:
-    def test_matches_hand_gaussian_sum(self):
-        x = np.array([1.0, 2.0])
-        h = 0.5
-        at = 1.5
-        expected = np.mean(
-            np.exp(-0.5 * ((at - x) / h) ** 2) / (h * math.sqrt(2 * math.pi))
-        )
-        got = kde_density(x, np.array([at]), bandwidth=h)
-        assert got[0] == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 2.5, 4.0, 7.0],
+                                   ParetoII(9.0, 8.0).sample(500, 6)], ids=["five", "lomax"])
+    def test_matches_the_reflected_sum_at_silvermans_bandwidth(self, x):
+        at = np.array([0.0, 0.05, 0.3, 1.5, 3.0, 12.0])
+        # each term left out, more than 9h from the point, is below exp(-40.5)
+        # in kernel units: at 12 the Lomax sum is 1e-58, and the estimate 0
+        np.testing.assert_allclose(kde_density(x, at), _silverman_kde(x, at), rtol=1e-12,
+                                   atol=1e-16)
+        assert kde_density(EmpiricalLosses(x), 1.5) == kde_density(x, at)[3]
 
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(5)
-        x = rng.exponential(1.0, size=300)
-        grid = np.linspace(-3.0, 15.0, 4000)
-        dens = kde_density(x, grid, bandwidth=0.2)
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+    def test_integrates_to_one_on_the_half_line(self):
+        """Reflection keeps the mass that a kernel would put below 0."""
+        x = np.random.default_rng(5).exponential(1.0, size=300)
+        grid = np.linspace(0.0, 15.0, 4000)
+        assert np.trapezoid(kde_density(x, grid), grid) == pytest.approx(1.0, abs=1e-3)
 
-    def test_blocks_of_points_move_no_bit_and_bound_memory(self, monkeypatch):
-        """Each point's kernel terms are summed alone, so any block size gives
-        the same bits; the default blocks keep the traced peak of 10 000
-        losses x 200 points far below the 16 MB of the whole matrix."""
+    @pytest.mark.parametrize("c", [1e-3, 10.0, 1000.0])
+    def test_density_is_free_of_the_claims_units(self, c):
+        x = ParetoII(9.0, 8.0).sample(2000, 3)
+        at = np.array([0.0, 0.1, 0.8, 2.0])
+        np.testing.assert_allclose(c * kde_density(c * x, c * at), kde_density(x, at),
+                                   rtol=1e-12)
+
+    def test_quartiles_without_spread_fall_back_to_the_sd(self):
+        x = np.concatenate([np.full(90, 2.0), [0.5, 1.0, 3.0, 6.0, 9.0]])
+        assert np.quantile(x, 0.25, method="inverted_cdf") == np.quantile(
+            x, 0.75, method="inverted_cdf")
+        h = 0.9 * np.std(x) * x.size ** -0.2
+        at = np.array([0.5, 2.0, 4.0])
+        expected = sum(np.exp(-0.5 * ((at - s * v) / h) ** 2) for v in x for s in (1, -1))
+        np.testing.assert_allclose(kde_density(x, at),
+                                   expected / (x.size * h * math.sqrt(2 * math.pi)), rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.full(50, 0.1), np.zeros(40)], ids=["equal", "zero"])
+    def test_sample_without_spread_has_no_bandwidth(self, x):
+        with pytest.raises(DegenerateVariance):
+            kde_density(x, [0.1])
+
+    def test_points_are_read_alone_and_bound_memory(self):
+        """Each point's density is its own sum, the same bits alone as in an
+        array, and the traced peak of 10 000 losses x 200 points stays far
+        below the 16 MB of the whole kernel matrix."""
         x = np.random.default_rng(5).exponential(1.0, size=10_000)
         grid = np.linspace(0.0, 5.0, 200)
         tracemalloc.start()
         try:
-            dens = kde_density(x, grid, bandwidth=0.1)
+            dens = kde_density(x, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
-        for terms in (1, 7 * x.size, 1 << 30):
-            monkeypatch.setattr(severity, "_KDE_TERMS", terms)
-            np.testing.assert_array_equal(kde_density(x, grid, bandwidth=0.1), dens)
-
-    @pytest.mark.parametrize("bandwidth", [0.0, -0.1, math.nan, math.inf])
-    def test_rejects_a_bandwidth_that_is_not_positive_and_finite(self, bandwidth):
-        with pytest.raises(DomainError):
-            kde_density([1.0, 2.0], [1.5], bandwidth)
+        np.testing.assert_array_equal([kde_density(x, at) for at in grid[::10]], dens[::10])
 
 
 class TestSummaryAndLorenz:
