@@ -72,6 +72,7 @@ def _as_empirical(losses) -> EmpiricalLosses:
 
 
 def _wald_ci(d_hat: float, se: float, level: float) -> tuple[float, float]:
+    """The Wald interval d_hat -/+ z se at the given level."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
     z = normal_quantile(0.5 * (1.0 + level))
@@ -171,17 +172,22 @@ def _estimate_rule(
     per_claim = (c1 * (x > d_hat) + c2 * capped + c3 * capped * capped
                  + load_nu1 * excess + load_nu2 * excess * excess)
     se = float(np.std(per_claim)) / (abs(c0) * math.sqrt(emp.n))
+    lo, hi = _wald_ci(d_hat, se, level)
+    warnings = _condition_warnings(sol.diagnostics.condition_checks)
+    if lo < 0.0:  # no retention lies below 0
+        warnings.append(f"confidence interval cut at 0; its lower end was {lo:g}")
+        lo = 0.0
     return EstimationResult(
         d_hat=d_hat,
         std_error=se,
-        ci=_wald_ci(d_hat, se, level),
+        ci=(lo, hi),
         level=level,
         rule=rule,
         measure=measure,
         n=emp.n,
         coefficients={f"{_PREFIX[type(rule)]}{i}": float(c)
                       for i, c in enumerate([c0, c1, c2, c3, load_nu1, load_nu2])},
-        warnings=_condition_warnings(sol.diagnostics.condition_checks),
+        warnings=warnings,
     )
 
 

@@ -159,16 +159,18 @@ def expand_and_solve(
     f: Callable[[float], float],
     lo: float,
     hi_start: float,
+    flo: float | None = None,
 ) -> RootResult:
     """Root of an eventually increasing function on (lo, inf).
 
-    Requires f(lo) <= 0.  The upper end doubles from hi_start until
-    f(hi) > 0; if EXPAND_CAP is passed first, no root exists in range.
-    Brent's method starts from f(lo) and the last probe's value, so f is
-    read once at each point: lo, the probes and Brent's steps.  The
-    residual is the value Brent's method read at the root.
+    Requires f(lo) <= 0; a caller that holds f(lo) passes it as flo.  The
+    upper end doubles from hi_start until f(hi) > 0; if EXPAND_CAP is
+    passed first, no root exists in range.  Brent's method starts from
+    f(lo) and the last probe's value, so f is read once at each point: lo,
+    the probes and Brent's steps.  The residual is the value Brent's method
+    read at the root.
     """
-    flo = f(lo)
+    flo = f(lo) if flo is None else flo
     if flo > 0.0:
         # The function is already nonnegative at the left end; the root
         # collapses onto the bracket start.

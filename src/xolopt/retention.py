@@ -221,9 +221,15 @@ def effective_rho(model: SeverityModel, rule: LoadingRule, n: int, d: float) -> 
     if not rule.spread_dependent:
         return rule.rate(n)
     tm = model.truncated_moments(d)
-    if tm.nu1 == 0.0:
+    return _spread_rate(rule, n, d, tm.nu1, tm.nu2)
+
+
+def _spread_rate(rule: LoadingRule, n: int, d: float, nu1: float, nu2: float) -> float:
+    """A spread rule's `effective_rho` from the ceded moments at d."""
+    nu1, nu2 = float(nu1), float(nu2)
+    if nu1 == 0.0:
         return 0.0
-    spread = tm.nu2 - tm.nu1 ** 2
+    spread = nu2 - nu1 ** 2
     if spread <= 0.0:
         raise DomainError(f"ceded layer at d={d:g} has no spread")
     return float(rule.rate(n, math.sqrt(spread)))
@@ -244,12 +250,15 @@ def objective(
     _validate_n(n)
     phi = _phi_or_raise(measure)
     d, scalar = _retentions(d)
-    g = model.moment_grid(d)
-    mean = model.mean()
+    out = _objective(rule, phi, n, model.mean(), model.moment_grid(d))
+    return float(out) if scalar else out
+
+
+def _objective(rule: LoadingRule, phi: float, n: int, mean: float, g):
+    """The objective from the moments g at d."""
     sd_capped = np.sqrt(np.maximum(g["var"], 0.0))
     spread = np.sqrt(np.maximum(g["nu2"] - g["nu1"] * g["nu1"], 0.0))
-    out = n * mean + math.sqrt(n) * (phi * sd_capped + rule.load(n, g["nu1"], spread))
-    return float(out) if scalar else out
+    return n * mean + math.sqrt(n) * (phi * sd_capped + rule.load(n, g["nu1"], spread))
 
 
 def stationarity_function(
@@ -361,7 +370,10 @@ def solve_retention(
     objective; NoRootFound when there is none or an end of the search range
     is lower still.
 
-    The flat-rate root is bracketed by doubling on `ParetoII`.  On
+    On `ParetoII` the flat-rate root is bracketed on the model's `knots()`
+    table (below): the first knot above the critical quantile where the
+    function is positive closes the root's cell, and past the last knot
+    the upper end doubles out from it (`_flat_root_on_knots`).  On
     `EmpiricalLosses`, where the roots are the plug-in estimates, k, the
     count of losses at or below d, is fixed between two neighbouring claims,
     and every moment is a polynomial in d (`EmpiricalLosses.cell_moments`).
@@ -378,11 +390,16 @@ def solve_retention(
     empirical knots are the distinct positive claims up to the 0.999
     quantile.
 
+    The objective value and `effective_rho` come from the moments the
+    search read at each point, or the table's row there: a Lomax solve
+    reads no retention once its search is done, and an empirical one only
+    the spread rules' lower range end, the float below the smallest claim.
     The diagnostics read: `bracket`, the cell of d_star; `iterations`, the
-    Brent steps spent in it (0 for a closed form or a kink); and
-    `smallest_stationary_point`, the first rising root.  `is_global_grid_min`
-    is always True for the four rules: a solution is returned only when it
-    is the lowest point of the search range.
+    Brent steps spent in it (0 for a closed form or a kink; past the last
+    Lomax knot, the doublings too); and `smallest_stationary_point`, the
+    first rising root.  `is_global_grid_min` is always True for the four
+    rules: a solution is returned only when it is the lowest point of the
+    search range.
     """
     _validate_n(n)
     phi = _phi_or_raise(measure)
@@ -397,29 +414,27 @@ def solve_retention(
         d2 = model.upper_quantile(_atom_level(rule, measure, n))
         q = (rule.scale(n) / phi) ** 2
         if isinstance(model, EmpiricalLosses):
-            best = _flat_root_on_claims(model, q, d2)
+            best, at_root = _flat_root_on_claims(model, q, d2)
         else:
-            best = expand_and_solve(
-                lambda d: float(_flat_condition(q, model.moment_grid(d))),
-                lo=d2,
-                hi_start=max(2.0 * d2, 1.0),
-            )
-        value = objective(model, rule, measure, n, best.root)
+            best, at_root = _flat_root_on_knots(model, q, d2)
+        value = float(_objective(rule, phi, n, model.mean(), at_root))
+        rate = rule.rate(n)
         smallest = best.root
     else:
         t, left, right = _knot_sides(model, rule, phi, n)
+        read = {}
 
         def derivative(d, j):  # in the cell between knots j and j + 1
-            m = model.moments_in_cell(d, j)
+            m = read[d] = model.moments_in_cell(d, j)
             return float(_derivative(rule, phi, n, m["sbar"], m))
 
         roots, ends = _rising_roots(t, left, right, derivative)
         if roots:
             # the objective at each end of the range and at every local
-            # minimum, read a point at a time: a float skips the series
-            # wherever it is not needed
-            values = [objective(model, rule, measure, n, d)
-                      for d in (ends[0], *(r.root for r in roots), ends[1])]
+            # minimum, from the moments the search read or the table holds
+            points = (ends[0], *(r.root for r in roots), ends[1])
+            held = [_moments_at(model, t, read, d) for d in points]
+            values = [float(_objective(rule, phi, n, model.mean(), g)) for g in held]
             k = int(np.argmin(values))
         if not roots or k in (0, len(values) - 1):
             raise NoRootFound(
@@ -428,6 +443,7 @@ def solve_retention(
             )
         best = roots[k - 1]
         value = values[k]
+        rate = _spread_rate(rule, n, best.root, held[k]["nu1"], held[k]["nu2"])
         smallest = roots[0].root
     diag = SolverDiagnostics(
         bracket=best.bracket,
@@ -436,7 +452,7 @@ def solve_retention(
         is_global_grid_min=True,
         condition_checks=checks,
         smallest_stationary_point=smallest,
-        effective_rho=effective_rho(model, rule, n, best.root),
+        effective_rho=rate,
     )
     return RetentionSolution(
         d_star=best.root,
@@ -448,8 +464,59 @@ def solve_retention(
     )
 
 
-def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResult:
-    """Root above the claim d2 of the plug-in flat-rate stationarity function.
+def _moments_at(model: SeverityModel, t: dict, read: dict, d: float) -> dict:
+    """The moments at d: those a root search read there, else the row of
+    the knot table t at d, else a read in the cell below the next knot (the
+    float below the smallest empirical claim, an end of the search range)."""
+    if d in read:
+        return read[d]
+    j = int(np.searchsorted(t["knots"], d))
+    if j < t["knots"].size and t["knots"][j] == d:
+        return {name: column[j] for name, column in t.items()}
+    return model.moments_in_cell(d, j - 1)
+
+
+def _flat_root_on_knots(model: SeverityModel, q: float, d2: float) -> tuple[RootResult, dict]:
+    """Root above d2 of the flat-rate stationarity function, found on the
+    model's knot table, and the moments there.
+
+    The function is read once over the knots above d2.  The first positive
+    knot and the knot or d2 below it bracket the root, and Brent's method
+    solves that cell from the table's values, so only d2 is read, when it
+    is the lower end.  Past the last knot, `expand_and_solve` doubles out
+    from it.
+    """
+    t = model.knots()
+    knots = t["knots"]
+    read = {}
+
+    def condition(d):
+        g = read[d] = model.moment_grid(d)
+        return float(_flat_condition(q, g))
+
+    first = int(np.searchsorted(knots, d2, side="right"))  # the first knot above d2
+    f = _flat_condition(q, t)
+    positive = np.flatnonzero(f[first:] > 0.0)
+    if positive.size == 0:  # the root lies past the last knot: double out from it, or from d2
+        lo, f_lo = (float(knots[-1]), float(f[-1])) if first < knots.size else (d2, None)
+        best = expand_and_solve(condition, lo, max(2.0 * lo, 1.0), f_lo)
+        return best, _moments_at(model, t, read, best.root)
+    j = first + int(positive[0])
+    if j > first:
+        lo, f_lo = float(knots[j - 1]), float(f[j - 1])
+    else:
+        lo, f_lo = d2, condition(d2)
+        if f_lo > 0.0:
+            # already positive at d2: the root collapses onto the critical quantile
+            return RootResult(d2, f_lo, (d2, d2), 0), read[d2]
+    hi = float(knots[j])
+    root, iterations, residual = brentq(condition, lo, hi, f_lo, float(f[j]))
+    return RootResult(root, residual, (lo, hi), iterations), _moments_at(model, t, read, root)
+
+
+def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> tuple[RootResult, dict]:
+    """Root above the claim d2 of the plug-in flat-rate stationarity
+    function, and the moments there.
 
     The function does not fall above d2, so bisection over the sorted losses
     finds the cell between two neighbouring claims where it turns positive
@@ -459,18 +526,20 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     A d^2 - 2 B d + C with A = a e, B = b e and C = b^2 - q (m2 - b^2).  The
     root is the larger one, (B + sqrt(B^2 - A C)) / A, which does not cancel
     since B >= 0.  The residual is the function read at the root, as
-    `stationarity_function` reads it, not the rounded quadratic.
+    `stationarity_function` reads it, not the rounded quadratic, and the
+    moments are that read.
     """
     x = emp.losses
 
     def f(i):  # the function at the i-th smallest loss
         return _flat_condition(q, emp.moment_grid(x[i]))
 
-    lo, hi = int(np.searchsorted(x, d2, side="right")) - 1, emp.n
-    f_lo = f(lo)
+    lo, hi = int(np.searchsorted(x, d2, side="right")) - 1, emp.n  # x[lo] is d2
+    at_d2 = emp.moment_grid(x[lo])
+    f_lo = _flat_condition(q, at_d2)
     if f_lo > 0.0:
         # already positive at d2: the root collapses onto the critical quantile
-        return RootResult(root=d2, residual=float(f_lo), bracket=(d2, d2), iterations=0)
+        return RootResult(root=d2, residual=float(f_lo), bracket=(d2, d2), iterations=0), at_d2
     while hi - lo > 1:  # f(x[lo]) <= 0 < f(x[hi]), with x[n] at infinity
         mid = (lo + hi) // 2
         if f(mid) > 0.0:
@@ -484,9 +553,9 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> RootResul
     e = a - q * at_zero["sbar"]
     big_a, big_b, big_c = a * e, b * e, b * b - q * (m2 - b * b)
     root = float((big_b + math.sqrt(max(big_b * big_b - big_a * big_c, 0.0))) / big_a)
-    residual = float(_flat_condition(q, emp.moment_grid(root)))
+    at_root = emp.moment_grid(root)
     bracket = (float(x[lo]), float(x[hi]) if hi < emp.n else math.inf)
-    return RootResult(root, residual, bracket, 0)
+    return RootResult(root, float(_flat_condition(q, at_root)), bracket, 0), at_root
 
 
 def _knot_sides(
@@ -566,8 +635,10 @@ def edgeworth_objective(model: SeverityModel, rule: ConstantLoading, p: float, n
     return _edgeworth(model, rule, p, n, order, d)[0]
 
 
-def _edgeworth(model: SeverityModel, rule: ConstantLoading, p: float, n: int, order: int, d):
-    """The refined total-cost quantile at d and its slope in d.
+def _edgeworth(model: SeverityModel, rule: ConstantLoading, p: float, n: int, order: int, d,
+               g: dict | None = None):
+    """The refined total-cost quantile at d and its slope in d; g, when
+    given, holds the `moment_grid` columns at d.
 
     The skewness term enters with a plus sign and the Hermite polynomials
     are taken at p, not at its normal quantile: the convention of the
@@ -583,7 +654,7 @@ def _edgeworth(model: SeverityModel, rule: ConstantLoading, p: float, n: int, or
     if z <= 0.0:
         raise NonpositivePhi(f"risk level p={p:g} gives a nonpositive quantile")
     d, scalar = _retentions(d)
-    g = model.moment_grid(d)
+    g = model.moment_grid(d) if g is None else g
     hm = model.higher_truncated_moments(d)
     k3, k4, c2, s, gap = hm.kappa3, hm.kappa4, g["var"], g["sbar"], g["gap"]
     he2, he3, he5 = p * p - 1.0, p ** 3 - 3.0 * p, p ** 5 - 10.0 * p ** 3 + 15.0 * p
@@ -615,7 +686,8 @@ def solve_retention_edgeworth(
     kurtosis term (error o(1/sqrt(N))).  Only the plain quantile risk level
     p is supported here.  The optimum is the first point where the refined
     objective's derivative rises through zero on the model's knots, read in
-    one call, solved by Brent's method in its cell (`_rising_roots`);
+    one call from the moments the knot table holds, solved by Brent's
+    method in its cell (`_rising_roots`);
     `is_global_grid_min` says whether it is also below every knot's value.
     """
     # The corrected objective flattens toward the no-ceding asymptote and may
@@ -623,7 +695,7 @@ def solve_retention_edgeworth(
     # correction is no longer a valid quantile approximation.  The meaningful
     # solution is the first interior dip.
     t = model.knots()
-    values, slopes = _edgeworth(model, rule, p, n, order, t["knots"])
+    values, slopes = _edgeworth(model, rule, p, n, order, t["knots"], t)
     roots, (lo, hi) = _rising_roots(t, slopes, slopes,
                                     lambda d, j: _edgeworth(model, rule, p, n, order, d)[1])
     if not roots:

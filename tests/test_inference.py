@@ -194,6 +194,19 @@ class TestEstimateSpreadRules:
         assert out["ci"][0] < out["d_hat"] < out["ci"][1]
         assert isinstance(out["warnings"], list)
 
+    def test_interval_is_cut_at_zero_with_a_warning(self):
+        """130 claims, ninety of them 1.5: the Sharpe estimate sits at the
+        float below 1.5 with a standard error near 1, and the 95% Wald
+        interval would reach to -0.415, a negative retention."""
+        x = np.array([1.5] * 90 + [v for v in (0.5, 1.0, 3.0, 6.0, 9.0) for _ in range(8)])
+        result = estimate_sharpe(x, 0.5, VAR75)
+        assert result.d_hat == np.nextafter(1.5, 0.0)
+        assert result.ci == (0.0, pytest.approx(3.415, abs=1e-3))
+        assert result.warnings == ["confidence interval cut at 0; its lower end was -0.415033"]
+        # an interval above 0 is left as it is, without a warning
+        uncut = estimate_sharpe(ParetoII(9.0, 8.0).sample(2000, 1), 0.5, VAR75)
+        assert uncut.ci[0] > 0.0 and uncut.warnings == []
+
 
 def _plug_in_objective(x, rule, phi, d):
     """phi sd(min(X, d)) plus the ceded load at rho0 = 0.5, straight from the

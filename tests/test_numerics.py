@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xolopt import (
+    ConstantLoading,
     DecreasingLoading,
     DistortionMeasure,
     ParetoII,
@@ -71,12 +72,6 @@ def _plateau(x):
     return -1.0 if x < 1.0 else (1.0 if x > 2.0 else 0.0)
 
 
-def _decreasing_stationarity(d):
-    return stationarity_function(
-        ParetoII(9.0, 8.0), DecreasingLoading(0.5), DistortionMeasure.var(0.75), 100, d
-    )
-
-
 CASES = [
     ("cubic", lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
     ("exponential", lambda x: math.exp(x) - 10.0, 0.0, 5.0),
@@ -118,17 +113,55 @@ def test_iteration_cap_matches_scipy(monkeypatch):
     assert _both(f, 2.0, 3.0) == _scipy(f, 2.0, 3.0)
 
 
-def test_decreasing_rule_stationarity_on_the_solver_bracket():
-    sol = solve_retention(
-        ParetoII(9.0, 8.0), DecreasingLoading(0.5), DistortionMeasure.var(0.75), 100
-    )
+def _solve_matches_scipy(model, rule, measure, n):
+    """The solve's root, Brent steps and residual are scipy's on the
+    stationarity function over the solve's bracket; returns the solve."""
+    sol = solve_retention(model, rule, measure, n)
     lo, hi = sol.diagnostics.bracket
     assert lo < sol.d_star < hi
-    expected = _scipy(_decreasing_stationarity, lo, hi)
-    assert brentq(_decreasing_stationarity, lo, hi) == expected
-    res = expand_and_solve(_decreasing_stationarity, lo, hi_start=max(2.0 * lo, 1.0))
-    assert res.bracket == (lo, hi)
-    assert res.root == sol.d_star == expected[0]
+    root, iterations, value = _scipy(
+        lambda d: stationarity_function(model, rule, measure, n, d), lo, hi)
+    diag = sol.diagnostics
+    assert (sol.d_star, diag.iterations, diag.stationarity_residual) == (
+        root, iterations, abs(value))
+    return sol
+
+
+def test_decreasing_rule_stationarity_on_the_solver_bracket():
+    """The flat rules' Brent step on a Lomax knot cell is scipy's on the
+    stationarity function over the same cell."""
+    model = ParetoII(9.0, 8.0)
+    sol = _solve_matches_scipy(model, DecreasingLoading(0.5), DistortionMeasure.var(0.75), 100)
+    knots = model.knots()["knots"]
+    j = int(np.searchsorted(knots, sol.d_star))
+    assert sol.diagnostics.bracket == (knots[j - 1], knots[j])
+
+
+def test_flat_root_above_the_last_knot_doubles_out_from_it():
+    """Past the last knot, `expand_and_solve` starts from it: its first
+    probe, twice the knot, already brackets the root, and Brent's step
+    there is scipy's."""
+    model = ParetoII(9.0, 8.0)
+    rule, measure = ConstantLoading(0.3), DistortionMeasure("gini", 0.5)
+    sol = _solve_matches_scipy(model, rule, measure, 1000)
+    last = model.knots()["knots"][-1]
+    assert sol.diagnostics.bracket == (last, 2.0 * last)
+
+    def f(d):
+        return stationarity_function(model, rule, measure, 1000, d)
+
+    res = expand_and_solve(f, last, 2.0 * last, f(last))
+    assert res == expand_and_solve(f, last, 2.0 * last)
+    assert (res.root, res.bracket) == (sol.d_star, sol.diagnostics.bracket)
+
+
+def test_flat_root_below_the_first_knot_starts_from_the_critical_quantile():
+    """At delta = 1e-3 the critical quantile lies below the first knot,
+    which closes the root's cell: Brent's step from the quantile is
+    scipy's."""
+    model = ParetoII(9.0, 8.0)
+    sol = _solve_matches_scipy(model, DecreasingLoading(1e-3), DistortionMeasure.var(0.75), 1)
+    assert sol.diagnostics.bracket[1] == model.knots()["knots"][0]
 
 
 @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
@@ -136,15 +169,7 @@ def test_decreasing_rule_stationarity_on_the_solver_bracket():
 def test_spread_rule_solves_match_scipy(rule):
     """The spread rules' Brent step on a Lomax cell is scipy's on the
     stationarity function over the same cell."""
-    model, measure = ParetoII(9.0, 8.0), DistortionMeasure.var(0.75)
-    sol = solve_retention(model, rule, measure, 100)
-    lo, hi = sol.diagnostics.bracket
-    assert lo < sol.d_star < hi
-    expected = _scipy(lambda d: stationarity_function(model, rule, measure, 100, d), lo, hi)
-    root, iterations, value = expected
-    diag = sol.diagnostics
-    assert (sol.d_star, diag.iterations, diag.stationarity_residual) == (
-        root, iterations, abs(value))
+    _solve_matches_scipy(ParetoII(9.0, 8.0), rule, DistortionMeasure.var(0.75), 100)
 
 
 # interpolated, the cell [2, 3] makes the inverse quadratic step's

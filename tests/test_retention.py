@@ -463,25 +463,75 @@ class TestRootStepsReadFloats:
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
     def test_solve_retention(self, rule, monkeypatch):
         reads = _spy_on_moment_grid(monkeypatch)
-        sol = solve_retention(ParetoII(9.0, 8.0), rule, VAR75, 100)
-        if rule.spread_dependent:  # the knot table, built on first use
-            table = reads.pop(0)
-            assert isinstance(table, np.ndarray) and table.size == 1000
-        assert len(reads) > sol.diagnostics.iterations
+        model = ParetoII(9.0, 8.0)
+        sol = solve_retention(model, rule, VAR75, 100)
+        # the knot table, built on first use, then Brent's steps in one cell,
+        # which start from the table's values at its ends and stop without a
+        # step at their last iteration; nothing is read once they are done
+        table = reads.pop(0)
+        assert isinstance(table, np.ndarray) and table.size == 1000
         assert all(isinstance(d, float) for d in reads)
+        assert set(sol.diagnostics.bracket) <= set(model.knots()["knots"])
+        assert not set(reads) & set(model.knots()["knots"])
+        assert len(reads) == sol.diagnostics.iterations - 1
+        assert sol.d_star in reads
 
     def test_solve_retention_edgeworth(self, monkeypatch):
         reads = _spy_on_moment_grid(monkeypatch)
         model = ParetoII(9.0, 8.0)
         sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
-        # the knot table, built on first use, then the objective at its knots
-        for _ in range(2):
-            grid = reads.pop(0)
-            assert np.array_equal(grid, model.knots()["knots"])
+        # the knot table, built on first use, whose moments the refined
+        # objective at the knots reads
+        grid = reads.pop(0)
+        assert np.array_equal(grid, model.knots()["knots"])
         # Brent starts from the knots' slopes and stops without a step at
         # its last iteration; then the objective at the root
         assert len(reads) == sol.diagnostics.iterations
         assert all(isinstance(d, float) for d in reads)
+
+    def test_flat_root_below_the_first_knot(self, monkeypatch):
+        """At delta = 1e-3 the critical quantile d2 lies below the first
+        knot: d2 is the cell's lower end and is read, the knot is not."""
+        model = ParetoII(9.0, 8.0)
+        first = model.knots()["knots"][0]
+        reads = _spy_on_moment_grid(monkeypatch)
+        sol = solve_retention(model, DecreasingLoading(1e-3), VAR75, 1)
+        d2 = sol.diagnostics.bracket[0]
+        assert d2 < sol.d_star < sol.diagnostics.bracket[1] == first
+        # d2, then Brent's steps, which stop without one at the last iteration
+        assert reads[0] == d2 and len(reads) == sol.diagnostics.iterations
+        assert first not in reads and sol.d_star in reads
+
+    def test_flat_root_above_the_last_knot(self, monkeypatch):
+        """constant 0.3, gini:0.5, N = 1000: the flat condition is negative at
+        every knot, and `expand_and_solve` doubles out from the last one,
+        starting from the table's value there."""
+        model = ParetoII(9.0, 8.0)
+        rule, measure = ConstantLoading(0.3), DistortionMeasure("gini", 0.5)
+        knots = model.knots()["knots"]
+        assert np.all(stationarity_function(model, rule, measure, 1000, knots) < 0.0)
+        last = knots[-1]
+        reads = _spy_on_moment_grid(monkeypatch)
+        sol = solve_retention(model, rule, measure, 1000)
+        assert sol.diagnostics.bracket[0] == last < sol.d_star < sol.diagnostics.bracket[1]
+        # the upper probe, then Brent's steps; the last knot is not read
+        assert len(reads) == sol.diagnostics.iterations and last not in reads
+        assert sol.d_star == 39.13185844454271
+        fresh = abs(stationarity_function(model, rule, measure, 1000, sol.d_star))
+        assert sol.diagnostics.stationarity_residual == fresh
+
+    def test_flat_root_with_the_critical_quantile_past_the_last_knot(self):
+        """rho = 1 at N = 10^7: d2 itself lies past the last knot, and the
+        bracket doubles out from d2."""
+        model = ParetoII(9.0, 8.0)
+        rule = ConstantLoading(1.0)
+        sol = solve_retention(model, rule, VAR75, 10 ** 7)
+        d2 = sol.diagnostics.bracket[0]
+        assert model.knots()["knots"][-1] < d2 < sol.d_star
+        assert d2 == model.upper_quantile(retention._atom_level(rule, VAR75, 10 ** 7))
+        assert sol.d_star == pytest.approx(5317.145763461613, rel=1e-12)
+        fresh = abs(stationarity_function(model, rule, VAR75, 10 ** 7, sol.d_star))
+        assert sol.diagnostics.stationarity_residual == fresh
 
 
 # the Lomax model and a 2000-claim plug-in model, each keeping its knot table
@@ -491,9 +541,7 @@ MODELS = {"lomax": ParetoII(9.0, 8.0),
 
 def _spy_on_reads(monkeypatch) -> list:
     """(name, retention) of every `moment_grid` and `moments_in_cell` call
-    at one retention, on both models, in order; ("objective", None) marks
-    each call of `retention.objective`, which `solve_retention` makes only
-    once its root search is done."""
+    at one retention, on both models, in order."""
     reads = []
 
     def spy(name, read):
@@ -506,12 +554,6 @@ def _spy_on_reads(monkeypatch) -> list:
     for cls in (ParetoII, EmpiricalLosses):
         for name in ("moment_grid", "moments_in_cell"):
             monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
-
-    def marked(*args):
-        reads.append(("objective", None))
-        return objective(*args)
-
-    monkeypatch.setattr(retention, "objective", marked)
     return reads
 
 
@@ -560,25 +602,42 @@ class TestRootSearchReadsEachRetentionOnce:
         assert root.root == t["below"][0] and root.iterations == 0
         assert root.residual == emp.moment_grid(t["below"][0])["mu1"] == 0.75 * t["below"][0]
 
+    @pytest.mark.parametrize("measure", [VAR75, DistortionMeasure("es", 0.9)],
+                             ids=lambda m: m.describe())
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_objective_and_loading_are_those_at_the_root(self, kind, rule, measure):
+        """Taken from the moments the search holds, they are the bits that
+        `objective` and `effective_rho` read afresh at d_star."""
+        model = MODELS[kind]
+        sol = solve_retention(model, rule, measure, 100)
+        fresh = objective(model, rule, measure, 100, sol.d_star)
+        assert sol.objective_value.hex() == fresh.hex()
+        rate = effective_rho(model, rule, 100, sol.d_star)
+        assert sol.diagnostics.effective_rho.hex() == rate.hex()
+
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
     @pytest.mark.parametrize("kind", MODELS)
     def test_no_retention_is_read_twice(self, kind, rule, monkeypatch):
         model = MODELS[kind]
-        model.knots()
+        t = model.knots()
         reads = _spy_on_reads(monkeypatch)
         sol = solve_retention(model, rule, VAR75, 100)
-        search = reads[:reads.index(("objective", None))]
         for name in ("moment_grid", "moments_in_cell"):
-            points = [d for what, d in search if what == name]
+            points = [d for what, d in reads if what == name]
             assert len(points) == len(set(points))
         if kind == "lomax":
-            # the lower end, each probe and each Brent step but the last,
-            # which stops without one; a spread rule's cell starts from the
-            # knot table, and the Lomax cell reads through moment_grid
-            steps = [d for what, d in search if what == "moment_grid"]
-            expected = sol.diagnostics.iterations + (-1 if rule.spread_dependent else 1)
-            assert len(steps) == expected
-            assert sol.d_star in steps
+            # only Brent's steps in the root's cell, which start from the
+            # table's values at its ends: no knot is read, and nothing once
+            # the search is done
+            steps = [d for what, d in reads if what == "moment_grid"]
+            assert len(steps) == sol.diagnostics.iterations - 1
+            assert sol.d_star in steps and not set(steps) & set(t["knots"])
+        elif rule.spread_dependent:
+            # the float below the smallest claim, the range's lower end, is
+            # no row of the table: its objective is read once, in the cell
+            # below that claim
+            assert ("moments_in_cell", float(t["below"][0])) in reads
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
