@@ -314,13 +314,11 @@ def cmd_analyze(args, parser: _Parser) -> int:
             "max": summary.max,
         },
     )
-    write_csv_atomic(
-        out / "lorenz.csv", ("u", "share"), [tuple(pt) for pt in summary.lorenz]
-    )
+    write_csv_atomic(out / "lorenz.csv", ("u", "share"), summary.lorenz)
     emp = EmpiricalLosses(losses)
     xs = np.linspace(0.0, float(np.quantile(losses, 0.99)), 200)
     dens = kde_density(emp, xs)
-    write_csv_atomic(out / "density.csv", ("x", "density"), list(zip(xs, dens)))
+    write_csv_atomic(out / "density.csv", ("x", "density"), np.column_stack([xs, dens]))
 
     curves = {}
     for family in args.families:

@@ -100,14 +100,24 @@ def write_json_atomic(path, obj) -> None:
 
 
 def write_csv_atomic(path, header, rows) -> None:
-    """Write a CSV (header plus iterable of row tuples) atomically.
+    """Write a CSV (header plus iterable of row tuples, or a 2-D float
+    array) atomically.
 
-    Cells holding a comma, quote or line break are quoted.
+    Cells holding a comma, quote or line break are quoted.  An array's rows
+    are formatted in one pass over its Python floats, into the text its
+    rows as tuples would give.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_format_cell(c) for c in row] for row in rows)
+    if isinstance(rows, np.ndarray):
+        # a NaN cell is empty, as in `_format_cell`; the csv module quotes a
+        # row of one empty cell
+        line = ",".join(["{:.6g}"] * rows.shape[1]) + "\n"
+        empty = '""' if rows.shape[1] == 1 else ""
+        buf.writelines(line.format(*row).replace("nan", empty) for row in rows.tolist())
+    else:
+        writer.writerows([_format_cell(c) for c in row] for row in rows)
     _atomic_write_text(path, buf.getvalue())
 
 

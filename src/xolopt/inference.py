@@ -11,7 +11,7 @@ are covered: decreasing, standard-deviation, and Sharpe-ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .retention import (
     effective_rho,
     solve_retention,
 )
-from .severity import EmpiricalLosses, kde_density
+from .severity import EmpiricalLosses, TruncatedMoments, kde_density
 
 MIN_SAMPLE = 30
 
@@ -116,6 +116,9 @@ def estimate_sharpe(
     return _estimate_rule(losses, SharpeLoading(rho0), measure, level)
 
 
+# the moments of a TruncatedMoments, after its retention d
+_MOMENTS = tuple(f.name for f in fields(TruncatedMoments))[1:]
+
 # the letter each rule's coefficients are reported under
 _PREFIX = {DecreasingLoading: "c", StdDevLoading: "b", SharpeLoading: "a"}
 
@@ -136,14 +139,14 @@ def _estimate_rule(
     form over |c0| sqrt(n), where c0 is the derivative in d; the
     coefficients are reported as c0..c5 under the rule's letter.  sol, when
     given, is the solve of this rule on these losses, which is then not
-    repeated.
+    repeated.  The moments at d_hat are those the solve read there.
     """
     emp = _as_empirical(losses)
     if sol is None:
         sol = solve_retention(emp, rule, measure, emp.n)
     d_hat = sol.d_star
     phi = measure.phi_normal()
-    tm = emp.truncated_moments(d_hat)
+    tm = TruncatedMoments(d_hat, **{name: float(sol.moments[name]) for name in _MOMENTS})
     var_mu = tm.var
     if var_mu <= 0.0 or (rule.spread_dependent and tm.nu2 - tm.nu1 ** 2 <= 0.0):
         raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")

@@ -40,22 +40,27 @@ def _fmt(v: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates onto the SVG pixel box."""
+    """Maps data coordinates, floats or arrays, onto the SVG pixel box."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
         pad_y = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(abs(y_hi), 1.0) * 0.05
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
 
-    def x(self, v: float) -> float:
+    def x(self, v):
         span = self.x_hi - self.x_lo or 1.0
         frac = (v - self.x_lo) / span
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         span = self.y_hi - self.y_lo or 1.0
         frac = (v - self.y_lo) / span
         return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> list[str]:
+    """'x,y' pixel pairs to one decimal, formatted from Python floats."""
+    return [f"{x:.1f},{y:.1f}" for x, y in zip(px.tolist(), py.tolist())]
 
 
 def render_svg(
@@ -66,22 +71,24 @@ def render_svg(
     series: list[tuple[str, np.ndarray, np.ndarray]],
     band: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """Write a line plot; series are (label, x, y), band is (x, lo, hi)."""
-    xs_all, ys_all = [], []
-    for _, xs, ys in series:
-        keep = np.isfinite(np.asarray(xs, float)) & np.isfinite(np.asarray(ys, float))
-        xs_all.append(np.asarray(xs, float)[keep])
-        ys_all.append(np.asarray(ys, float)[keep])
+    """Write a line plot; series are (label, x, y), band is (x, lo, hi).
+
+    Points with a non-finite coordinate are gap markers: they break a
+    series' polyline and drop out of the band.  Without a finite point the
+    frame is the unit square."""
+    series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series]
+    finite = [np.isfinite(xs) & np.isfinite(ys) for _, xs, ys in series]
+    xs_all = [xs[keep] for (_, xs, _), keep in zip(series, finite)]
+    ys_all = [ys[keep] for (_, _, ys), keep in zip(series, finite)]
     if band is not None:
         bx, blo, bhi = (np.asarray(a, dtype=float) for a in band)
         keep = np.isfinite(bx) & np.isfinite(blo) & np.isfinite(bhi)
         bx, blo, bhi = bx[keep], blo[keep], bhi[keep]
-        if bx.size:
-            xs_all.append(bx)
-            ys_all.extend([blo, bhi])
-    x_cat = np.concatenate([a for a in xs_all if a.size]) if xs_all else np.array([0.0])
-    y_cat = np.concatenate([a for a in ys_all if a.size]) if ys_all else np.array([0.0])
-    if x_cat.size == 0 or y_cat.size == 0:
+        xs_all.append(bx)
+        ys_all.extend([blo, bhi])
+    x_cat, y_cat = (np.concatenate([np.empty(0), *parts]) for parts in (xs_all, ys_all))
+    if x_cat.size == 0:
         x_cat, y_cat = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     frame = _Frame(float(x_cat.min()), float(x_cat.max()),
                    float(y_cat.min()), float(y_cat.max()))
@@ -116,32 +123,24 @@ def render_svg(
         f'height="{_HEIGHT - _MARGIN_T - _MARGIN_B}" fill="none" stroke="#333333"/>'
     )
     if band is not None and bx.size:
-        pts = [f"{frame.x(x):.1f},{frame.y(lo):.1f}" for x, lo in zip(bx, blo)]
-        pts += [f"{frame.x(x):.1f},{frame.y(hi):.1f}" for x, hi in zip(bx[::-1], bhi[::-1])]
+        px = frame.x(bx)
+        pts = _points(px, frame.y(blo)) + _points(px[::-1], frame.y(bhi)[::-1])
         parts.append(
             f'<polygon points="{" ".join(pts)}" fill="{_PALETTE[0]}" opacity="0.18"/>'
         )
-    for idx, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    for idx, ((label, xs, ys), keep) in enumerate(zip(series, finite)):
         color = _PALETTE[idx % len(_PALETTE)]
-        segment: list[str] = []
-        for x, y in zip(xs, ys):
-            # break the polyline at gap markers
-            if not (math.isfinite(x) and math.isfinite(y)):
-                if len(segment) > 1:
-                    parts.append(
-                        f'<polyline points="{" ".join(segment)}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.8"/>'
-                    )
-                segment = []
-                continue
-            segment.append(f"{frame.x(x):.1f},{frame.y(y):.1f}")
-        if len(segment) > 1:
-            parts.append(
-                f'<polyline points="{" ".join(segment)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.8"/>'
-            )
+        pts = _points(frame.x(xs[keep]), frame.y(ys[keep]))
+        # break the polyline at gap markers: each one falls before the kept
+        # point of its index less the markers ahead of it
+        gaps = np.flatnonzero(~keep)
+        ends = [0, *(gaps - np.arange(gaps.size)).tolist(), len(pts)]
+        for lo, hi in zip(ends, ends[1:]):
+            if hi - lo > 1:
+                parts.append(
+                    f'<polyline points="{" ".join(pts[lo:hi])}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.8"/>'
+                )
         ly = _MARGIN_T + 16 + 16 * idx
         parts.append(
             f'<line x1="{_WIDTH - 150}" y1="{ly - 4}" x2="{_WIDTH - 126}" y2="{ly - 4}" '

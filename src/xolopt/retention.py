@@ -16,7 +16,7 @@ coefficient multiplies the volatility term of every objective.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from operator import attrgetter
 
@@ -31,7 +31,7 @@ from .errors import (
     NoRootFound,
 )
 from .numerics import RootResult, brentq, expand_and_solve
-from .severity import EmpiricalLosses, ParetoII, SeverityModel
+from .severity import EmpiricalLosses, ParetoII, SeverityModel, load_shape
 
 class LoadingRule:
     """A premium principle: the loading rate on the ceded mean,
@@ -51,7 +51,9 @@ class LoadingRule:
       theta * sqrt(N) for a rate that does not fall;
     - marginal_load(n, sbar, nu1, nu2): its derivative in d,
       -c(N) * (sbar sigma**k + k (1 - sbar) nu1**2 sigma**(k-2)), written in
-      the moments at d (at d = 0 it decides the atom condition);
+      the moments at d (at d = 0 it decides the atom condition); the factor
+      after -c(N) is `severity.load_shape`, which depends on the rule only
+      through k;
     - load_gradient(n, sbar, nu1, nu2): the gradient of the marginal load in
       those three moments, for the delta-method standard error.
 
@@ -100,12 +102,8 @@ class LoadingRule:
 
     def marginal_load(self, n: int, sbar, nu1, nu2):
         # runs at every root-finding step, so it leaves masking the warnings
-        # of a layer without spread to its callers; numpy's power, not **,
-        # gives a float the bits of an array entry
-        k = self.spread_power
-        spread = np.sqrt(nu2 - nu1 * nu1)
-        tilt = k * (1.0 - sbar) * (nu1 * nu1) * np.power(spread, k - 2) if k else 0.0
-        return -self.scale(n) * (sbar * np.power(spread, k) + tilt)
+        # of a layer without spread to its callers
+        return -self.scale(n) * load_shape(self.spread_power, sbar, nu1, nu2)
 
     def load_gradient(self, n: int, sbar, nu1, nu2) -> tuple[float, float, float]:
         k, c = self.spread_power, self.scale(n)
@@ -185,12 +183,17 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class RetentionSolution:
+    """The optimal retention, with `moments`, the model's moments at d_star
+    as the solve read them (None for the Edgeworth solve): the estimators'
+    linearisation reuses them, and no JSON output carries them."""
+
     d_star: float
     objective_value: float
     rule: LoadingRule
     measure: DistortionMeasure
     n_contracts: int
     diagnostics: SolverDiagnostics
+    moments: dict | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         diag = self.diagnostics
@@ -383,10 +386,12 @@ def solve_retention(
     The spread-rule search is the same on every model.  The model's
     `knots()` table holds the moments at each knot, with sbar on both sides:
     only sbar may jump at a knot, so one pass over the table gives the
-    derivative's limits on both sides of every knot.  Brent's method runs,
-    on `model.moments_in_cell`, in every cell between knots where the
-    derivative rises, and a rise across a knot is a kink root
-    (`_rising_roots`).  The Lomax knots are a 1000-point log grid; the
+    derivative's limits on both sides of every knot.  Their load term is
+    -c(N) times the model's `knot_shapes` for the rule's spread power,
+    built by the first such solve on the model and shared by the rest.
+    Brent's method runs, on `model.moments_in_cell`, in every cell between
+    knots where the derivative rises, and a rise across a knot is a kink
+    root (`_rising_roots`).  The Lomax knots are a 1000-point log grid; the
     empirical knots are the distinct positive claims up to the 0.999
     quantile.
 
@@ -394,6 +399,7 @@ def solve_retention(
     search read at each point, or the table's row there: a Lomax solve
     reads no retention once its search is done, and an empirical one only
     the spread rules' lower range end, the float below the smallest claim.
+    The moments at d_star go with the solution as `moments`.
     The diagnostics read: `bracket`, the cell of d_star; `iterations`, the
     Brent steps spent in it (0 for a closed form or a kink; past the last
     Lomax knot, the doublings too); and `smallest_stationary_point`, the
@@ -420,6 +426,7 @@ def solve_retention(
         value = float(_objective(rule, phi, n, model.mean(), at_root))
         rate = rule.rate(n)
         smallest = best.root
+        moments = at_root
     else:
         t, left, right = _knot_sides(model, rule, phi, n)
         read = {}
@@ -443,7 +450,8 @@ def solve_retention(
             )
         best = roots[k - 1]
         value = values[k]
-        rate = _spread_rate(rule, n, best.root, held[k]["nu1"], held[k]["nu2"])
+        moments = held[k]
+        rate = _spread_rate(rule, n, best.root, moments["nu1"], moments["nu2"])
         smallest = roots[0].root
     diag = SolverDiagnostics(
         bracket=best.bracket,
@@ -461,6 +469,7 @@ def solve_retention(
         measure=measure,
         n_contracts=n,
         diagnostics=diag,
+        moments=moments,
     )
 
 
@@ -562,23 +571,26 @@ def _knot_sides(
     model: SeverityModel, rule: LoadingRule, phi: float, n: int,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """The model's knot table, and the derivative's limits from the left and
-    from the right at each knot."""
+    from the right at each knot: the capped slope plus -c(N) times the
+    model's `knot_shapes`, which every solve of the rule's spread power
+    shares."""
     t = model.knots()
     if t["knots"].size == 0:
         raise NoRootFound("no positive claim up to the 0.999 quantile")
+    shape_left, shape_right = model.knot_shapes(rule.spread_power)
     # a layer without a claim carries no load; from below, the ceded spread
     # falls with the ceded mean, so the marginal load tends to 0 too (the
     # formula reads 0 * inf at the largest loss of an empirical model)
     empty = t["nu1"] == 0.0
+    c = -rule.scale(n)
 
-    def limit(sbar):
-        return (_capped_slope(phi, sbar, t)
-                + np.where(empty, 0.0, rule.marginal_load(n, sbar, t["nu1"], t["nu2"])))
+    def limit(sbar, shape):
+        return _capped_slope(phi, sbar, t) + np.where(empty, 0.0, c * shape)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        right = limit(t["sbar"])
+        right = limit(t["sbar"], shape_right)
         # where sbar does not jump (the Lomax table), the two limits agree
-        left = right if t["sbar_left"] is t["sbar"] else limit(t["sbar_left"])
+        left = right if t["sbar_left"] is t["sbar"] else limit(t["sbar_left"], shape_left)
     return t, left, right
 
 
@@ -603,26 +615,31 @@ def _rising_roots(
     method read at the root.  Only pairs of finite limits count.
     """
     knots, below = t["knots"], t["below"]
-    values = np.column_stack([left, right]).ravel()
-    a, b = values[:-1], values[1:]
-    rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
+    # along left[0], right[0], left[1], ...: a fall to at most 0 then a rise
+    # above it across knot j (2j), or in the cell above it (2j + 1)
+    falls_right, rises_right = right <= 0.0, right > 0.0
+    falls_left, rises_left = (
+        (falls_right, rises_right) if left is right else (left <= 0.0, left > 0.0))
+    across = np.flatnonzero(falls_left & rises_right) * 2
+    cells = np.flatnonzero(falls_right[:-1] & rises_left[1:]) * 2 + 1
     roots = []
-    for i in np.flatnonzero(rising):
+    for i in sorted(across.tolist() + cells.tolist()):
         j = i // 2
+        a, b = (left[j], right[j]) if i % 2 == 0 else (right[j], left[j + 1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            continue
         if i % 2 == 0:  # across knot j
             bracket = (float(below[j]), float(knots[j]))
-            root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
-                              else (bracket[1], right[j]))
+            root, residual = (bracket[0], a) if abs(a) < b else (bracket[1], b)
             if root < knots[j]:  # read in the cell below, -1 below the first knot
                 with np.errstate(divide="ignore", invalid="ignore"):
                     residual = derivative(root, j - 1)
             roots.append(RootResult(root, float(residual), bracket, 0))
         else:  # between knots j and j + 1
             lo, hi = float(knots[j]), float(below[j + 1])
-            f_hi = left[j + 1] if below[j + 1] == knots[j + 1] else None
+            f_hi = b if below[j + 1] == knots[j + 1] else None
             with np.errstate(divide="ignore", invalid="ignore"):
-                root, iterations, residual = brentq(partial(derivative, j=j), lo, hi,
-                                                    right[j], f_hi)
+                root, iterations, residual = brentq(partial(derivative, j=j), lo, hi, a, f_hi)
             roots.append(RootResult(root, residual, (lo, hi), iterations))
     return roots, (float(below[0]), float(knots[-1]))
 

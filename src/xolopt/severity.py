@@ -79,6 +79,28 @@ class LossSummary:
     lorenz: np.ndarray
 
 
+def load_shape(k: int, sbar, nu1, nu2):
+    """sbar sigma^k + k (1 - sbar) nu1^2 sigma^(k-2), with sigma^2 = nu2 -
+    nu1^2 the ceded variance: the rate at which nu1 sigma^k falls as d
+    rises, from the moments at d.  A loading rule of spread power k has
+    marginal load -c(N) times it.  Takes arrays or floats; numpy's power,
+    not **, gives a float the bits of an array entry.  Leaves masking the
+    warnings of a layer without spread to its callers."""
+    return _load_shape(k, sbar, *_spread_powers(k, nu1, nu2))
+
+
+def _spread_powers(k: int, nu1, nu2) -> tuple:
+    """nu1^2, sigma^k and sigma^(k-2): the terms of `load_shape` that do not
+    depend on sbar (sigma^(k-2) is None for k = 0)."""
+    spread = np.sqrt(nu2 - nu1 * nu1)
+    return nu1 * nu1, np.power(spread, k), np.power(spread, k - 2) if k else None
+
+
+def _load_shape(k: int, sbar, nu1_sq, power, lower):
+    tilt = k * (1.0 - sbar) * nu1_sq * lower if k else 0.0
+    return sbar * power + tilt
+
+
 def _rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -243,6 +265,25 @@ class SeverityModel:
         for column in table.values():
             column.flags.writeable = False
         return table
+
+    def knot_shapes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """`load_shape` at power k at each knot of `knots()`, from the left
+        and from the right (one array where sbar does not jump).  Read-only,
+        built on first use and kept, one entry per power."""
+        if k not in self._shapes:
+            t = self.knots()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                powers = _spread_powers(k, t["nu1"], t["nu2"])  # shared by both sides
+                right = _load_shape(k, t["sbar"], *powers)
+                left = (right if t["sbar_left"] is t["sbar"]
+                        else _load_shape(k, t["sbar_left"], *powers))
+            left.flags.writeable = right.flags.writeable = False
+            self._shapes[k] = left, right
+        return self._shapes[k]
+
+    @cached_property
+    def _shapes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {}
 
     def _build_knots(self) -> dict[str, np.ndarray]:
         raise NotImplementedError

@@ -416,6 +416,28 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--sweep", "rho")
         assert code == 64
 
+    def test_curve_of_gap_markers_only_is_plotted_on_the_unit_frame(self, capsys, tmp_path):
+        """Sharpe loadings from 0.5 to 2 leave the Lomax(9, 8) claims no
+        interior optimum: every point of the curve is a gap marker, and its
+        plot has axes but no estimate line."""
+        claims = tmp_path / "claims.csv"
+        x = ParetoII(9.0, 8.0).sample(2000, 1)
+        claims.write_text("loss\n" + "\n".join(map(repr, x.tolist())) + "\n")
+        out_dir = tmp_path / "ana"
+        code, out = run_cli(capsys, "analyze", "--input", str(claims), "--sweep", "rho",
+                            "--grid", "0.5:2:4", "--families", "sharpe", "--svg", "--json",
+                            "--out", str(out_dir))
+        assert code == 0
+        assert "curve_sharpe.svg" in json.loads(out)["files"]
+        rows = (out_dir / "curve_sharpe.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(row.startswith(tuple("0123456789")) and ",,," in row
+                                      for row in rows)
+        svg = (out_dir / "curve_sharpe.svg").read_text()
+        assert svg.count('stroke="#dddddd"') >= 4  # grid lines on both axes
+        assert "<polyline" not in svg and "<polygon" not in svg
+        # the unit frame's ticks: 0 to 1 on x
+        assert '>0</text>' in svg and '>1</text>' in svg
+
 
 class TestSelfcheck:
     def test_all_checks_pass(self, capsys):

@@ -1,6 +1,8 @@
 """Tests for nonparametric retention estimation and asymptotic intervals."""
 
+import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -485,3 +487,62 @@ class TestRetentionCurve:
                     # fixed point finds to a relative 1e-8
                     assert at_c.ci_hi - at_c.ci_lo == pytest.approx(
                         c * (pt.ci_hi - pt.ci_lo), rel=5e-8)
+
+
+ES90 = DistortionMeasure("es", 0.9)
+
+# (sample, rule, parameter, measure): flat roots, cell roots, and kink roots
+# at a claim (duplicates and both, sharpe 0.5) and at the float below one
+# (duplicates, sharpe 2)
+REUSE_CASES = [
+    ("duplicates", "decreasing", 0.5, VAR75), ("zeros", "decreasing", 2.0, ES90),
+    ("heavy", "decreasing", 0.5, VAR75), ("heavy", "stddev", 0.5, VAR75),
+    ("both", "stddev", 0.5, ES90), ("heavy", "sharpe", 2.0, ES90),
+    ("duplicates", "sharpe", 0.5, ES90), ("duplicates", "sharpe", 2.0, ES90),
+    ("both", "sharpe", 0.5, VAR75),
+]
+
+
+class TestEstimateReusesTheSolve:
+    """The linearisation takes the moments at d_hat that the solve read."""
+
+    @pytest.mark.parametrize("name,rule,theta,measure", REUSE_CASES)
+    def test_no_moment_is_read_after_the_solve(self, monkeypatch, name, rule, theta, measure):
+        events = []
+        for method in ("moment_grid", "cell_moments", "moments_in_cell", "truncated_moments"):
+            def spy(self, *args, _read=getattr(EmpiricalLosses, method), _name=method):
+                events.append(_name)
+                return _read(self, *args)
+
+            monkeypatch.setattr(EmpiricalLosses, method, spy)
+        solve = inference.solve_retention
+
+        def solve_spy(*args):
+            sol = solve(*args)
+            events.append("solved")
+            return sol
+
+        monkeypatch.setattr(inference, "solve_retention", solve_spy)
+        _estimate(_sample(name), _RULES[rule](theta), measure)
+        assert events.count("solved") == 1 and events[-1] == "solved"
+        assert len(events) > 1
+
+    @pytest.mark.parametrize("name,rule,theta,measure", REUSE_CASES)
+    def test_standard_error_keeps_the_bits_of_a_fresh_read(self, name, rule, theta, measure):
+        emp = EmpiricalLosses(_sample(name))
+        rule = _RULES[rule](theta)
+        sol = inference.solve_retention(emp, rule, measure, emp.n)
+        tm = emp.truncated_moments(sol.d_star)
+        assert [float(sol.moments[k]).hex() for k in inference._MOMENTS] == \
+            [getattr(tm, k).hex() for k in inference._MOMENTS]
+        fresh = replace(sol, moments=asdict(tm))
+        got, want = (inference._estimate_rule(emp, rule, measure, 0.95, s) for s in (sol, fresh))
+        assert (got.std_error.hex(), got.ci) == (want.std_error.hex(), want.ci)
+        assert got.coefficients == want.coefficients
+
+    def test_moments_stay_out_of_the_json(self):
+        emp = EmpiricalLosses(_sample("heavy"))
+        sol = inference.solve_retention(emp, _RULES["stddev"](0.5), VAR75, emp.n)
+        assert sol.moments is not None
+        assert "moments" not in json.dumps(sol.to_json_dict())
+        assert "moments" not in repr(sol)

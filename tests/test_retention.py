@@ -1,6 +1,7 @@
 """Tests for retention solvers under the four premium loading rules."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from xolopt.errors import (
     NonpositivePhi,
     NoRootFound,
 )
-from xolopt.numerics import log_spaced_grid
+from xolopt.numerics import RootResult, brentq, log_spaced_grid
 from xolopt.retention import (
     ConstantLoading,
     DecreasingLoading,
@@ -354,6 +355,159 @@ class TestPlugInDerivative:
         lead = VAR75.phi_normal() * t["sbar_left"][-1] * gap / math.sqrt(t["var"][-1])
         assert left[-1] == pytest.approx(lead, rel=1e-12)
         assert right[-1] == 0.0
+
+
+def _unfactored_marginal_load(rule, n, sbar, nu1, nu2):
+    """A rule's marginal load as one expression, -c(N) times the whole
+    bracket, the form `load_shape` was factored out of."""
+    k = rule.spread_power
+    spread = np.sqrt(nu2 - nu1 * nu1)
+    tilt = k * (1.0 - sbar) * (nu1 * nu1) * np.power(spread, k - 2) if k else 0.0
+    return -rule.scale(n) * (sbar * np.power(spread, k) + tilt)
+
+
+def _unfactored_sides(model, rule, phi, n):
+    """The derivative's limits at the knots, left and right, each side
+    taken whole from the table's moments."""
+    t = model.knots()
+    empty = t["nu1"] == 0.0
+
+    def limit(sbar):
+        load = _unfactored_marginal_load(rule, n, sbar, t["nu1"], t["nu2"])
+        return phi * sbar * t["gap"] / np.sqrt(t["var"]) + np.where(empty, 0.0, load)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return limit(t["sbar_left"]), limit(t["sbar"])
+
+
+def _interleaved_rising_roots(t, left, right, derivative):
+    """`_rising_roots` as a scan over the 2K limits taken in order, left[0],
+    right[0], left[1], ...: the reference for the scan over the two sides."""
+    knots, below = t["knots"], t["below"]
+    values = np.column_stack([left, right]).ravel()
+    a, b = values[:-1], values[1:]
+    rising = np.isfinite(a) & np.isfinite(b) & (a <= 0.0) & (b > 0.0)
+    roots = []
+    for i in np.flatnonzero(rising):
+        j = i // 2
+        if i % 2 == 0:
+            bracket = (float(below[j]), float(knots[j]))
+            root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
+                              else (bracket[1], right[j]))
+            if root < knots[j]:
+                residual = derivative(root, j - 1)
+            roots.append(RootResult(root, float(residual), bracket, 0))
+        else:
+            lo, hi = float(knots[j]), float(below[j + 1])
+            f_hi = left[j + 1] if below[j + 1] == knots[j + 1] else None
+            root, iterations, residual = brentq(partial(derivative, j=j), lo, hi,
+                                                right[j], f_hi)
+            roots.append(RootResult(root, residual, (lo, hi), iterations))
+    return roots
+
+
+def _bits(roots):
+    return [(float(r.root).hex(), float(r.residual).hex(), tuple(map(float.hex, r.bracket)),
+             r.iterations) for r in roots]
+
+
+def _empirical(kind):
+    base = ParetoII(9.0, 8.0).sample(2000, 5)
+    return {
+        "ties": lambda: np.round(base, 2),
+        "zeros": lambda: np.concatenate([np.zeros(200), np.round(base[:1800], 1)]),
+        # below 1000 claims the range ends at the largest, where the layer empties
+        "empty_top": lambda: np.round(base[:800], 2),
+    }[kind]()
+
+
+_SIGNED_LIMITS = st.one_of(_LIMITS, st.sampled_from([-0.0, 5e-324, -5e-324]))
+
+SPREAD_RULES = [StdDevLoading(0.05), StdDevLoading(0.5), SharpeLoading(0.5), SharpeLoading(3.0)]
+
+
+class TestLoadShapeColumns:
+    """The spread rules' limits at the knots from the model's `load_shape`
+    columns, against the unfactored arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("rule", [ConstantLoading(0.3), DecreasingLoading(0.5),
+                                      StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    @pytest.mark.parametrize("kind", ["lomax", "empty_top"])
+    def test_marginal_load_keeps_its_bits(self, rule, kind):
+        model = ParetoII(9.0, 8.0) if kind == "lomax" else EmpiricalLosses(_empirical(kind))
+        d = np.concatenate([log_spaced_grid(1e-3, 20.0, 50), model.knots()["knots"][-3:]])
+        for n in (1, 10, 1000):
+            g = model.moment_grid(d)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = rule.marginal_load(n, g["sbar"], g["nu1"], g["nu2"])
+                want = _unfactored_marginal_load(rule, n, g["sbar"], g["nu1"], g["nu2"])
+                assert got.tobytes() == want.tobytes()
+                for x in d:
+                    tm = model.truncated_moments(float(x))
+                    got = rule.marginal_load(n, tm.sbar, tm.nu1, tm.nu2)
+                    want = _unfactored_marginal_load(rule, n, tm.sbar, tm.nu1, tm.nu2)
+                    assert float(got).hex() == float(want).hex()
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reused", "fresh"])
+    @pytest.mark.parametrize("kind", ["lomax", "ties", "zeros", "empty_top"])
+    def test_knot_sides_keep_their_bits(self, kind, reuse):
+        def make():
+            return ParetoII(9.0, 8.0) if kind == "lomax" else EmpiricalLosses(_empirical(kind))
+
+        shared = make()
+        for rule in SPREAD_RULES:
+            for measure in (VAR75, DistortionMeasure("es", 0.9), DistortionMeasure("pht", 0.5)):
+                for n in (1, 10, 2000):
+                    model = shared if reuse else make()
+                    phi = measure.phi_normal()
+                    _, left, right = retention._knot_sides(model, rule, phi, n)
+                    want_left, want_right = _unfactored_sides(model, rule, phi, n)
+                    assert left.tobytes() == want_left.tobytes()
+                    assert right.tobytes() == want_right.tobytes()
+        if kind == "empty_top":
+            assert shared.knots()["nu1"][-1] == 0.0 and right[-1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["lomax", "ties"])
+    def test_one_read_only_entry_per_spread_power(self, kind):
+        model = ParetoII(9.0, 8.0) if kind == "lomax" else EmpiricalLosses(_empirical(kind))
+        for rule in SPREAD_RULES:
+            for n in (10, 100):
+                try:
+                    solve_retention(model, rule, VAR75, n)
+                except NoRootFound:
+                    pass
+        assert sorted(model._shapes) == [-1, 1]
+        t = model.knots()
+        for k, (left, right) in model._shapes.items():
+            assert model.knot_shapes(k)[0] is left and model.knot_shapes(k)[1] is right
+            assert not left.flags.writeable and not right.flags.writeable
+            assert left.shape == right.shape == t["knots"].shape
+            assert (left is right) == (kind == "lomax")
+
+    @given(limits=st.lists(st.tuples(_SIGNED_LIMITS, _SIGNED_LIMITS), min_size=1, max_size=10),
+           smooth=st.booleans())
+    @example(limits=[(-0.0, 0.0), (0.0, -0.0), (math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf)],
+             smooth=False)
+    def test_scan_over_both_sides_finds_the_interleaved_roots(self, limits, smooth):
+        """The same roots in the same order as the scan over the limits
+        interleaved, with NaN, infinities and zeros of both signs."""
+        left, right = (np.array(side) for side in zip(*limits))
+        knots = np.arange(1.0, len(limits) + 1.0)
+        below = knots if smooth else knots - 0.25
+        if smooth:
+            left = right
+
+        def derivative(d, j):  # linear from right[j] at knot j to left[j + 1]
+            if j < 0 or j + 1 >= knots.size:
+                return -1.0
+            return float(np.interp(d, [knots[j], below[j + 1]], [right[j], left[j + 1]]))
+
+        t = {"knots": knots, "below": below}
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = retention._rising_roots(t, left, right, derivative)[0]
+            want = _interleaved_rising_roots(t, left, right, derivative)
+        assert _bits(got) == _bits(want)
 
 
 class TestEffectiveRho:
