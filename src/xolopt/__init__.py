@@ -42,9 +42,7 @@ from .errors import (
 from .inference import (
     CurvePoint,
     EstimationResult,
-    estimate_decreasing,
-    estimate_sd,
-    estimate_sharpe,
+    estimate,
     retention_curve,
 )
 from .montecarlo import (

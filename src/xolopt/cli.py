@@ -31,7 +31,7 @@ from .dataio import (
 )
 from .distortion import DistortionMeasure, normal_quantile, parse_measure
 from .errors import LossParseError, NumericalFailure, XoloptError
-from .inference import _estimate, retention_curve
+from .inference import ESTIMATED_RULES, estimate, retention_curve
 from .montecarlo import (
     TABLE1_SIZES,
     TABLE2_SIZES,
@@ -209,7 +209,7 @@ def cmd_estimate(args, parser: _Parser) -> int:
     digest = content_digest(args.input)
     rule = _build_rule(args, parser)
     measure = _measure_from(args)
-    result = _estimate(losses, rule, measure, args.level).to_json_dict()
+    result = estimate(losses, rule, measure, args.level).to_json_dict()
     _print_json(result)
     out = _resolve_out(args)
     if out is not None:
@@ -532,7 +532,7 @@ def build_parser() -> _Parser:
     est = sub.add_parser("estimate", parents=[common],
                          help="nonparametric retention estimate with CI")
     est.add_argument("--input", required=True, help="loss CSV")
-    est.add_argument("--rule", required=True, choices=("decreasing", "stddev", "sharpe"))
+    est.add_argument("--rule", required=True, choices=ESTIMATED_RULES)
     _add_rule_params(est)
     est.add_argument("--p", type=float, default=0.75, help="risk level")
     est.add_argument("--measure", help="distortion measure, e.g. var:0.75")
@@ -569,9 +569,8 @@ def build_parser() -> _Parser:
     ana.add_argument("--fixed-rho", type=_positive, default=0.005,
                      help="effective loading when sweeping p")
     ana.add_argument("--grid", help="sweep grid as lo:hi:count")
-    ana.add_argument("--families", nargs="+",
-                     default=["decreasing", "stddev", "sharpe"],
-                     choices=("decreasing", "stddev", "sharpe"))
+    ana.add_argument("--families", nargs="+", default=list(ESTIMATED_RULES),
+                     choices=ESTIMATED_RULES)
     ana.add_argument("--level", type=_probability, default=0.95)
     ana.add_argument("--svg", action="store_true", help="also render SVG plots")
     ana.set_defaults(func=cmd_analyze)

@@ -1,17 +1,17 @@
-"""Nonparametric retention estimators with delta-method standard errors.
+"""Nonparametric retention estimates with delta-method standard errors.
 
-Each estimator runs `retention.solve_retention` on the empirical model of
-the losses, so its point estimate is the exact minimiser of the plug-in
+`estimate` runs `retention.solve_retention` on the empirical model of the
+losses, so its point estimate is the exact minimiser of the plug-in
 objective, and then linearises the stationarity condition around the
 estimate to obtain an asymptotic standard error and a Wald confidence
-interval.  The three loading rules with nondegenerate large-sample limits
-are covered: decreasing, standard-deviation, and Sharpe-ratio.
+interval.  It takes the three loading rules with nondegenerate large-sample
+limits: decreasing, standard-deviation, and Sharpe-ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .retention import (
     effective_rho,
     solve_retention,
 )
-from .severity import EmpiricalLosses, TruncatedMoments, kde_density
+from .severity import EmpiricalLosses, kde_density
 
 MIN_SAMPLE = 30
 
@@ -71,94 +71,67 @@ def _as_empirical(losses) -> EmpiricalLosses:
     return emp
 
 
-def _wald_ci(d_hat: float, se: float, level: float) -> tuple[float, float]:
-    """The Wald interval d_hat -/+ z se at the given level."""
+def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    z = normal_quantile(0.5 * (1.0 + level))
-    return (d_hat - z * se, d_hat + z * se)
 
 
-def estimate_decreasing(
-    losses,
-    delta: float,
-    measure: DistortionMeasure,
-    level: float = 0.95,
-) -> EstimationResult:
-    """Estimate the optimal retention under the decreasing loading rule.
-
-    The estimate is the root of the plug-in stationarity quadratic.  The
-    standard error comes from the linearisation all three estimators share,
-    in which the flat rate's marginal load, -delta * sbar, has gradient
-    (-delta, 0, 0) in (sbar, nu1, nu2); the coefficients are reported as
-    c0..c5.
-    """
-    return _estimate_rule(losses, DecreasingLoading(delta), measure, level)
-
-
-def estimate_sd(
-    losses,
-    rho0: float,
-    measure: DistortionMeasure,
-    level: float = 0.95,
-) -> EstimationResult:
-    """Estimate the optimal retention under the standard-deviation loading."""
-    return _estimate_rule(losses, StdDevLoading(rho0), measure, level)
-
-
-def estimate_sharpe(
-    losses,
-    rho0: float,
-    measure: DistortionMeasure,
-    level: float = 0.95,
-) -> EstimationResult:
-    """Estimate the optimal retention under the Sharpe-ratio loading."""
-    return _estimate_rule(losses, SharpeLoading(rho0), measure, level)
-
-
-# the moments of a TruncatedMoments, after its retention d
-_MOMENTS = tuple(f.name for f in fields(TruncatedMoments))[1:]
-
-# the letter each rule's coefficients are reported under
+# the letter each rule's coefficients are reported under, for every rule
+# that has a large-sample estimator
 _PREFIX = {DecreasingLoading: "c", StdDevLoading: "b", SharpeLoading: "a"}
 
+#: The names of the loading rules that `estimate` and `retention_curve` take.
+ESTIMATED_RULES = tuple(cls.name for cls in _PREFIX)
 
-def _estimate_rule(
+
+def estimate(
     losses,
     rule: LoadingRule,
     measure: DistortionMeasure,
-    level: float,
-    sol: RetentionSolution | None = None,
+    level: float = 0.95,
 ) -> EstimationResult:
-    """Plug-in estimate under any rule, with its delta-method standard error.
+    """Estimate the optimal retention under a rule with a large-sample
+    estimator (decreasing, standard-deviation or Sharpe-ratio); any other
+    rule, such as the constant one, raises DomainError.
+
+    The estimate is `solve_retention` on the empirical model of the losses,
+    and its standard error and Wald interval at `level` come from the
+    linearisation all three rules share (`_linearise`).
+    """
+    if type(rule) not in _PREFIX:
+        raise DomainError(f"the {rule.name} rule has no large-sample estimator")
+    _check_level(level)
+    emp = _as_empirical(losses)
+    return _linearise(emp, solve_retention(emp, rule, measure, emp.n), level)
+
+
+def _linearise(emp: EmpiricalLosses, sol: RetentionSolution, level: float) -> EstimationResult:
+    """The estimate of sol, a solve on the empirical model emp, with its
+    delta-method standard error and Wald interval.
 
     The stationarity function phi sbar gap / sd(min(X, d)) plus the
     marginal load is linearised in the five moments (sbar, mu1, mu2, nu1,
-    nu2), with the rule supplying the gradient of its marginal load.  The
-    standard error is the spread of the per-claim values of that linear
-    form over |c0| sqrt(n), where c0 is the derivative in d; the
-    coefficients are reported as c0..c5 under the rule's letter.  sol, when
-    given, is the solve of this rule on these losses, which is then not
-    repeated.  The moments at d_hat are those the solve read there.
+    nu2), with the rule supplying the gradient of its marginal load (for
+    the decreasing rule's flat rate, -delta * sbar, it is (-delta, 0, 0) in
+    (sbar, nu1, nu2)).  The standard error is the spread of the per-claim
+    values of that linear form over |c0| sqrt(n), where c0 is the
+    derivative in d; the coefficients are reported as c0..c5 under the
+    rule's letter.  The moments at d_hat are those the solve read there.
     """
-    emp = _as_empirical(losses)
-    if sol is None:
-        sol = solve_retention(emp, rule, measure, emp.n)
-    d_hat = sol.d_star
+    rule, measure, d_hat = sol.rule, sol.measure, sol.d_star
     phi = measure.phi_normal()
-    tm = TruncatedMoments(d_hat, **{name: float(sol.moments[name]) for name in _MOMENTS})
-    var_mu = tm.var
-    if var_mu <= 0.0 or (rule.spread_dependent and tm.nu2 - tm.nu1 ** 2 <= 0.0):
+    sbar, mu1, gap, nu1, nu2, var_mu = (float(sol.moments[name]) for name in
+                                        ("sbar", "mu1", "gap", "nu1", "nu2", "var"))
+    if var_mu <= 0.0 or (rule.spread_dependent and nu2 - nu1 ** 2 <= 0.0):
         raise DegenerateVariance(f"capped or ceded spread vanishes at d={d_hat:g}")
     x = emp.losses
     # at a flat rate's root phi gap/sd = c(N): c1 below vanishes, and so does the density's term
     fhat = kde_density(emp, d_hat) if rule.spread_dependent else 0.0
-    sbar = tm.sbar
     sd_mu = math.sqrt(var_mu)
-    load_sbar, load_nu1, load_nu2 = rule.load_gradient(emp.n, sbar, tm.nu1, tm.nu2)
-    c1 = phi * tm.gap / sd_mu + load_sbar
-    c2 = phi * (-sbar / sd_mu + tm.mu1 * sbar * tm.gap / sd_mu ** 3)
-    c3 = -phi * sbar * tm.gap / (2.0 * sd_mu ** 3)
+    load_sbar, load_nu1, load_nu2 = rule.load_gradient(emp.n, sbar, nu1, nu2)
+    c1 = phi * gap / sd_mu + load_sbar
+    c2 = phi * (-sbar / sd_mu + mu1 * sbar * gap / sd_mu ** 3)
+    c3 = -phi * sbar * gap / (2.0 * sd_mu ** 3)
     # d/dd of the stationarity function through each moment
     c0 = (
         phi * sbar / sd_mu
@@ -166,7 +139,7 @@ def _estimate_rule(
         + c2 * sbar
         + c3 * 2.0 * d_hat * sbar
         + load_nu1 * (-sbar)
-        + load_nu2 * (-2.0 * tm.nu1)
+        + load_nu2 * (-2.0 * nu1)
     )
     if c0 == 0.0:
         raise DegenerateVariance("stationarity linearisation is degenerate")
@@ -175,7 +148,8 @@ def _estimate_rule(
     per_claim = (c1 * (x > d_hat) + c2 * capped + c3 * capped * capped
                  + load_nu1 * excess + load_nu2 * excess * excess)
     se = float(np.std(per_claim)) / (abs(c0) * math.sqrt(emp.n))
-    lo, hi = _wald_ci(d_hat, se, level)
+    z = normal_quantile(0.5 * (1.0 + level))
+    lo, hi = d_hat - z * se, d_hat + z * se
     warnings = _condition_warnings(sol.diagnostics.condition_checks)
     if lo < 0.0:  # no retention lies below 0
         warnings.append(f"confidence interval cut at 0; its lower end was {lo:g}")
@@ -211,22 +185,6 @@ class CurvePoint:
     error: str | None = None
 
 
-# each rule's estimator by its name in this module, looked up when called, so
-# that a rebound name (a test double, a tracer) is the one that runs
-_ESTIMATE = {DecreasingLoading: "estimate_decreasing", StdDevLoading: "estimate_sd",
-             SharpeLoading: "estimate_sharpe"}
-
-
-def _estimate(
-    losses,
-    rule: LoadingRule,
-    measure: DistortionMeasure,
-    level: float = 0.95,
-) -> EstimationResult:
-    """Plug-in estimate under any rule that has an estimator."""
-    return globals()[_ESTIMATE[type(rule)]](losses, rule.theta, measure, level)
-
-
 def retention_curve(
     losses,
     family: str,
@@ -243,10 +201,11 @@ def retention_curve(
     error text.
     """
     cls = _RULES.get(family)
-    if cls not in _ESTIMATE:
+    if cls not in _PREFIX:
         raise DomainError(f"unknown rule family {family!r}")
     if sweep not in ("rho", "p"):
         raise DomainError(f"sweep must be 'rho' or 'p', got {sweep!r}")
+    _check_level(level)
     emp = _as_empirical(losses)
     points: list[CurvePoint] = []
     param_guess: float | None = None
@@ -266,12 +225,6 @@ def retention_curve(
     return points
 
 
-def _param_at_rate(cls, rho: float, emp: EmpiricalLosses, d: float = 0.0) -> float:
-    """Parameter of the rule in family cls whose rate at retention d is rho
-    (a flat rate ignores d; every rate is proportional to the parameter)."""
-    return rho / effective_rho(emp, cls(1.0), emp.n, d)
-
-
 def _estimate_at_effective_rho(
     emp: EmpiricalLosses,
     cls,
@@ -285,22 +238,25 @@ def _estimate_at_effective_rho(
     A flat rate maps directly.  A spread-dependent rate depends on the
     solved retention, so the rule parameter is the fixed point of
     target(param), the parameter whose rate at the retention solved under
-    param is rho: `numerics.fixed_point` finds it by safeguarded secant
+    param is rho: as every rate is proportional to the parameter, that is
+    param rho over the rate the solve reports, so no step reads the
+    moments again.  `numerics.fixed_point` finds it by safeguarded secant
     steps, to a relative tolerance of 1e-8, from the previous curve point's
-    parameter or else from the rate at the sample median.  The estimate,
-    with its standard error, linearises the solve that fixed_point's last
-    evaluation made at that parameter.
+    parameter or else from the rate at the sample median.  Every point's
+    estimate, with its standard error, linearises a solve at the point's
+    parameter: a spread rate's is the fixed point's last evaluation.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
-        return _estimate(emp, cls(_param_at_rate(cls, rho, emp)), measure, level), None
+        sol = solve_retention(emp, cls(rho / cls(1.0).rate(emp.n)), measure, emp.n)
+        return _linearise(emp, sol, level), None
     solved: dict[float, RetentionSolution] = {}
 
     def target(param: float) -> float:
-        solved[param] = solve_retention(emp, cls(param), measure, emp.n)
-        return _param_at_rate(cls, rho, emp, solved[param].d_star)
+        sol = solved[param] = solve_retention(emp, cls(param), measure, emp.n)
+        return param * rho / sol.diagnostics.effective_rho
 
-    start = param_guess or _param_at_rate(cls, rho, emp, emp.quantile(0.5))
+    start = param_guess or rho / effective_rho(emp, cls(1.0), emp.n, emp.quantile(0.5))
     param, _ = fixed_point(target, start)
-    return _estimate_rule(emp, cls(param), measure, level, solved[param]), param
+    return _linearise(emp, solved[param], level), param

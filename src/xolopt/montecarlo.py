@@ -19,7 +19,7 @@ import numpy as np
 
 from .distortion import DistortionMeasure
 from .errors import DomainError, GridBoundaryMinimum, XoloptError
-from .inference import _estimate
+from .inference import estimate
 from .numerics import golden_refine, log_spaced_grid
 from .retention import (
     ConstantLoading,
@@ -572,19 +572,6 @@ def _only(rules: list[LoadingRule], only: str | None) -> list[LoadingRule]:
     return kept
 
 
-def _estimate_once(
-    model: SeverityModel,
-    rule: LoadingRule,
-    measure: DistortionMeasure,
-    n: int,
-    seed: int,
-    rep: int,
-) -> tuple[float, float, float, float]:
-    rng = substream(seed, _STREAM_ESTIMATION, _RULE_STREAM[rule.name], n, rep)
-    r = _estimate(model.sample_rng(n, rng), rule, measure)
-    return r.d_hat, r.std_error, r.ci[0], r.ci[1]
-
-
 def replicate_table2(
     model: SeverityModel,
     cfg: McConfig,
@@ -608,8 +595,11 @@ def replicate_table2(
             d_true = solve_retention(model, rule, measure, n).d_star
             kept, kinds = [], {}
             for rep in range(cfg.m):
+                rng = substream(cfg.seed, _STREAM_ESTIMATION, _RULE_STREAM[rule.name], n, rep)
+                losses = model.sample_rng(n, rng)
                 try:
-                    kept.append(_estimate_once(model, rule, measure, n, cfg.seed, rep))
+                    r = estimate(losses, rule, measure)
+                    kept.append((r.d_hat, r.std_error, *r.ci))
                 except XoloptError as exc:
                     kinds[type(exc).__name__] = kinds.get(type(exc).__name__, 0) + 1
             failures = cfg.m - len(kept)

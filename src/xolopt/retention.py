@@ -183,9 +183,10 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class RetentionSolution:
-    """The optimal retention, with `moments`, the model's moments at d_star
-    as the solve read them (None for the Edgeworth solve): the estimators'
-    linearisation reuses them, and no JSON output carries them."""
+    """The optimal retention, with `moments`, the model's `moment_grid`
+    moments at d_star as the solve read them (None for the Edgeworth
+    solve): the estimate's linearisation reuses them, and no JSON output
+    carries them."""
 
     d_star: float
     objective_value: float
@@ -474,14 +475,15 @@ def solve_retention(
 
 
 def _moments_at(model: SeverityModel, t: dict, read: dict, d: float) -> dict:
-    """The moments at d: those a root search read there, else the row of
-    the knot table t at d, else a read in the cell below the next knot (the
-    float below the smallest empirical claim, an end of the search range)."""
+    """The `moment_grid` moments at d: those a root search read there, else
+    the moment columns of the knot table t at d, else a read in the cell
+    below the next knot (the float below the smallest empirical claim, an
+    end of the search range)."""
     if d in read:
         return read[d]
     j = int(np.searchsorted(t["knots"], d))
     if j < t["knots"].size and t["knots"][j] == d:
-        return {name: column[j] for name, column in t.items()}
+        return {name: t[name][j] for name in ("sbar", "mu1", "mu2", "gap", "nu1", "nu2", "var")}
     return model.moments_in_cell(d, j - 1)
 
 

@@ -34,8 +34,8 @@ SCRIPT = textwrap.dedent(
     import xolopt, xolopt.cli
     from xolopt import (
         ConstantLoading, DecreasingLoading, DistortionMeasure, ParetoII,
-        SharpeLoading, StdDevLoading, estimate_decreasing, estimate_sd,
-        estimate_sharpe, parse_measure, solve_retention, solve_retention_edgeworth,
+        SharpeLoading, StdDevLoading, estimate, parse_measure, solve_retention,
+        solve_retention_edgeworth,
     )
     from xolopt.distortion import _phi_grid
 
@@ -50,9 +50,9 @@ SCRIPT = textwrap.dedent(
             solve_retention(model, rule, parse_measure(text), 100)
     losses = model.sample(2000, 7)
     measure = DistortionMeasure.var(0.75)
-    estimate_decreasing(losses, 0.5, measure)
-    estimate_sd(losses, 0.5, measure)
-    estimate_sharpe(losses, 0.5, measure)
+    estimate(losses, DecreasingLoading(0.5), measure)
+    estimate(losses, StdDevLoading(0.5), measure)
+    estimate(losses, SharpeLoading(0.5), measure)
     solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
 
     commands = {

@@ -11,14 +11,8 @@ from xolopt import inference
 from xolopt.dataio import make_synthetic_losses
 from xolopt.distortion import DistortionMeasure
 from xolopt.errors import AllZero, AtomConditionViolated, DomainError
-from xolopt.inference import (
-    _estimate,
-    estimate_decreasing,
-    estimate_sd,
-    estimate_sharpe,
-    retention_curve,
-)
-from xolopt.retention import _RULES
+from xolopt.inference import estimate, retention_curve
+from xolopt.retention import _RULES, DecreasingLoading, SharpeLoading, StdDevLoading
 from xolopt.severity import EmpiricalLosses, ParetoII, kde_density
 
 VAR75 = DistortionMeasure.var(0.75)
@@ -72,11 +66,36 @@ def _quadratic_se(x, delta, phi, d):
     return math.sqrt(c @ sigma @ c) / (abs(c0) * math.sqrt(x.size))
 
 
+class TestEstimateArguments:
+    """A caller's mistake is an error before any solve, never a result or a gap."""
+
+    def test_rule_without_an_estimator_is_a_domain_error(self, big_sample):
+        with pytest.raises(DomainError, match="constant rule has no large-sample estimator"):
+            estimate(big_sample[:2000], _RULES["constant"](0.3), VAR75)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_bad_level_raises_before_any_solve(self, big_sample, level, monkeypatch):
+        solves = []
+        solve = inference.solve_retention
+
+        def spy(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(inference, "solve_retention", spy)
+        x = big_sample[:2000]
+        with pytest.raises(DomainError, match="confidence level must be in"):
+            retention_curve(x, "stddev", "rho", np.geomspace(0.005, 0.02, 4), 0.9, level=level)
+        with pytest.raises(DomainError, match="confidence level must be in"):
+            estimate(x, StdDevLoading(0.5), VAR75, level=level)
+        assert solves == []
+
+
 class TestEstimateDecreasing:
     def test_consistency_and_se(self, big_sample):
         n = big_sample.size
         se_true = SE_SCALE["decreasing"] / math.sqrt(n)
-        result = estimate_decreasing(big_sample, 0.5, VAR75)
+        result = estimate(big_sample, DecreasingLoading(0.5), VAR75)
         assert result.d_hat == pytest.approx(D_DECREASING, abs=4 * se_true)
         assert result.std_error == pytest.approx(se_true, rel=0.25)
         lo, hi = result.ci
@@ -85,15 +104,15 @@ class TestEstimateDecreasing:
         assert set(result.coefficients) == {"c0", "c1", "c2", "c3", "c4", "c5"}
 
     def test_wald_interval_width_tracks_level(self, big_sample):
-        narrow = estimate_decreasing(big_sample, 0.5, VAR75, level=0.80)
-        wide = estimate_decreasing(big_sample, 0.5, VAR75, level=0.99)
+        narrow = estimate(big_sample, DecreasingLoading(0.5), VAR75, level=0.80)
+        wide = estimate(big_sample, DecreasingLoading(0.5), VAR75, level=0.99)
         assert wide.ci[1] - wide.ci[0] > narrow.ci[1] - narrow.ci[0]
         assert narrow.d_hat == wide.d_hat
 
     def test_duplicating_the_sample_scales_se_by_root_two(self, big_sample):
         x = big_sample[:5000]
-        once = estimate_decreasing(x, 0.5, VAR75)
-        twice = estimate_decreasing(np.concatenate([x, x]), 0.5, VAR75)
+        once = estimate(x, DecreasingLoading(0.5), VAR75)
+        twice = estimate(np.concatenate([x, x]), DecreasingLoading(0.5), VAR75)
         assert twice.d_hat == pytest.approx(once.d_hat, rel=1e-12)
         assert twice.std_error == pytest.approx(
             once.std_error / math.sqrt(2.0), rel=1e-9
@@ -101,21 +120,21 @@ class TestEstimateDecreasing:
 
     def test_scale_equivariance(self, big_sample):
         x = big_sample[:5000]
-        base = estimate_decreasing(x, 0.5, VAR75)
-        scaled = estimate_decreasing(2.0 * x, 0.5, VAR75)
+        base = estimate(x, DecreasingLoading(0.5), VAR75)
+        scaled = estimate(2.0 * x, DecreasingLoading(0.5), VAR75)
         assert scaled.d_hat == pytest.approx(2.0 * base.d_hat, rel=1e-9)
         assert scaled.std_error == pytest.approx(2.0 * base.std_error, rel=1e-6)
 
     def test_bootstrap_agrees_with_plug_in_se(self, big_sample):
         """Resampling spread is an independent check on the sandwich SE."""
         x = big_sample[:2000]
-        plug_in = estimate_decreasing(x, 0.5, VAR75)
+        plug_in = estimate(x, DecreasingLoading(0.5), VAR75)
         rng = np.random.default_rng(77)
         emp = EmpiricalLosses(x)
         reps = []
         for _ in range(200):
             reps.append(
-                estimate_decreasing(emp.sample_rng(x.size, rng), 0.5, VAR75).d_hat
+                estimate(emp.sample_rng(x.size, rng), DecreasingLoading(0.5), VAR75).d_hat
             )
         boot_se = float(np.std(reps, ddof=1))
         assert plug_in.std_error == pytest.approx(boot_se, rel=0.25)
@@ -127,25 +146,25 @@ class TestEstimateDecreasing:
         error of its own stationarity quadratic."""
         x = big_sample[:size]
         measure = DistortionMeasure.var(p)
-        result = estimate_decreasing(x, delta, measure)
+        result = estimate(x, DecreasingLoading(delta), measure)
         assert result.std_error == pytest.approx(
             _quadratic_se(x, delta, measure.phi_normal(), result.d_hat), rel=1e-9)
 
     def test_small_sample_rejected(self):
         with pytest.raises(DomainError):
-            estimate_decreasing(np.linspace(1.0, 2.0, 29), 0.5, VAR75)
+            estimate(np.linspace(1.0, 2.0, 29), DecreasingLoading(0.5), VAR75)
 
     def test_zero_inflated_sample_rejected(self):
         x = np.concatenate([np.zeros(400), np.linspace(0.1, 5.0, 600)])
         with pytest.raises(AtomConditionViolated):
-            estimate_decreasing(x, 0.5, VAR75)
+            estimate(x, DecreasingLoading(0.5), VAR75)
 
 
 class TestEstimateSpreadRules:
     def test_stddev_consistency(self, big_sample):
         n = big_sample.size
         se_true = SE_SCALE["stddev"] / math.sqrt(n)
-        result = estimate_sd(big_sample, 0.5, VAR75)
+        result = estimate(big_sample, StdDevLoading(0.5), VAR75)
         assert result.d_hat == pytest.approx(D_STDDEV, abs=4 * se_true)
         assert result.std_error == pytest.approx(se_true, rel=0.30)
         assert set(result.coefficients) == {"b0", "b1", "b2", "b3", "b4", "b5"}
@@ -153,44 +172,44 @@ class TestEstimateSpreadRules:
     def test_sharpe_consistency(self, big_sample):
         n = big_sample.size
         se_true = SE_SCALE["sharpe"] / math.sqrt(n)
-        result = estimate_sharpe(big_sample, 0.5, VAR75)
+        result = estimate(big_sample, SharpeLoading(0.5), VAR75)
         assert result.d_hat == pytest.approx(D_SHARPE, abs=4 * se_true)
         assert result.std_error == pytest.approx(se_true, rel=0.30)
         assert set(result.coefficients) == {"a0", "a1", "a2", "a3", "a4", "a5"}
 
-    @pytest.mark.parametrize("estimator", [estimate_sd, estimate_sharpe])
+    @pytest.mark.parametrize("rule", [StdDevLoading, SharpeLoading])
     def test_duplicating_the_sample_scales_se_by_root_two(
-        self, big_sample, estimator, fixed_bandwidth
+        self, big_sample, rule, fixed_bandwidth
     ):
         x = big_sample[:4000]
-        once = estimator(x, 0.5, VAR75)
-        twice = estimator(np.concatenate([x, x]), 0.5, VAR75)
+        once = estimate(x, rule(0.5), VAR75)
+        twice = estimate(np.concatenate([x, x]), rule(0.5), VAR75)
         assert twice.d_hat == pytest.approx(once.d_hat, rel=1e-12)
         assert twice.std_error == pytest.approx(
             once.std_error / math.sqrt(2.0), rel=1e-9
         )
 
     @pytest.mark.parametrize("c", [10.0, 100.0])
-    @pytest.mark.parametrize("estimator, power", [(estimate_sd, -1), (estimate_sharpe, 1)])
-    def test_scale_equivariance(self, big_sample, estimator, power, c):
+    @pytest.mark.parametrize("rule, power", [(StdDevLoading, -1), (SharpeLoading, 1)])
+    def test_scale_equivariance(self, big_sample, rule, power, c):
         """With the claims times c, and the rule parameter, which carries the
         claims' units, rescaled to match (rho0 / c for stddev, rho0 c for
         sharpe), the estimate and its standard error scale by c: the density
         behind the standard error takes its bandwidth from the claims."""
         x = big_sample[:5000]
-        base = estimator(x, 0.5, VAR75)
-        scaled = estimator(c * x, 0.5 * c ** power, VAR75)
+        base = estimate(x, rule(0.5), VAR75)
+        scaled = estimate(c * x, rule(0.5 * c ** power), VAR75)
         assert scaled.d_hat == pytest.approx(c * base.d_hat, rel=1e-9)
         assert scaled.std_error == pytest.approx(c * base.std_error, rel=1e-9)
 
-    @pytest.mark.parametrize("estimator", [estimate_sd, estimate_sharpe])
-    def test_all_zero_losses_raise_without_a_warning(self, estimator):
+    @pytest.mark.parametrize("rule", [StdDevLoading, SharpeLoading])
+    def test_all_zero_losses_raise_without_a_warning(self, rule):
         """The atom check meets a layer without spread; numpy must not warn."""
         with pytest.raises(AllZero):
-            estimator(np.zeros(100), 0.5, VAR75)
+            estimate(np.zeros(100), rule(0.5), VAR75)
 
     def test_json_payload_shape(self, big_sample):
-        out = estimate_sd(big_sample[:2000], 0.5, VAR75).to_json_dict()
+        out = estimate(big_sample[:2000], StdDevLoading(0.5), VAR75).to_json_dict()
         assert out["rule"] == "stddev"
         assert out["measure"] == "var:0.75"
         assert out["ci"][0] < out["d_hat"] < out["ci"][1]
@@ -201,12 +220,12 @@ class TestEstimateSpreadRules:
         float below 1.5 with a standard error near 1, and the 95% Wald
         interval would reach to -0.415, a negative retention."""
         x = np.array([1.5] * 90 + [v for v in (0.5, 1.0, 3.0, 6.0, 9.0) for _ in range(8)])
-        result = estimate_sharpe(x, 0.5, VAR75)
+        result = estimate(x, SharpeLoading(0.5), VAR75)
         assert result.d_hat == np.nextafter(1.5, 0.0)
         assert result.ci == (0.0, pytest.approx(3.415, abs=1e-3))
         assert result.warnings == ["confidence interval cut at 0; its lower end was -0.415033"]
         # an interval above 0 is left as it is, without a warning
-        uncut = estimate_sharpe(ParetoII(9.0, 8.0).sample(2000, 1), 0.5, VAR75)
+        uncut = estimate(ParetoII(9.0, 8.0).sample(2000, 1), SharpeLoading(0.5), VAR75)
         assert uncut.ci[0] > 0.0 and uncut.warnings == []
 
 
@@ -245,12 +264,11 @@ class TestPlugInMinimum:
     """The estimate is the minimiser of the plug-in objective: no distinct
     claim in the search range and no point of a dense scan is lower."""
 
-    @pytest.mark.parametrize("rule, estimator", [("stddev", estimate_sd),
-                                                 ("sharpe", estimate_sharpe)])
+    @pytest.mark.parametrize("rule", ["stddev", "sharpe"])
     @pytest.mark.parametrize("sample", SAMPLES)
-    def test_no_claim_or_scan_point_is_lower(self, rule, estimator, sample):
+    def test_no_claim_or_scan_point_is_lower(self, rule, sample):
         x = _sample(sample)
-        d_hat = estimator(x, 0.5, VAR75).d_hat
+        d_hat = estimate(x, _RULES[rule](0.5), VAR75).d_hat
         pos = x[(x > 0.0) & (x <= EmpiricalLosses(x).quantile(0.999)) & (x < x.max())]
         points = np.concatenate([np.unique(pos), np.geomspace(pos.min(), pos.max(), 2000)])
         phi = VAR75.phi_normal()
@@ -262,7 +280,7 @@ class TestPlugInMinimum:
         """The plug-in (d - mu1)^2 - (delta/phi)^2 var(min(X, d)), straight
         from the sample, changes sign at the estimate."""
         x = _sample(sample)
-        d_hat = estimate_decreasing(x, 0.5, VAR75).d_hat
+        d_hat = estimate(x, DecreasingLoading(0.5), VAR75).d_hat
         q = (0.5 / VAR75.phi_normal()) ** 2
 
         def condition(d):
@@ -276,31 +294,38 @@ class TestPlugInMinimum:
         through zero across a claim, and the estimate is that claim, on the
         side where the derivative is smaller in size."""
         x = ParetoII(9.0, 8.0).sample(2000, 2)
-        result = estimate_sharpe(x, 0.5, VAR75)
+        result = estimate(x, SharpeLoading(0.5), VAR75)
         assert result.d_hat == 0.28753243914300874
         assert result.d_hat in x
         assert result.std_error == pytest.approx(0.0223141265462831, abs=1e-12)
 
     def test_sharpe_estimate_does_not_move_with_operation_order(self, monkeypatch):
-        """Writing the load as (rho0/s) nu1 instead of rho0 nu1/s changes the
-        objective by rounding only, which must not move the estimate."""
-        from xolopt.retention import SharpeLoading
+        """Writing the load as (rho0/s) nu1 instead of rho0 nu1/s, and its
+        rate of fall with the products grouped the other way, changes the
+        objective and its derivative by rounding only, which must not move
+        the estimate.  The load shape is patched where both the Brent steps
+        and a model's knot columns read it; a fresh model shows that the
+        patch reaches the derivative's limits at the knots."""
+        from xolopt import severity
+        from xolopt.retention import _knot_sides
 
         x = ParetoII(9.0, 8.0).sample(2000, 0)
-        base = estimate_sharpe(x, 0.5, VAR75).d_hat
+        rule, phi = SharpeLoading(0.5), VAR75.phi_normal()
+        base = estimate(x, rule, VAR75).d_hat
+        base_limits = _knot_sides(EmpiricalLosses(x), rule, phi, x.size)[1:]
 
         def load(self, n, nu1, spread):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(spread > 0.0, (self.rho0 / spread) * nu1, np.inf)
 
-        def marginal_load(self, n, sbar, nu1, nu2):
-            spread = np.sqrt(nu2 - nu1 ** 2)
-            return (-(self.rho0 / spread) * sbar
-                    + (self.rho0 / spread ** 3) * (1.0 - sbar) * nu1 ** 2)
+        def load_shape(k, sbar, nu1_sq, power, lower):
+            return sbar * power + ((k * (1.0 - sbar)) * (nu1_sq * lower) if k else 0.0)
 
         monkeypatch.setattr(SharpeLoading, "load", load)
-        monkeypatch.setattr(SharpeLoading, "marginal_load", marginal_load)
-        assert estimate_sharpe(x, 0.5, VAR75).d_hat == pytest.approx(base, rel=1e-12)
+        monkeypatch.setattr(severity, "_load_shape", load_shape)
+        limits = _knot_sides(EmpiricalLosses(x), rule, phi, x.size)[1:]
+        assert [a.tobytes() for a in limits] != [a.tobytes() for a in base_limits]
+        assert estimate(x, rule, VAR75).d_hat == pytest.approx(base, rel=1e-12)
 
 
 class TestRetentionCurve:
@@ -334,7 +359,7 @@ class TestRetentionCurve:
         def broken(*args, **kwargs):
             raise TypeError("broken estimator")
 
-        monkeypatch.setattr(inference, "estimate_decreasing", broken)
+        monkeypatch.setattr(inference, "_linearise", broken)
         with pytest.raises(TypeError, match="broken estimator"):
             retention_curve(big_sample[:2000], "decreasing", "rho", [0.01], 0.9)
 
@@ -363,7 +388,7 @@ class TestRetentionCurve:
             return value
 
         monkeypatch.setattr(inference, "kde_density", kde)
-        one = _estimate(x, rule, VAR75)
+        one = estimate(x, rule, VAR75)
         curve = retention_curve(x, family, "rho", [0.01, 0.02], 0.9)
         reads = [one.d_hat] + [pt.d_hat for pt in curve] if rule.spread_dependent else []
         assert [at for _, at, _ in seen] == reads
@@ -394,10 +419,10 @@ class TestRetentionCurve:
         emp = EmpiricalLosses(big_sample[:4000])
         measure = DistortionMeasure.var(0.9)
         if family == "stddev":
-            direct = estimate_sd(emp, 0.5, measure)
+            direct = estimate(emp, StdDevLoading(0.5), measure)
             rule = StdDevLoading(0.5)
         else:
-            direct = estimate_sharpe(emp, 0.5, measure)
+            direct = estimate(emp, SharpeLoading(0.5), measure)
             rule = SharpeLoading(0.5)
         rho_target = effective_rho(emp, rule, emp.n, direct.d_hat)
         points = retention_curve(emp, family, "rho", [rho_target], 0.9)
@@ -425,7 +450,7 @@ class TestRetentionCurve:
             before = calls[0]
             result, param = estimate_at(emp, cls, rho, measure, *rest)
             d_hat = solve(emp, cls(param), measure, emp.n).d_star
-            target = inference._param_at_rate(cls, rho, emp, d_hat)
+            target = rho / inference.effective_rho(emp, cls(1.0), emp.n, d_hat)
             points.append((calls[0] - before, param, target))
             return result, param
 
@@ -468,6 +493,41 @@ class TestRetentionCurve:
         retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
         assert len(points) >= 6
         assert all(solves == n for solves, n in points)
+
+    @pytest.mark.parametrize("family", ["stddev", "sharpe"])
+    def test_no_moment_is_read_between_a_curves_solves(self, big_sample, family, monkeypatch):
+        """Each fixed-point step takes the rate from the solve it made, so
+        once the curve's first solve has begun, every moment read happens
+        inside a solve, and no `effective_rho` runs at all."""
+        state = {"solving": False, "begun": False}
+        outside = []
+
+        def reader(name, read):
+            def spy(*args, **kwargs):
+                if state["begun"] and not state["solving"]:
+                    outside.append(name)
+                return read(*args, **kwargs)
+
+            return spy
+
+        for method in ("moment_grid", "cell_moments", "moments_in_cell", "truncated_moments"):
+            monkeypatch.setattr(EmpiricalLosses, method,
+                                reader(method, getattr(EmpiricalLosses, method)))
+        monkeypatch.setattr(inference, "effective_rho",
+                            reader("effective_rho", inference.effective_rho))
+        solve = inference.solve_retention
+
+        def solve_spy(*args):
+            state["solving"] = state["begun"] = True
+            try:
+                return solve(*args)
+            finally:
+                state["solving"] = False
+
+        monkeypatch.setattr(inference, "solve_retention", solve_spy)
+        points = retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
+        assert sum(pt.error is None for pt in points) >= 6
+        assert outside == []
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
     @pytest.mark.parametrize("sample", ["lomax", "synthetic"])
@@ -523,7 +583,7 @@ class TestEstimateReusesTheSolve:
             return sol
 
         monkeypatch.setattr(inference, "solve_retention", solve_spy)
-        _estimate(_sample(name), _RULES[rule](theta), measure)
+        estimate(_sample(name), _RULES[rule](theta), measure)
         assert events.count("solved") == 1 and events[-1] == "solved"
         assert len(events) > 1
 
@@ -533,12 +593,32 @@ class TestEstimateReusesTheSolve:
         rule = _RULES[rule](theta)
         sol = inference.solve_retention(emp, rule, measure, emp.n)
         tm = emp.truncated_moments(sol.d_star)
-        assert [float(sol.moments[k]).hex() for k in inference._MOMENTS] == \
-            [getattr(tm, k).hex() for k in inference._MOMENTS]
+        assert [float(sol.moments[k]).hex() for k in sol.moments] == \
+            [getattr(tm, k).hex() for k in sol.moments]
         fresh = replace(sol, moments=asdict(tm))
-        got, want = (inference._estimate_rule(emp, rule, measure, 0.95, s) for s in (sol, fresh))
+        got, want = (inference._linearise(emp, s, 0.95) for s in (sol, fresh))
         assert (got.std_error.hex(), got.ci) == (want.std_error.hex(), want.ci)
         assert got.coefficients == want.coefficients
+
+    @pytest.mark.parametrize("name,rule,theta,measure", REUSE_CASES)
+    def test_solution_carries_the_moment_grid_keys(self, name, rule, theta, measure):
+        """Flat, cell and kink roots alike, a kink root at a claim included,
+        whose moments are the knot table's row there."""
+        emp = EmpiricalLosses(_sample(name))
+        sol = inference.solve_retention(emp, _RULES[rule](theta), measure, emp.n)
+        assert list(sol.moments) == list(emp.moment_grid(sol.d_star))
+
+    def test_a_kink_root_at_a_claim_is_among_the_cases(self):
+        emp = EmpiricalLosses(_sample("duplicates"))
+        sol = inference.solve_retention(emp, _RULES["sharpe"](0.5), ES90, emp.n)
+        assert sol.d_star in emp.knots()["knots"] and sol.diagnostics.iterations == 0
+
+    @pytest.mark.parametrize("rule", ["constant", "decreasing", "stddev", "sharpe"])
+    @pytest.mark.parametrize("measure", [VAR75, ES90])
+    def test_lomax_solution_carries_the_moment_grid_keys(self, rule, measure):
+        model = ParetoII(9.0, 8.0)
+        sol = inference.solve_retention(model, _RULES[rule](0.5), measure, 100)
+        assert list(sol.moments) == list(model.moment_grid(sol.d_star))
 
     def test_moments_stay_out_of_the_json(self):
         emp = EmpiricalLosses(_sample("heavy"))
