@@ -172,6 +172,24 @@ _RULES = {cls.name: cls for cls in (ConstantLoading, DecreasingLoading, StdDevLo
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """How a solve found d_star.
+
+    - `bracket`: the cell that holds d_star; (d2, d2) where a flat root
+      collapses onto the critical quantile d2, (claim, inf) above the
+      largest claim.
+    - `iterations`: Brent's steps in that cell, with the doublings past the
+      last Lomax knot; 0 for a closed form or a kink root.
+    - `stationarity_residual`: the size of the first-order condition at
+      d_star, as the search read it.
+    - `is_global_grid_min`: True by construction for `solve_retention`,
+      which returns only the lowest point of its search range; read off
+      the knot values for `solve_retention_edgeworth`.
+    - `condition_checks`: the checks of `condition_report`.
+    - `smallest_stationary_point`: the first rising root (d_star for the
+      flat rules and the Edgeworth solve).
+    - `effective_rho`: the loading rate applied at d_star.
+    """
+
     bracket: tuple[float, float]
     iterations: int
     stationarity_residual: float
@@ -291,10 +309,14 @@ def stationarity_function(
 
 def _retentions(d) -> tuple:
     """d as a float when it is a scalar, else as a float array, and whether
-    it is a scalar: the models read one float without making an array."""
-    if isinstance(d, float) or np.ndim(d) == 0:
-        return float(d), True
-    return np.asarray(d, dtype=float), False
+    it is a scalar: the models read one float without making an array.
+    DomainError unless every entry is >= 0, so NaN is refused too."""
+    scalar = isinstance(d, float) or np.ndim(d) == 0
+    d = float(d) if scalar else np.asarray(d, dtype=float)
+    if not (d >= 0.0 if scalar else np.all(d >= 0.0)):
+        bad = d if scalar else d[~(d >= 0.0)][0]
+        raise DomainError(f"retention must be nonnegative, got {bad}")
+    return d, scalar
 
 
 def _flat_condition(q: float, g: dict):
@@ -368,45 +390,24 @@ def solve_retention(
 
     Every rule's optimum is a root of the first-order condition
     (`stationarity_function`).  Constant/decreasing rules: its unique root
-    above the critical quantile; AtomConditionViolated when the mass at zero
-    leaves none.  Stddev/sharpe rules: every point where the scaled
-    objective derivative rises through zero, keeping the one with the lowest
-    objective; NoRootFound when there is none or an end of the search range
-    is lower still.
-
-    On `ParetoII` the flat-rate root is bracketed on the model's `knots()`
-    table (below): the first knot above the critical quantile where the
-    function is positive closes the root's cell, and past the last knot
-    the upper end doubles out from it (`_flat_root_on_knots`).  On
-    `EmpiricalLosses`, where the roots are the plug-in estimates, k, the
-    count of losses at or below d, is fixed between two neighbouring claims,
-    and every moment is a polynomial in d (`EmpiricalLosses.cell_moments`).
-    So the flat-rate function is an exact quadratic in each cell, and its
-    root has a closed form in the cell where it turns positive.
-
-    The spread-rule search is the same on every model.  The model's
-    `knots()` table holds the moments at each knot, with sbar on both sides:
-    only sbar may jump at a knot, so one pass over the table gives the
-    derivative's limits on both sides of every knot.  Their load term is
-    -c(N) times the model's `knot_shapes` for the rule's spread power,
-    built by the first such solve on the model and shared by the rest.
-    Brent's method runs, on `model.moments_in_cell`, in every cell between
-    knots where the derivative rises, and a rise across a knot is a kink
-    root (`_rising_roots`).  The Lomax knots are a 1000-point log grid; the
-    empirical knots are the distinct positive claims up to the 0.999
-    quantile.
+    above the critical quantile, bracketed on the `ParetoII` knot table
+    (`_flat_root_on_knots`), or in closed form between two claims of
+    `EmpiricalLosses` (`_flat_root_on_claims`); AtomConditionViolated when
+    the mass at zero leaves none.  Stddev/sharpe rules: the knot search
+    shared with `solve_retention_edgeworth` (`_knot_search`) keeps the
+    point of lowest objective where the scaled derivative rises through
+    zero; NoRootFound when there is none or an end of the search range is
+    lower still.  One pass over the model's `knots()` table gives the
+    derivative's limits on both sides of every knot (`_knot_sides`), and
+    Brent's method runs on `model.moments_in_cell` in each cell where it
+    rises.  The Lomax knots are a 1000-point log grid; the empirical knots
+    are the distinct positive claims up to the 0.999 quantile.
 
     The objective value and `effective_rho` come from the moments the
     search read at each point, or the table's row there: a Lomax solve
     reads no retention once its search is done, and an empirical one only
     the spread rules' lower range end, the float below the smallest claim.
     The moments at d_star go with the solution as `moments`.
-    The diagnostics read: `bracket`, the cell of d_star; `iterations`, the
-    Brent steps spent in it (0 for a closed form or a kink; past the last
-    Lomax knot, the doublings too); and `smallest_stationary_point`, the
-    first rising root.  `is_global_grid_min` is always True for the four
-    rules: a solution is returned only when it is the lowest point of the
-    search range.
     """
     _validate_n(n)
     phi = _phi_or_raise(measure)
@@ -421,13 +422,11 @@ def solve_retention(
         d2 = model.upper_quantile(_atom_level(rule, measure, n))
         q = (rule.scale(n) / phi) ** 2
         if isinstance(model, EmpiricalLosses):
-            best, at_root = _flat_root_on_claims(model, q, d2)
+            best, moments = _flat_root_on_claims(model, q, d2)
         else:
-            best, at_root = _flat_root_on_knots(model, q, d2)
-        value = float(_objective(rule, phi, n, model.mean(), at_root))
-        rate = rule.rate(n)
-        smallest = best.root
-        moments = at_root
+            best, moments = _flat_root_on_knots(model, q, d2)
+        value = float(_objective(rule, phi, n, model.mean(), moments))
+        first, rate = best.root, rule.rate(n)
     else:
         t, left, right = _knot_sides(model, rule, phi, n)
         read = {}
@@ -436,42 +435,54 @@ def solve_retention(
             m = read[d] = model.moments_in_cell(d, j)
             return float(_derivative(rule, phi, n, m["sbar"], m))
 
-        roots, ends = _rising_roots(t, left, right, derivative)
-        if roots:
-            # the objective at each end of the range and at every local
-            # minimum, from the moments the search read or the table holds
-            points = (ends[0], *(r.root for r in roots), ends[1])
-            held = [_moments_at(model, t, read, d) for d in points]
-            values = [float(_objective(rule, phi, n, model.mean(), g)) for g in held]
-            k = int(np.argmin(values))
-        if not roots or k in (0, len(values) - 1):
-            raise NoRootFound(
-                "no local minimum of the search range is below both of its ends; "
-                "no interior optimal retention (trivial full or no reinsurance)"
-            )
-        best = roots[k - 1]
-        value = values[k]
-        moments = held[k]
+        def cost(d):  # from the moments the search read or the table holds
+            g = _moments_at(model, t, read, d)
+            return float(_objective(rule, phi, n, model.mean(), g)), g
+
+        best, first, (value, moments) = _knot_search(t, left, right, derivative, cost, lowest=True)
         rate = _spread_rate(rule, n, best.root, moments["nu1"], moments["nu2"])
-        smallest = roots[0].root
-    diag = SolverDiagnostics(
-        bracket=best.bracket,
-        iterations=best.iterations,
-        stationarity_residual=abs(best.residual),
-        is_global_grid_min=True,
-        condition_checks=checks,
-        smallest_stationary_point=smallest,
-        effective_rho=rate,
-    )
-    return RetentionSolution(
-        d_star=best.root,
-        objective_value=value,
-        rule=rule,
-        measure=measure,
-        n_contracts=n,
-        diagnostics=diag,
-        moments=moments,
-    )
+    return _solution(best, first, value, moments, rule, measure, n, checks, rate)
+
+
+def _solution(best: RootResult, first: float, value: float, moments: dict | None,
+              rule: LoadingRule, measure: DistortionMeasure, n: int, checks: dict,
+              rate: float, global_min: bool = True) -> RetentionSolution:
+    """A solve's result at its root `best`, with the diagnostics, whose
+    `is_global_grid_min` is `global_min`."""
+    diag = SolverDiagnostics(best.bracket, best.iterations, abs(best.residual), global_min,
+                             checks, first, rate)
+    return RetentionSolution(best.root, value, rule, measure, n, diag, moments)
+
+
+def _knot_search(t: dict, left: np.ndarray, right: np.ndarray, derivative, cost,
+                 lowest: bool) -> tuple[RootResult, float, tuple]:
+    """The root a knot-table solve keeps, the first rising root, and
+    cost(d) at the kept root: a pair whose first entry is the objective at
+    d, from what the search read or the table holds.
+
+    The roots are those of `_rising_roots` on the table t.  With `lowest`
+    (the spread rules) the root of lowest objective is kept; NoRootFound
+    when an end of the search range is lower still.  Otherwise (the
+    Edgeworth solve) the first root is kept: the refined objective can dip
+    below the interior basin far in the tail, where the expansion is no
+    longer a valid quantile, so the first interior dip is the solution.
+    """
+    if t["knots"].size == 0:
+        raise NoRootFound("no positive claim up to the 0.999 quantile")
+    roots, (lo, hi) = _rising_roots(t, left, right, derivative)
+    if not lowest:
+        if not roots:
+            raise NoRootFound(f"refined objective has no interior dip on [{lo:g}, {hi:g}]")
+        return roots[0], roots[0].root, cost(roots[0].root)
+    if roots:
+        costs = [cost(d) for d in (lo, *(r.root for r in roots), hi)]
+        k = int(np.argmin([c[0] for c in costs]))
+    if not roots or k in (0, len(costs) - 1):
+        raise NoRootFound(
+            "no local minimum of the search range is below both of its ends; "
+            "no interior optimal retention (trivial full or no reinsurance)"
+        )
+    return roots[k - 1], roots[0].root, costs[k]
 
 
 def _moments_at(model: SeverityModel, t: dict, read: dict, d: float) -> dict:
@@ -577,8 +588,6 @@ def _knot_sides(
     model's `knot_shapes`, which every solve of the rule's spread power
     shares."""
     t = model.knots()
-    if t["knots"].size == 0:
-        raise NoRootFound("no positive claim up to the 0.999 quantile")
     shape_left, shape_right = model.knot_shapes(rule.spread_power)
     # a layer without a claim carries no load; from below, the ceded spread
     # falls with the ceded mean, so the marginal load tends to 0 too (the
@@ -703,42 +712,32 @@ def solve_retention_edgeworth(
 
     order=2 keeps the skewness correction (error o(1)); order=3 adds the
     kurtosis term (error o(1/sqrt(N))).  Only the plain quantile risk level
-    p is supported here.  The optimum is the first point where the refined
-    objective's derivative rises through zero on the model's knots, read in
-    one call from the moments the knot table holds, solved by Brent's
-    method in its cell (`_rising_roots`);
-    `is_global_grid_min` says whether it is also below every knot's value.
+    p is supported here.  The refined objective and its slope are read in
+    one call at the model's knots, from the moments the knot table holds,
+    and the solve keeps the first point where the slope rises through zero
+    (`_knot_search`, which gives the reason), solved by Brent's method in
+    its cell.  The objective value is the one Brent's method read at the
+    root with the slope, or the table's value at a knot, so nothing is read
+    once the search is done.  `is_global_grid_min` says whether that value
+    is also at or below every knot's value.
     """
-    # The corrected objective flattens toward the no-ceding asymptote and may
-    # dip below the interior basin far in the tail, where the polynomial
-    # correction is no longer a valid quantile approximation.  The meaningful
-    # solution is the first interior dip.
     t = model.knots()
     values, slopes = _edgeworth(model, rule, p, n, order, t["knots"], t)
-    roots, (lo, hi) = _rising_roots(t, slopes, slopes,
-                                    lambda d, j: _edgeworth(model, rule, p, n, order, d)[1])
-    if not roots:
-        raise NoRootFound(f"refined objective has no interior dip on [{lo:g}, {hi:g}]")
-    best = roots[0]
-    value = edgeworth_objective(model, rule, p, n, order, best.root)
+    read = {}
+
+    def derivative(d, j):
+        value_slope = read[d] = _edgeworth(model, rule, p, n, order, d)
+        return value_slope[1]
+
+    def cost(d):  # Brent's read at d, or the table's value at the knot d
+        value = read[d][0] if d in read else float(values[np.searchsorted(t["knots"], d)])
+        return value, None
+
+    best, first, (value, moments) = _knot_search(t, slopes, slopes, derivative, cost, lowest=False)
     measure = DistortionMeasure.var(p)
-    diag = SolverDiagnostics(
-        bracket=best.bracket,
-        iterations=best.iterations,
-        stationarity_residual=abs(best.residual),
-        is_global_grid_min=bool(value <= np.nanmin(values)),
-        condition_checks=condition_report(model, rule, measure, n),
-        smallest_stationary_point=best.root,
-        effective_rho=rule.rho,
-    )
-    return RetentionSolution(
-        d_star=best.root,
-        objective_value=value,
-        rule=rule,
-        measure=measure,
-        n_contracts=n,
-        diagnostics=diag,
-    )
+    checks = condition_report(model, rule, measure, n)
+    return _solution(best, first, value, moments, rule, measure, n, checks, rule.rho,
+                     global_min=bool(value <= np.nanmin(values)))
 
 
 def stop_loss_retention(model: SeverityModel, rho: float, p: float) -> float:

@@ -241,6 +241,37 @@ class TestObjective:
             assert objective(model, StdDevLoading(0.5), VAR75, 50, d) > sol.objective_value
 
 
+class TestRetentionDomain:
+    """The functions of a retention refuse one that is not >= 0, NaN too."""
+
+    BAD = [-1.0, -9.0, math.nan, np.array([0.5, -1.0, 2.0]), np.array([1.0, math.nan])]
+
+    @pytest.mark.parametrize("d", BAD, ids=str)
+    @pytest.mark.parametrize("function", [objective, stationarity_function],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("rule", [DecreasingLoading(0.5), StdDevLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_objective_and_stationarity(self, model, function, rule, d):
+        with pytest.raises(DomainError, match="retention must be nonnegative"):
+            function(model, rule, VAR75, 10, d)
+
+    @pytest.mark.parametrize("d", BAD, ids=str)
+    def test_edgeworth_objective(self, model, d):
+        with pytest.raises(DomainError, match="retention must be nonnegative"):
+            edgeworth_objective(model, ConstantLoading(0.3), 0.75, 10, 2, d)
+
+    def test_the_message_names_the_first_bad_entry(self, model):
+        with pytest.raises(DomainError) as err:
+            objective(model, DecreasingLoading(0.5), VAR75, 10, np.array([0.5, -1.0, -2.0]))
+        assert str(err.value) == "retention must be nonnegative, got -1.0"
+
+    def test_zero_is_a_retention(self, model):
+        rule = DecreasingLoading(0.5)
+        at_zero = objective(model, rule, VAR75, 10, 0.0)
+        assert at_zero == objective(model, rule, VAR75, 10, np.array([0.0, 1.0]))[0]
+        assert math.isfinite(at_zero)
+
+
 # the cell [2, 3] of these values makes the interpolating Brent step's
 # denominator underflow to 0 (see tests/test_numerics.py)
 UNDERFLOWING_VALUES = [0.0, 0.0, -2.6774738800891943e-243, 6.45627945690787e-234]
@@ -639,8 +670,8 @@ class TestRootStepsReadFloats:
         grid = reads.pop(0)
         assert np.array_equal(grid, model.knots()["knots"])
         # Brent starts from the knots' slopes and stops without a step at
-        # its last iteration; then the objective at the root
-        assert len(reads) == sol.diagnostics.iterations
+        # its last iteration; the objective at the root is Brent's read
+        assert len(reads) == sol.diagnostics.iterations - 1
         assert all(isinstance(d, float) for d in reads)
 
     def test_flat_root_below_the_first_knot(self, monkeypatch):
@@ -794,6 +825,66 @@ class TestRootSearchReadsEachRetentionOnce:
             assert ("moments_in_cell", float(t["below"][0])) in reads
 
 
+class TestKnotSearch:
+    """The spread-rule and Edgeworth solves share one knot search, which
+    keeps the rising root of lowest objective or the first one."""
+
+    LUMP = [0.0] * 1999 + [5.0]  # no positive claim up to the 0.999 quantile
+
+    @pytest.mark.parametrize("rule", [StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_spread_solve_on_a_sample_without_knots(self, rule):
+        emp = EmpiricalLosses(self.LUMP)
+        assert emp.knots()["knots"].size == 0
+        with pytest.raises(NoRootFound) as err:
+            solve_retention(emp, rule, VAR75, 10)
+        assert str(err.value) == "no positive claim up to the 0.999 quantile"
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_edgeworth_solve_on_a_sample_without_knots(self, order):
+        with pytest.raises(NoRootFound) as err:
+            solve_retention_edgeworth(EmpiricalLosses(self.LUMP), ConstantLoading(0.3), 0.75,
+                                      10, order)
+        assert str(err.value) == "no positive claim up to the 0.999 quantile"
+
+    def test_spread_message(self, model):
+        with pytest.raises(NoRootFound) as err:
+            solve_retention(model, SharpeLoading(1.0), DistortionMeasure.wang(0.5), 100)
+        assert str(err.value) == (
+            "no local minimum of the search range is below both of its ends; "
+            "no interior optimal retention (trivial full or no reinsurance)")
+
+    def test_edgeworth_message(self, model):
+        with pytest.raises(NoRootFound) as err:
+            solve_retention_edgeworth(model, ConstantLoading(0.5), 0.75, 25, 3)
+        assert str(err.value) == "refined objective has no interior dip on [8.88938e-05, 29.1327]"
+
+    # a piecewise-linear derivative that rises through zero at 1.5 and at
+    # 3.5, where the objective is lower; the ends cost 5 and 6
+    TABLE = {"knots": np.array([1.0, 2.0, 3.0, 4.0, 5.0])}
+    TABLE["below"] = TABLE["knots"]
+    SLOPES = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
+    COSTS = {1.0: 5.0, 1.5: 3.0, 3.5: 1.0, 5.0: 6.0}
+
+    def _search(self, lowest, costs=COSTS):
+        t = self.TABLE
+        return retention._knot_search(
+            t, self.SLOPES, self.SLOPES, lambda d, j: np.interp(d, t["knots"], self.SLOPES),
+            lambda d: (costs[round(d, 9)], d), lowest)
+
+    def test_lowest_keeps_the_root_of_least_cost(self):
+        best, smallest, (cost, at) = self._search(True)
+        assert (best.root, smallest, cost, at) == pytest.approx((3.5, 1.5, 1.0, best.root))
+
+    def test_first_keeps_the_first_root(self):
+        best, smallest, (cost, at) = self._search(False)
+        assert (best.root, smallest, cost, at) == pytest.approx((1.5, 1.5, 3.0, best.root))
+
+    def test_lowest_raises_where_an_end_is_lower(self):
+        with pytest.raises(NoRootFound, match="no local minimum"):
+            self._search(True, {**self.COSTS, 5.0: 0.5})
+
+
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
 class TestLoadingFamily:
     """Every rule loads the ceded mean by c(N) nu1 sigma^k; the marginal load
@@ -923,6 +1014,38 @@ class TestEdgeworth:
         assert sol.d_star == pytest.approx(d_star, abs=1e-4)
         assert sol.diagnostics.is_global_grid_min is lowest
 
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [10, 25, 100])
+    def test_objective_value_is_the_objective_at_the_root(self, model, n, order):
+        """The value Brent's method read with the slope at the root is the
+        objective there, bit for bit."""
+        rule = ConstantLoading(0.3)
+        sol = solve_retention_edgeworth(model, rule, 0.75, n, order)
+        assert sol.objective_value == edgeworth_objective(model, rule, 0.75, n, order, sol.d_star)
+
+    def test_root_on_a_knot_takes_the_tables_value(self, model, monkeypatch):
+        """Where the table's slope is 0 at the lower knot of the rising cell,
+        Brent's method returns that knot without a read, and the objective
+        value is the table's value there."""
+        edgeworth, held, reads = retention._edgeworth, {}, []
+
+        def zero_at_the_dip(*args):
+            value, slope = edgeworth(*args)
+            if np.ndim(slope) == 0:
+                reads.append(args[-1])
+                return value, slope
+            j = int(np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))[0])
+            held.update(j=j, value=value[j])
+            slope = slope.copy()
+            slope[j] = 0.0
+            return value, slope
+
+        monkeypatch.setattr(retention, "_edgeworth", zero_at_the_dip)
+        sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
+        assert sol.d_star == model.knots()["knots"][held["j"]]
+        assert sol.diagnostics.iterations == 0 and not reads
+        assert sol.objective_value == held["value"]
+
     def test_rejects_unknown_order(self, model):
         with pytest.raises(DomainError):
             solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 10, 5)
@@ -951,8 +1074,8 @@ class TestEdgeworth:
                                   f"such point of {size} retentions from {lo} to {hi})")
 
     def test_knots_are_read_in_one_call(self, model, monkeypatch):
-        """One call reads the 1000 knots; only the Brent steps and the
-        objective at the root are read one at a time."""
+        """One call reads the 1000 knots; only the Brent steps are read one
+        at a time, and nothing after the last of them."""
         sizes = []
         read = ParetoII.higher_truncated_moments
 
@@ -963,7 +1086,7 @@ class TestEdgeworth:
         monkeypatch.setattr(ParetoII, "higher_truncated_moments", spy)
         sol = solve_retention_edgeworth(model, ConstantLoading(0.3), 0.75, 25, 3)
         assert sizes[0] == 1000
-        assert sizes[1:] == [1] * sol.diagnostics.iterations
+        assert sizes[1:] == [1] * (sol.diagnostics.iterations - 1)
 
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("n", [10, 25, 100])
