@@ -303,8 +303,15 @@ def cmd_analyze(args, parser: _Parser) -> int:
     else:
         parser.error("analyze needs --input FILE or --synthetic")
     fixed = args.fixed_p if args.sweep == "rho" else args.fixed_rho
-    out = _resolve_out(args) or Path(".")
+    # every number before the first file, so that a failure leaves no file
     summary = summary_and_lorenz(losses)
+    emp = EmpiricalLosses(losses)
+    xs = np.linspace(0.0, float(np.quantile(losses, 0.99)), 200)
+    dens = kde_density(emp, xs)
+    curves = {family: retention_curve(emp, family, args.sweep, grid, fixed, level=args.level)
+              for family in args.families}
+
+    out = _resolve_out(args) or Path(".")
     write_json_atomic(
         out / "summary.json",
         {
@@ -315,15 +322,8 @@ def cmd_analyze(args, parser: _Parser) -> int:
         },
     )
     write_csv_atomic(out / "lorenz.csv", ("u", "share"), summary.lorenz)
-    emp = EmpiricalLosses(losses)
-    xs = np.linspace(0.0, float(np.quantile(losses, 0.99)), 200)
-    dens = kde_density(emp, xs)
     write_csv_atomic(out / "density.csv", ("x", "density"), np.column_stack([xs, dens]))
-
-    curves = {}
-    for family in args.families:
-        points = retention_curve(emp, family, args.sweep, grid, fixed, level=args.level)
-        curves[family] = points
+    for family, points in curves.items():
         write_csv_atomic(
             out / f"curve_{family}.csv",
             ("param", "d_hat", "ci_lo", "ci_hi", "error"),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     NoRootFound,
 )
 from .numerics import RootResult, brentq, expand_and_solve
-from .severity import EmpiricalLosses, ParetoII, SeverityModel, load_shape
+from .severity import EmpiricalLosses, ParetoII, SeverityModel, _retentions, load_shape
 
 class LoadingRule:
     """A premium principle: the loading rate on the ceded mean,
@@ -307,18 +306,6 @@ def stationarity_function(
     return float(out) if scalar else out
 
 
-def _retentions(d) -> tuple:
-    """d as a float when it is a scalar, else as a float array, and whether
-    it is a scalar: the models read one float without making an array.
-    DomainError unless every entry is >= 0, so NaN is refused too."""
-    scalar = isinstance(d, float) or np.ndim(d) == 0
-    d = float(d) if scalar else np.asarray(d, dtype=float)
-    if not (d >= 0.0 if scalar else np.all(d >= 0.0)):
-        bad = d if scalar else d[~(d >= 0.0)][0]
-        raise DomainError(f"retention must be nonnegative, got {bad}")
-    return d, scalar
-
-
 def _flat_condition(q: float, g: dict):
     """The flat rules' stationarity function from the moments g at d, with
     q = (c(N)/phi)^2."""
@@ -399,9 +386,10 @@ def solve_retention(
     zero; NoRootFound when there is none or an end of the search range is
     lower still.  One pass over the model's `knots()` table gives the
     derivative's limits on both sides of every knot (`_knot_sides`), and
-    Brent's method runs on `model.moments_in_cell` in each cell where it
-    rises.  The Lomax knots are a 1000-point log grid; the empirical knots
-    are the distinct positive claims up to the 0.999 quantile.
+    Brent's method runs on `model.moment_grid` at one float in each cell
+    where it rises.  The Lomax knots are a 1000-point log grid; the
+    empirical knots are the distinct positive claims up to the 0.999
+    quantile.
 
     The objective value and `effective_rho` come from the moments the
     search read at each point, or the table's row there: a Lomax solve
@@ -431,8 +419,8 @@ def solve_retention(
         t, left, right = _knot_sides(model, rule, phi, n)
         read = {}
 
-        def derivative(d, j):  # in the cell between knots j and j + 1
-            m = read[d] = model.moments_in_cell(d, j)
+        def derivative(d):
+            m = read[d] = model.moment_grid(d)
             return float(_derivative(rule, phi, n, m["sbar"], m))
 
         def cost(d):  # from the moments the search read or the table holds
@@ -487,15 +475,14 @@ def _knot_search(t: dict, left: np.ndarray, right: np.ndarray, derivative, cost,
 
 def _moments_at(model: SeverityModel, t: dict, read: dict, d: float) -> dict:
     """The `moment_grid` moments at d: those a root search read there, else
-    the moment columns of the knot table t at d, else a read in the cell
-    below the next knot (the float below the smallest empirical claim, an
-    end of the search range)."""
+    the moment columns of the knot table t at d, else a read at d (the float
+    below the smallest empirical claim, an end of the search range)."""
     if d in read:
         return read[d]
     j = int(np.searchsorted(t["knots"], d))
     if j < t["knots"].size and t["knots"][j] == d:
         return {name: t[name][j] for name in ("sbar", "mu1", "mu2", "gap", "nu1", "nu2", "var")}
-    return model.moments_in_cell(d, j - 1)
+    return model.moment_grid(d)
 
 
 def _flat_root_on_knots(model: SeverityModel, q: float, d2: float) -> tuple[RootResult, dict]:
@@ -612,18 +599,18 @@ def _rising_roots(
     the search range, (below[0], knots[-1]).
 
     `left` and `right` hold the derivative's one-sided limits at the knots
-    of the table t, and derivative(d, j) its value at d in the cell between
-    knots j and j + 1.  Taken in order, the limits rise through zero either
+    of the table t, and derivative(d) its value at d, which between two
+    knots is smooth.  Taken in order, the limits rise through zero either
     across a knot or in a cell.  A rise across a knot is a kink root: the
     knot, or the point below it when the derivative is smaller in size
     there, the end a Brent step on those two points would return; its
-    residual is the limit at the knot, and the derivative read in the cell
-    below (j - 1) at a point below it.  A rising cell is bracketed by
-    (knots[j], below[j + 1]) and solved by Brent's method, which starts from
-    the limits the table holds: right[j] at the lower end, and left[j + 1]
-    at the upper end where below[j + 1] is knot j + 1 itself (smooth knots).
-    So each retention is read once, and the residual is the value Brent's
-    method read at the root.  Only pairs of finite limits count.
+    residual is the limit at the knot, and the derivative read at a point
+    below it.  A rising cell is bracketed by (knots[j], below[j + 1]) and
+    solved by Brent's method, which starts from the limits the table holds:
+    right[j] at the lower end, and left[j + 1] at the upper end where
+    below[j + 1] is knot j + 1 itself (smooth knots).  So each retention is
+    read once, and the residual is the value Brent's method read at the
+    root.  Only pairs of finite limits count.
     """
     knots, below = t["knots"], t["below"]
     # along left[0], right[0], left[1], ...: a fall to at most 0 then a rise
@@ -642,15 +629,15 @@ def _rising_roots(
         if i % 2 == 0:  # across knot j
             bracket = (float(below[j]), float(knots[j]))
             root, residual = (bracket[0], a) if abs(a) < b else (bracket[1], b)
-            if root < knots[j]:  # read in the cell below, -1 below the first knot
+            if root < knots[j]:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    residual = derivative(root, j - 1)
+                    residual = derivative(root)
             roots.append(RootResult(root, float(residual), bracket, 0))
         else:  # between knots j and j + 1
             lo, hi = float(knots[j]), float(below[j + 1])
             f_hi = b if below[j + 1] == knots[j + 1] else None
             with np.errstate(divide="ignore", invalid="ignore"):
-                root, iterations, residual = brentq(partial(derivative, j=j), lo, hi, a, f_hi)
+                root, iterations, residual = brentq(derivative, lo, hi, a, f_hi)
             roots.append(RootResult(root, residual, (lo, hi), iterations))
     return roots, (float(below[0]), float(knots[-1]))
 
@@ -725,7 +712,7 @@ def solve_retention_edgeworth(
     values, slopes = _edgeworth(model, rule, p, n, order, t["knots"], t)
     read = {}
 
-    def derivative(d, j):
+    def derivative(d):
         value_slope = read[d] = _edgeworth(model, rule, p, n, order, d)
         return value_slope[1]
 

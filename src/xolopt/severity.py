@@ -144,6 +144,18 @@ def _polynomial(coefficients: tuple, x):
     return total
 
 
+def _retentions(d) -> tuple:
+    """d as a float when it is a scalar, else as a float array, and whether
+    it is a scalar: the models read one float without making an array.
+    DomainError unless every entry is >= 0, so NaN is refused too."""
+    scalar = isinstance(d, float) or np.ndim(d) == 0
+    d = float(d) if scalar else np.asarray(d, dtype=float)
+    if not (d >= 0.0 if scalar else np.all(d >= 0.0)):
+        bad = d if scalar else d[~(d >= 0.0)][0]
+        raise DomainError(f"retention must be nonnegative, got {bad}")
+    return d, scalar
+
+
 def _any(cond) -> bool:
     """Whether cond holds anywhere, for a bool array or a scalar."""
     return cond.any() if isinstance(cond, np.ndarray) else bool(cond)
@@ -237,14 +249,13 @@ class SeverityModel:
     def truncated_moments(self, d: float) -> TruncatedMoments:
         """The moments at one retention d >= 0, as floats: `moment_grid`
         at float(d)."""
-        if d < 0.0:
-            raise DomainError(f"retention must be nonnegative, got {d}")
-        d = float(d)
+        d, _ = _retentions(d)
         return TruncatedMoments(d=d, **{k: float(v) for k, v in self.moment_grid(d).items()})
 
     def moment_grid(self, d) -> dict:
         """Truncated moments at retentions d: arrays for an array, and
-        floats for a float, with the same arithmetic for both."""
+        floats for a float, with the same arithmetic for both.
+        DomainError for a negative or NaN retention."""
         raise NotImplementedError
 
     def knots(self) -> dict[str, np.ndarray]:
@@ -255,7 +266,8 @@ class SeverityModel:
         each knot is read (the knot itself where the moments are smooth);
         the `moment_grid` columns at each knot, sbar being its right-hand
         value; and `sbar_left`, the left-hand limit of sbar.  Only sbar may
-        jump at a knot.  Read-only, built on first use and kept.
+        jump at a knot, so between two knots `moment_grid` is one smooth
+        function of d.  Read-only, built on first use and kept.
         """
         return self._knots
 
@@ -286,12 +298,6 @@ class SeverityModel:
         return {}
 
     def _build_knots(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def moments_in_cell(self, d: float, j: int) -> dict:
-        """The moments at one retention d between knots j and j + 1 (below
-        the first knot for j = -1), as floats that equal the `moment_grid`
-        arrays' entries at d."""
         raise NotImplementedError
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
@@ -359,8 +365,7 @@ class ParetoII(SeverityModel):
 
     def moment_grid(self, d) -> dict:
         a, lam = self.shape, self.scale
-        if not isinstance(d, float):
-            d = np.array(d, dtype=float, ndmin=1)
+        d, _ = _retentions(d)
         t = d / lam
         powers, (mu1, mu2) = _lomax_closed_form(a, lam, t, 2)
         gap, var = d - mu1, mu2 - mu1 * mu1
@@ -388,10 +393,6 @@ class ParetoII(SeverityModel):
         g = self.moment_grid(grid)
         return {"knots": grid, "below": grid, **g, "sbar_left": g["sbar"]}
 
-    def moments_in_cell(self, d: float, j: int) -> dict:
-        # one formula on every cell
-        return self.moment_grid(float(d))
-
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
         if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
@@ -415,6 +416,12 @@ class ParetoII(SeverityModel):
         return self.scale * ((1.0 - u) ** (-1.0 / self.shape) - 1.0)
 
 
+#: The most elements of one (retentions x losses) matrix that
+#: `EmpiricalLosses.higher_truncated_moments` builds, 2 MB of floats (one
+#: retention's row where the sample is larger)
+_CHUNK_ELEMENTS = 2 ** 18
+
+
 class EmpiricalLosses(SeverityModel):
     """Empirical distribution of a nonnegative loss sample (at least 2 points).
 
@@ -428,8 +435,8 @@ class EmpiricalLosses(SeverityModel):
     coefficients are prefix sums (`cell_moments`).  The moments are
     continuous at a claim and only sbar jumps there, by the claim's ties
     over n.  The knots are the distinct positive claims up to the 0.999
-    quantile, each with its left-hand limit read at the float below it and
-    its count k; repeated solves on one sample share the table.
+    quantile, each with its left-hand limit read at the float below it;
+    repeated solves on one sample share the table.
     """
 
     def __init__(self, losses):
@@ -475,9 +482,10 @@ class EmpiricalLosses(SeverityModel):
     def second_moment(self) -> float:
         return float(self._cum2[-1] / self.n)
 
-    def moment_grid(self, d: np.ndarray) -> dict[str, np.ndarray]:
-        d = np.asarray(d, dtype=float)
-        return self.cell_moments(d, np.searchsorted(self.losses, d, side="right"))
+    def moment_grid(self, d) -> dict:
+        d, scalar = _retentions(d)
+        k = self.losses.searchsorted(d, "right")
+        return self.cell_moments(d, int(k) if scalar else k)
 
     def cell_moments(self, d, k) -> dict:
         """Moments at retentions d, given the count k of losses at or below
@@ -510,20 +518,23 @@ class EmpiricalLosses(SeverityModel):
         kept = positive & (x[k - 1] <= self.quantile(0.999))
         k, k_left = k[kept], k_left[kept]
         claims = x[k - 1]
-        return {"knots": claims, "below": np.nextafter(claims, 0.0), "k": k,
+        return {"knots": claims, "below": np.nextafter(claims, 0.0),
                 **self.cell_moments(claims, k), "sbar_left": (self.n - k_left) / self.n}
-
-    def moments_in_cell(self, d: float, j: int) -> dict:
-        # below the first knot the count is read at d
-        k = self.knots()["k"][j] if j >= 0 else np.searchsorted(self.losses, d, side="right")
-        return self.cell_moments(d, int(k))
 
     def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
         if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
-        capped = np.minimum(self.losses, np.asarray(d, dtype=float)[..., None])
-        dev = capped - capped.mean(axis=-1, keepdims=True)
-        return _standardised(d, *(np.mean(dev ** k, axis=-1) for k in (2, 3, 4)))
+        grid = np.asarray(d, dtype=float)
+        flat = grid.reshape(-1)
+        # central moments of orders 2 to 4, a chunk of retentions at a time:
+        # each row of capped losses gets the same arithmetic alone or in one
+        central = np.empty((3, flat.size))
+        rows = max(1, _CHUNK_ELEMENTS // self.n)
+        for i in range(0, flat.size, rows):
+            capped = np.minimum(self.losses, flat[i:i + rows, None])
+            dev = capped - capped.mean(axis=-1, keepdims=True)
+            central[:, i:i + rows] = [np.mean(dev ** k, axis=-1) for k in (2, 3, 4)]
+        return _standardised(d, *central.reshape(3, *grid.shape))
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.n, size=n)

@@ -292,6 +292,25 @@ class TestEstimate:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DegenerateVariance"
 
+    @pytest.mark.parametrize("claims,error,message", [
+        ("1.0\n2.5\n0.7\n4.0\n1.1\n", "DomainError",
+         "need at least 30 losses for asymptotic inference, got 5"),
+        ("1.0\n", "DomainError", "empirical model needs at least 2 losses"),
+        ("1.5\n" * 40, "DegenerateVariance", "a sample without spread has no density bandwidth"),
+    ], ids=["five", "one", "equal"])
+    def test_failed_analyze_writes_no_file(self, capsys, tmp_path, claims, error, message):
+        """Every number is computed before the first file is written, so a
+        claim file that analyze cannot use leaves --out empty."""
+        path = tmp_path / "claims.csv"
+        path.write_text("loss\n" + claims)
+        out_dir = tmp_path / "ana"
+        code, out = run_cli(capsys, "analyze", "--input", str(path), "--sweep", "rho",
+                            "--out", str(out_dir))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
+        assert json.loads(out)["error"]["message"] == message
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
 
 class TestSimulate:
     def test_insolvency_csv_and_json(self, capsys, tmp_path):

@@ -510,7 +510,7 @@ class TestRetentionCurve:
 
             return spy
 
-        for method in ("moment_grid", "cell_moments", "moments_in_cell", "truncated_moments"):
+        for method in ("moment_grid", "cell_moments", "truncated_moments"):
             monkeypatch.setattr(EmpiricalLosses, method,
                                 reader(method, getattr(EmpiricalLosses, method)))
         monkeypatch.setattr(inference, "effective_rho",
@@ -569,7 +569,7 @@ class TestEstimateReusesTheSolve:
     @pytest.mark.parametrize("name,rule,theta,measure", REUSE_CASES)
     def test_no_moment_is_read_after_the_solve(self, monkeypatch, name, rule, theta, measure):
         events = []
-        for method in ("moment_grid", "cell_moments", "moments_in_cell", "truncated_moments"):
+        for method in ("moment_grid", "cell_moments", "truncated_moments"):
             def spy(self, *args, _read=getattr(EmpiricalLosses, method), _name=method):
                 events.append(_name)
                 return _read(self, *args)

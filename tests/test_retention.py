@@ -1,7 +1,6 @@
 """Tests for retention solvers under the four premium loading rules."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -302,7 +301,7 @@ class TestRisingRoots:
         """Smooth knots (below = knots, equal limits) leave only cells."""
         knots = np.arange(float(len(values)))
 
-        def derivative(d, j):
+        def derivative(d):
             return float(np.interp(d, knots, values))
 
         roots, ends = retention._rising_roots(
@@ -324,7 +323,8 @@ class TestRisingRoots:
         knots = np.arange(1.0, len(limits) + 1.0)
         below = knots - 0.25
 
-        def derivative(d, j):  # linear from right[j] at knot j to left[j + 1]
+        def derivative(d):  # linear from right[j] at knot j to left[j + 1]
+            j = int(np.searchsorted(knots, d, side="right")) - 1
             return float(np.interp(d, [knots[j], below[j + 1]], [right[j], left[j + 1]]))
 
         roots, ends = retention._rising_roots(
@@ -426,13 +426,12 @@ def _interleaved_rising_roots(t, left, right, derivative):
             root, residual = ((bracket[0], left[j]) if abs(left[j]) < right[j]
                               else (bracket[1], right[j]))
             if root < knots[j]:
-                residual = derivative(root, j - 1)
+                residual = derivative(root)
             roots.append(RootResult(root, float(residual), bracket, 0))
         else:
             lo, hi = float(knots[j]), float(below[j + 1])
             f_hi = left[j + 1] if below[j + 1] == knots[j + 1] else None
-            root, iterations, residual = brentq(partial(derivative, j=j), lo, hi,
-                                                right[j], f_hi)
+            root, iterations, residual = brentq(derivative, lo, hi, right[j], f_hi)
             roots.append(RootResult(root, residual, (lo, hi), iterations))
     return roots
 
@@ -529,7 +528,8 @@ class TestLoadShapeColumns:
         if smooth:
             left = right
 
-        def derivative(d, j):  # linear from right[j] at knot j to left[j + 1]
+        def derivative(d):  # linear from right[j] at knot j to left[j + 1]
+            j = int(np.searchsorted(knots, d, side="right")) - 1
             if j < 0 or j + 1 >= knots.size:
                 return -1.0
             return float(np.interp(d, [knots[j], below[j + 1]], [right[j], left[j + 1]]))
@@ -725,8 +725,8 @@ MODELS = {"lomax": ParetoII(9.0, 8.0),
 
 
 def _spy_on_reads(monkeypatch) -> list:
-    """(name, retention) of every `moment_grid` and `moments_in_cell` call
-    at one retention, on both models, in order."""
+    """(name, retention) of every `moment_grid` call at one retention, on
+    both models, in order."""
     reads = []
 
     def spy(name, read):
@@ -737,8 +737,7 @@ def _spy_on_reads(monkeypatch) -> list:
         return wrapped
 
     for cls in (ParetoII, EmpiricalLosses):
-        for name in ("moment_grid", "moments_in_cell"):
-            monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+        monkeypatch.setattr(cls, "moment_grid", spy("moment_grid", cls.moment_grid))
     return reads
 
 
@@ -782,7 +781,7 @@ class TestRootSearchReadsEachRetentionOnce:
         left, right = np.array([-1e-3, 1.0]), np.array([1.0, 2.0])
         roots, _ = retention._rising_roots(
             {"knots": t["knots"][:2], "below": t["below"][:2]}, left, right,
-            lambda d, j: emp.moments_in_cell(d, j)["mu1"])
+            lambda d: emp.moment_grid(d)["mu1"])
         (root,) = roots
         assert root.root == t["below"][0] and root.iterations == 0
         assert root.residual == emp.moment_grid(t["below"][0])["mu1"] == 0.75 * t["below"][0]
@@ -808,9 +807,8 @@ class TestRootSearchReadsEachRetentionOnce:
         t = model.knots()
         reads = _spy_on_reads(monkeypatch)
         sol = solve_retention(model, rule, VAR75, 100)
-        for name in ("moment_grid", "moments_in_cell"):
-            points = [d for what, d in reads if what == name]
-            assert len(points) == len(set(points))
+        points = [d for _, d in reads]
+        assert len(points) == len(set(points))
         if kind == "lomax":
             # only Brent's steps in the root's cell, which start from the
             # table's values at its ends: no knot is read, and nothing once
@@ -820,9 +818,8 @@ class TestRootSearchReadsEachRetentionOnce:
             assert sol.d_star in steps and not set(steps) & set(t["knots"])
         elif rule.spread_dependent:
             # the float below the smallest claim, the range's lower end, is
-            # no row of the table: its objective is read once, in the cell
-            # below that claim
-            assert ("moments_in_cell", float(t["below"][0])) in reads
+            # no row of the table: its objective is read once
+            assert ("moment_grid", float(t["below"][0])) in reads
 
 
 class TestKnotSearch:
@@ -869,7 +866,7 @@ class TestKnotSearch:
     def _search(self, lowest, costs=COSTS):
         t = self.TABLE
         return retention._knot_search(
-            t, self.SLOPES, self.SLOPES, lambda d, j: np.interp(d, t["knots"], self.SLOPES),
+            t, self.SLOPES, self.SLOPES, lambda d: np.interp(d, t["knots"], self.SLOPES),
             lambda d: (costs[round(d, 9)], d), lowest)
 
     def test_lowest_keeps_the_root_of_least_cost(self):
@@ -1099,7 +1096,7 @@ class TestEdgeworth:
         slopes = retention._edgeworth(model, rule, 0.75, n, order, grid)[1]
         roots, _ = retention._rising_roots(
             {"knots": grid, "below": grid}, slopes, slopes,
-            lambda d, j: retention._edgeworth(model, rule, 0.75, n, order, d)[1])
+            lambda d: retention._edgeworth(model, rule, 0.75, n, order, d)[1])
         sol = solve_retention_edgeworth(model, rule, 0.75, n, order)
         assert sol.d_star == pytest.approx(roots[0].root, rel=1e-13, abs=0.0)
         assert sol.diagnostics.is_global_grid_min

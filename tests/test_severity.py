@@ -219,6 +219,30 @@ class TestHigherTruncatedMoments:
         assert hm.kappa3 > 0.0
         assert np.isfinite(hm.kappa4)
 
+    def test_empirical_grid_is_read_in_chunks_with_the_bits_of_float_reads(self):
+        """The (retentions x losses) matrices are built a chunk of retentions
+        at a time: the knots of 5000 claims, but the first, where the capped
+        loss has no variance, peak far below the 200 MB of one whole matrix,
+        and each entry (every tenth is checked) has the bits of its
+        retention read alone, in a grid of any shape."""
+        emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(5000, 3))
+        knots = emp.knots()["knots"][1:]
+        tracemalloc.start()
+        try:
+            hm = emp.higher_truncated_moments(knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for i in range(0, knots.size, 10):
+            d = knots[i]
+            alone = emp.higher_truncated_moments(float(d))
+            assert (alone.kappa3.hex(), alone.kappa4.hex()) == (
+                float(hm.kappa3[i]).hex(), float(hm.kappa4[i]).hex()), d
+        square = emp.higher_truncated_moments(knots[:12].reshape(3, 4))
+        assert square.kappa3.tobytes() == hm.kappa3[:12].tobytes()
+        assert square.kappa4.tobytes() == hm.kappa4[:12].tobytes()
+
 
 class TestEmpiricalLosses:
     def test_survival_is_strict_count(self):
@@ -303,7 +327,7 @@ class TestKnots:
         for key, column in model.moment_grid(knots).items():
             assert np.array_equal(t[key], column)
         d = 0.5 * (knots[500] + knots[501])
-        assert model.moments_in_cell(d, 500) == {
+        assert model.moment_grid(d) == {
             key: column[0] for key, column in model.moment_grid(np.array([d])).items()}
         assert model.knots() is t and not knots.flags.writeable
 
@@ -333,7 +357,7 @@ class TestKnots:
                 for key, column in columns.items():
                     assert bits(alone[key]) == bits(column[i]), (key, d)
             for j in range(knots.size):
-                inside = model.moments_in_cell(knots[j], j)
+                inside = model.moment_grid(knots[j])
                 assert {key: bits(v) for key, v in inside.items()} == {
                     key: bits(t[key][j]) for key in inside}
             positive = np.concatenate([knots, random, [1e300]])
@@ -369,19 +393,59 @@ class TestKnots:
         assert np.array_equal(claims, np.unique(x[(x > 0.0) & (x <= emp.quantile(0.999))]))
         assert claims[-1] == emp.quantile(0.999) < x.max()
         assert np.array_equal(t["below"], np.nextafter(claims, 0.0))
-        assert np.array_equal(t["k"], np.searchsorted(emp.losses, claims, side="right"))
         for key, column in emp.moment_grid(claims).items():
             assert np.array_equal(t[key], column)
         assert np.array_equal(t["sbar_left"], [np.mean(x >= c) for c in claims])
         # inside a cell the moments are those of moment_grid
         d = 0.5 * (claims[10] + claims[11])
-        inside = emp.moments_in_cell(d, 10)
+        inside = emp.moment_grid(d)
         assert inside == {key: column[0] for key, column in emp.moment_grid(np.array([d])).items()}
-        # cell -1 lies below the first knot, with the zeros or with no loss
+        # below the first knot lie the zeros or no loss
         below = t["below"][0]
-        assert emp.moments_in_cell(below, -1) == {
+        assert emp.moment_grid(below) == {
             key: column[0] for key, column in emp.moment_grid(np.array([below])).items()}
         assert emp.knots() is t and not claims.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["lomax", "zeros", "ties"])
+    def test_empirical_float_reads_equal_grid_entries_bit_for_bit(self, kind):
+        """A float is read with the count of the losses at or below it, in
+        the arithmetic its entry gets in an array: at every knot and every
+        point below one, inside the cells, below the first knot (with the
+        zeros or with no loss) and above the 0.999 quantile."""
+        x = ParetoII(9.0, 8.0).sample(2000, 5)
+        x = {"lomax": x, "zeros": np.concatenate([np.zeros(150), x]),
+             "ties": np.round(x, 1)}[kind]
+        emp = EmpiricalLosses(x)
+        t = emp.knots()
+        knots = t["knots"]
+        grid = np.concatenate([
+            knots, t["below"], 0.5 * (knots[:-1] + knots[1:]),
+            [0.0, 0.5 * knots[0], 1e-300],
+            np.linspace(knots[-1], 2.0 * x.max(), 50), [x.max(), np.nextafter(x.max(), 0.0)]])
+
+        def bits(v):
+            return np.asarray(v, dtype=float).view(np.uint64)
+
+        columns = emp.moment_grid(grid)
+        for i, d in enumerate(grid):
+            alone = emp.moment_grid(float(d))
+            assert all(isinstance(v, float) for v in alone.values())
+            assert {key: bits(v) for key, v in alone.items()} == {
+                key: bits(column[i]) for key, column in columns.items()}, d
+        for j in range(knots.size):
+            assert {key: bits(v) for key, v in emp.moment_grid(knots[j]).items()} == {
+                key: bits(t[key][j]) for key in columns}
+
+    @pytest.mark.parametrize("model", [ParetoII(9.0, 8.0), EmpiricalLosses([0.0, 0.5, 2.0, 3.0])],
+                             ids=["lomax", "empirical"])
+    @pytest.mark.parametrize("d,bad", [(-1.0, "-1.0"), (math.nan, "nan"),
+                                       (np.array([0.5, -2.0, 1.0]), "-2.0"),
+                                       (np.array([1.0, math.nan]), "nan")],
+                             ids=["negative", "nan", "negative-entry", "nan-entry"])
+    def test_a_negative_or_nan_retention_is_a_domain_error(self, model, d, bad):
+        for read in (model.moment_grid, model.truncated_moments):
+            with pytest.raises(DomainError, match=rf"^retention must be nonnegative, got {bad}$"):
+                read(d)
 
     def test_empirical_knots_need_a_positive_claim(self):
         with pytest.raises(AllZero):
