@@ -31,18 +31,9 @@ from .dataio import (
 )
 from .distortion import DistortionMeasure, normal_quantile, parse_measure
 from .errors import LossParseError, NumericalFailure, XoloptError
-from .inference import ESTIMATED_RULES, estimate, retention_curve
-from .montecarlo import (
-    TABLE1_SIZES,
-    TABLE2_SIZES,
-    McConfig,
-    insolvency_probability,
-    mc_var_total_cost,
-    replicate_table1,
-    replicate_table2,
-)
 from .retention import (
     _RULES,
+    ESTIMATED_RULES,
     DecreasingLoading,
     SharpeLoading,
     StdDevLoading,
@@ -205,6 +196,8 @@ def cmd_optimize(args, parser: _Parser) -> int:
 
 
 def cmd_estimate(args, parser: _Parser) -> int:
+    from .inference import estimate
+
     losses = read_loss_csv(args.input)
     digest = content_digest(args.input)
     rule = _build_rule(args, parser)
@@ -220,11 +213,16 @@ def cmd_estimate(args, parser: _Parser) -> int:
 
 # ------------------------------------------------------------- simulate
 
-# portfolio sizes of each study when --N is not given
-_STUDY_SIZES = {"table1": TABLE1_SIZES, "table2": TABLE2_SIZES, "insolvency": (2, 3, 5, 10)}
-
-
 def cmd_simulate(args, parser: _Parser) -> int:
+    from .montecarlo import (
+        TABLE1_SIZES,
+        TABLE2_SIZES,
+        McConfig,
+        insolvency_probability,
+        replicate_table1,
+        replicate_table2,
+    )
+
     # reject a flag the study would ignore, before any file is written
     if args.only is not None and args.study == "insolvency":
         parser.error("--only applies to table1 and table2, not insolvency")
@@ -233,7 +231,9 @@ def cmd_simulate(args, parser: _Parser) -> int:
     if args.mc_m is not None and args.study != "table2":
         parser.error("--M applies to table2 only")
     if args.n_values is None:
-        args.n_values = list(_STUDY_SIZES[args.study])
+        # portfolio sizes of each study when --N is not given
+        sizes = {"table1": TABLE1_SIZES, "table2": TABLE2_SIZES, "insolvency": (2, 3, 5, 10)}
+        args.n_values = list(sizes[args.study])
     model = ParetoII(args.alpha, args.lam)
     cfg = McConfig(seed=args.seed)
     if args.full_scale:
@@ -292,6 +292,8 @@ def _sweep_grid(args, parser: _Parser) -> np.ndarray:
 
 
 def cmd_analyze(args, parser: _Parser) -> int:
+    from .inference import retention_curve
+
     # validate the sweep before any work
     grid = _sweep_grid(args, parser)
     if args.input:
@@ -463,6 +465,8 @@ def _check_stationarity() -> tuple[bool, str]:
 
 
 def _check_mc_determinism() -> tuple[bool, str]:
+    from .montecarlo import McConfig, mc_var_total_cost
+
     model = ParetoII(9.0, 8.0)
     cfg = McConfig(b=1000, m=100, seed=11)
     rule = DecreasingLoading(0.5)

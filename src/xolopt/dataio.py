@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
-import hashlib
+# csv and hashlib load in the functions that use them, none of which a
+# model-based `optimize` calls
 import io
 import json
 import math
@@ -25,6 +25,8 @@ def read_loss_csv(path) -> np.ndarray:
     LossParseError with the offending 1-based line number, and an unreadable
     file raises LossParseError without one.
     """
+    import csv
+
     path = Path(path)
     values: list[float] = []
     col = 0
@@ -73,6 +75,8 @@ def read_loss_csv(path) -> np.ndarray:
 
 def content_digest(path) -> str:
     """64-bit content hash of a file, as 16 hex characters."""
+    import hashlib
+
     h = hashlib.blake2b(digest_size=8)
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -107,6 +111,8 @@ def write_csv_atomic(path, header, rows) -> None:
     are formatted in one pass over its Python floats, into the text its
     rows as tuples would give.
     """
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -20,6 +20,7 @@ from .errors import DegenerateVariance, DomainError, XoloptError
 from .numerics import fixed_point
 from .retention import (
     _RULES,
+    ESTIMATED_RULES,
     DecreasingLoading,
     LoadingRule,
     RetentionSolution,
@@ -77,11 +78,8 @@ def _check_level(level: float) -> None:
 
 
 # the letter each rule's coefficients are reported under, for every rule
-# that has a large-sample estimator
+# in ESTIMATED_RULES
 _PREFIX = {DecreasingLoading: "c", StdDevLoading: "b", SharpeLoading: "a"}
-
-#: The names of the loading rules that `estimate` and `retention_curve` take.
-ESTIMATED_RULES = tuple(cls.name for cls in _PREFIX)
 
 
 def estimate(
@@ -200,9 +198,9 @@ def retention_curve(
     Points that fail with a domain error become gap markers carrying the
     error text.
     """
-    cls = _RULES.get(family)
-    if cls not in _PREFIX:
+    if family not in ESTIMATED_RULES:
         raise DomainError(f"unknown rule family {family!r}")
+    cls = _RULES[family]
     if sweep not in ("rho", "p"):
         raise DomainError(f"sweep must be 'rho' or 'p', got {sweep!r}")
     _check_level(level)

@@ -168,6 +168,11 @@ class SharpeLoading(LoadingRule):
 _RULES = {cls.name: cls for cls in (ConstantLoading, DecreasingLoading, StdDevLoading,
                                     SharpeLoading)}
 
+#: The names of the rules whose rate falls as 1/sqrt(N), which have a
+#: nondegenerate large-sample limit: the rules `inference.estimate` and
+#: `retention_curve` take.
+ESTIMATED_RULES = tuple(name for name, cls in _RULES.items() if cls.falls_with_n)
+
 
 @dataclass(frozen=True)
 class SolverDiagnostics:

@@ -248,8 +248,11 @@ class SeverityModel:
 
     def truncated_moments(self, d: float) -> TruncatedMoments:
         """The moments at one retention d >= 0, as floats: `moment_grid`
-        at float(d)."""
-        d, _ = _retentions(d)
+        at float(d).  DomainError for an array, which `moment_grid` reads."""
+        d, scalar = _retentions(d)
+        if not scalar:
+            raise DomainError(f"truncated_moments takes one retention, got an array of "
+                              f"shape {d.shape}; moment_grid reads arrays")
         return TruncatedMoments(d=d, **{k: float(v) for k, v in self.moment_grid(d).items()})
 
     def moment_grid(self, d) -> dict:

@@ -1,4 +1,5 @@
-"""What importing xolopt loads: no scipy, and numpy with one BLAS thread.
+"""What importing xolopt loads: no scipy, numpy with one BLAS thread, and
+no submodule until a name from it is used.
 
 The package needs only numpy and the standard library; scipy is a test
 dependency.  A fresh interpreter blocks every scipy import
@@ -10,6 +11,10 @@ The package loads numpy with OPENBLAS_NUM_THREADS=1 unless the caller set a
 BLAS thread count or imported numpy first, and leaves the environment as it
 found it.  Each case runs in a fresh interpreter, and the outputs of three
 commands must not move by a bit with the caller's thread count.
+
+Each public name loads its module on first use, and each command loads the
+modules it runs: `optimize` loads neither the Monte Carlo oracle, the
+estimators, the plots nor hashlib.
 """
 
 import json
@@ -135,13 +140,19 @@ MULTICORE_LINUX = pytest.mark.skipif(
 )
 
 
-def _import_xolopt(tmp_path, order="xolopt-first", **env) -> dict:
+def _report(tmp_path, script: str, *argv: str, **env) -> dict:
+    """The last stdout line of script, run in a fresh interpreter with the
+    given variables set, as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-c", PIN_SCRIPT, order], env=_env(**env), capture_output=True,
+        [sys.executable, "-c", script, *argv], env=_env(**env), capture_output=True,
         text=True, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _import_xolopt(tmp_path, order="xolopt-first", **env) -> dict:
+    return _report(tmp_path, PIN_SCRIPT, order, **env)
 
 
 def test_import_leaves_the_environment_as_it_found_it(tmp_path):
@@ -210,3 +221,108 @@ def test_blas_thread_count_moves_no_output_bit(tmp_path):
         outputs.append(_outputs(tmp_path / side))
     assert len(outputs[0]) == 11
     assert outputs[0] == outputs[1]
+
+
+# Imports xolopt, reports the xolopt submodules it loaded, uses one name from
+# the solvers and reports the threads of the process again.
+SHELL_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+    import xolopt
+    loaded = sorted(m for m in sys.modules if m.startswith("xolopt."))
+    xolopt.solve_retention(xolopt.ParetoII(9.0, 8.0), xolopt.DecreasingLoading(0.5),
+                           xolopt.DistortionMeasure.var(0.75), 100)
+    tasks = "/proc/self/task"
+    print(json.dumps({
+        "loaded": loaded,
+        "numpy": "numpy" in sys.modules,
+        "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+        "used": sorted(m for m in sys.modules if m.startswith("xolopt.")),
+    }))
+    """
+)
+
+
+def test_import_loads_numpy_and_no_submodule(tmp_path):
+    report = _report(tmp_path, SHELL_SCRIPT)
+    assert report["loaded"] == []
+    assert report["numpy"]
+    assert report["used"] == ["xolopt.distortion", "xolopt.errors", "xolopt.numerics",
+                              "xolopt.retention", "xolopt.severity"]
+    if report["threads"] is not None and (os.cpu_count() or 1) >= 2:
+        assert report["threads"] == 1
+
+
+EXPORTS_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    import xolopt
+    wrong = []
+    for name in xolopt.__all__:
+        value = getattr(xolopt, name)
+        module = getattr(value, "__module__", "")
+        if not (module.startswith("xolopt.") and name in vars(sys.modules[module])
+                and getattr(sys.modules[module], name) is value):
+            wrong.append(name)
+    star = {}
+    exec("from xolopt import *", star)
+    try:
+        xolopt.no_such_name
+        missing = None
+    except AttributeError as exc:
+        missing = str(exc)
+    print(json.dumps({
+        "all": xolopt.__all__,
+        "wrong": wrong,
+        "star": sorted(k for k in star if k != "__builtins__"),
+        "dir": sorted(set(xolopt.__all__) - set(dir(xolopt))),
+        "missing": missing,
+        "severity": xolopt.severity is sys.modules["xolopt.severity"],
+        "cli": xolopt.cli.main.__module__,
+    }))
+    """
+)
+
+
+def test_every_export_is_its_modules_object(tmp_path):
+    report = _report(tmp_path, EXPORTS_SCRIPT)
+    assert len(report["all"]) == 57
+    assert report["wrong"] == []
+    assert report["star"] == report["all"]
+    assert report["dir"] == []
+    assert report["missing"] == "module 'xolopt' has no attribute 'no_such_name'"
+    assert report["severity"]
+    assert report["cli"] == "xolopt.cli"
+
+
+# Runs one command through cli.main and reports the modules it loaded.
+COMMAND_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import xolopt.cli
+    argv = json.loads(sys.argv[1])
+    if argv[0] == "estimate":
+        losses = xolopt.ParetoII(9.0, 8.0).sample(2000, 1)
+        with open("claims.csv", "w") as fh:
+            fh.write("loss\\n" + "\\n".join(map(repr, losses.tolist())) + "\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = xolopt.cli.main(argv)
+    print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+    """
+)
+
+OPTIMIZE = ["optimize", "--model", "pareto", "--alpha", "9", "--lambda", "8",
+            "--rule", "decreasing", "--delta", "0.5", "--out", "opt"]
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (OPTIMIZE, {"xolopt.montecarlo", "xolopt.inference", "xolopt.plots", "hashlib"}),
+    (["estimate", "--input", "claims.csv", "--rule", "stddev", "--rho0", "0.5", "--out", "est"],
+     {"xolopt.montecarlo", "xolopt.plots"}),
+    (["analyze", "--synthetic", "--sweep", "rho", "--out", "ana"],
+     {"xolopt.montecarlo", "xolopt.plots"}),
+], ids=["optimize", "estimate", "analyze"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    report = _report(tmp_path, COMMAND_SCRIPT, json.dumps(argv))
+    assert report["exit"] == 0
+    assert absent.isdisjoint(report["modules"])

@@ -73,6 +73,12 @@ class TestEstimateArguments:
         with pytest.raises(DomainError, match="constant rule has no large-sample estimator"):
             estimate(big_sample[:2000], _RULES["constant"](0.3), VAR75)
 
+    def test_estimated_rules_are_the_rules_with_coefficients(self):
+        # the CLI's choices come from retention.ESTIMATED_RULES, so that the
+        # parser does not load this module
+        assert inference.ESTIMATED_RULES == ("decreasing", "stddev", "sharpe")
+        assert {cls.name for cls in inference._PREFIX} == set(inference.ESTIMATED_RULES)
+
     @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.1, math.nan])
     def test_bad_level_raises_before_any_solve(self, big_sample, level, monkeypatch):
         solves = []
@@ -329,6 +335,11 @@ class TestPlugInMinimum:
 
 
 class TestRetentionCurve:
+    @pytest.mark.parametrize("family", ["constant", "sl", "bogus"])
+    def test_a_family_without_an_estimator_is_a_domain_error(self, big_sample, family):
+        with pytest.raises(DomainError, match=f"^unknown rule family '{family}'$"):
+            retention_curve(big_sample[:2000], family, "rho", [0.01], 0.9)
+
     def test_loading_sweep_is_increasing(self, big_sample):
         grid = np.geomspace(0.003, 0.03, 5)
         points = retention_curve(big_sample, "decreasing", "rho", grid, 0.9)

@@ -447,6 +447,15 @@ class TestKnots:
             with pytest.raises(DomainError, match=rf"^retention must be nonnegative, got {bad}$"):
                 read(d)
 
+    @pytest.mark.parametrize("model", [ParetoII(9.0, 8.0), EmpiricalLosses([0.0, 0.5, 2.0, 3.0])],
+                             ids=["lomax", "empirical"])
+    @pytest.mark.parametrize("d", [np.array([0.0, 0.3, 2.0]), [0.0, 0.3, 2.0]],
+                             ids=["array", "list"])
+    def test_truncated_moments_takes_one_retention(self, model, d):
+        with pytest.raises(DomainError, match=r"takes one retention.*moment_grid reads arrays"):
+            model.truncated_moments(d)
+        assert model.moment_grid(d)["mu1"].shape == (3,)
+
     def test_empirical_knots_need_a_positive_claim(self):
         with pytest.raises(AllZero):
             EmpiricalLosses(np.zeros(50)).knots()
