@@ -41,8 +41,8 @@ _EXPORTS = {
                   "SharpeLoading", "StdDevLoading", "condition_report", "edgeworth_objective",
                   "effective_rho", "objective", "solve_retention", "solve_retention_edgeworth",
                   "stationarity_function", "stop_loss_retention"),
-    "severity": ("EmpiricalLosses", "HigherTruncatedMoments", "LossSummary", "ParetoII",
-                 "SeverityModel", "TruncatedMoments", "kde_density", "summary_and_lorenz"),
+    "severity": ("EmpiricalLosses", "LossSummary", "ParetoII", "SeverityModel",
+                 "kde_density", "summary_and_lorenz"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "numerics", "plots"}

@@ -15,7 +15,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,37 +62,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record accompanying every file output."""
-
-    command: str
-    params: dict
-    seed: int
-    input_digest: str | None
-    version: str
-    python: str
-    numpy: str
-    created_utc: str
-
-
 def _manifest(args: argparse.Namespace, digest: str | None) -> dict:
+    """Reproducibility record accompanying every file output."""
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k != "func" and not k.startswith("_")
     }
-    man = RunManifest(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        input_digest=digest,
-        version=__version__,
-        python=platform.python_version(),
-        numpy=np.__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    return asdict(man)
+    return {
+        "command": args.command,
+        "params": params,
+        "seed": args.seed,
+        "input_digest": digest,
+        "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def _emit_error(exc: Exception) -> dict:
@@ -333,7 +319,7 @@ def cmd_analyze(args, parser: _Parser) -> int:
         )
     write_json_atomic(out / "manifest.json", _manifest(args, digest))
     if args.svg:
-        _render_analysis_svg(out, losses, summary, xs, dens, grid, curves, args.sweep)
+        _render_analysis_svg(out, summary, xs, dens, curves, args.sweep)
     listing = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".json", ".svg"))
     if args.json:
         _print_json({"out_dir": str(out), "files": listing})
@@ -342,7 +328,7 @@ def cmd_analyze(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _render_analysis_svg(out, losses, summary, xs, dens, grid, curves, sweep) -> None:
+def _render_analysis_svg(out, summary, xs, dens, curves, sweep) -> None:
     from .plots import render_svg
 
     render_svg(
@@ -403,16 +389,17 @@ def _check_pareto_moments() -> tuple[bool, str]:
     worst = 0.0
     for model in (ParetoII(9.0, 8.0), ParetoII(2.5, 3.0)):
         for d in (0.3, 1.0, 4.0):
-            tm = model.truncated_moments(d)
+            g = model.moment_grid(d)
             mu1 = integrate_finite(lambda x: model.survival(x), 0.0, d)
             nu1 = integrate_tail(lambda x: model.survival(x), d)
             mu2 = 2.0 * integrate_finite(lambda x: x * model.survival(x), 0.0, d)
             nu2 = 2.0 * integrate_tail(lambda x: model.survival(x) * (x - d), d)
             worst = max(
-                worst, abs(tm.mu1 - mu1), abs(tm.nu1 - nu1),
-                abs(tm.mu2 - mu2), abs(tm.nu2 - nu2),
+                worst, abs(g["mu1"] - mu1), abs(g["nu1"] - nu1),
+                abs(g["mu2"] - mu2), abs(g["nu2"] - nu2),
             )
-    return worst < 1e-8, f"max closed-form vs quadrature gap {worst:.2e}"
+    # moment_grid reads a float as NumPy scalars; the report must be JSON
+    return bool(worst < 1e-8), f"max closed-form vs quadrature gap {worst:.2e}"
 
 
 def _check_quantile_table() -> tuple[bool, str]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .distortion import DistortionMeasure
 from .errors import DomainError, GridBoundaryMinimum, XoloptError
-from .inference import estimate
 from .numerics import golden_refine, log_spaced_grid
 from .retention import (
     ConstantLoading,
@@ -587,6 +586,8 @@ def replicate_table2(
     (rule, n, replication), so a row is the same whatever else the table
     holds.  `failure_kinds` counts the failed replications by exception name.
     """
+    from .inference import estimate  # here: table1, insolvency and selfcheck never load it
+
     measure = DistortionMeasure.var(p)
     rules = _only([DecreasingLoading(delta), StdDevLoading(rho0), SharpeLoading(rho0)], only)
     rows: list[McEstimateRow] = []

@@ -243,11 +243,15 @@ def _phi_or_raise(measure: DistortionMeasure) -> float:
 
 def effective_rho(model: SeverityModel, rule: LoadingRule, n: int, d: float) -> float:
     """Premium loading actually applied at retention d: 0 for a spread rule
-    on a layer without a claim, which carries no load."""
+    on a layer without a claim, which carries no load.  A spread rule reads
+    `model.moment_grid` at d, which must be one retention >= 0."""
     if not rule.spread_dependent:
         return rule.rate(n)
-    tm = model.truncated_moments(d)
-    return _spread_rate(rule, n, d, tm.nu1, tm.nu2)
+    d, scalar = _retentions(d)
+    if not scalar:
+        raise DomainError(f"effective_rho takes one retention, got an array of shape {d.shape}")
+    g = model.moment_grid(d)
+    return _spread_rate(rule, n, d, g["nu1"], g["nu2"])
 
 
 def _spread_rate(rule: LoadingRule, n: int, d: float, nu1: float, nu2: float) -> float:
@@ -676,7 +680,7 @@ def _edgeworth(model: SeverityModel, rule: ConstantLoading, p: float, n: int, or
     d, scalar = _retentions(d)
     g = model.moment_grid(d) if g is None else g
     hm = model.higher_truncated_moments(d)
-    k3, k4, c2, s, gap = hm.kappa3, hm.kappa4, g["var"], g["sbar"], g["gap"]
+    k3, k4, c2, s, gap = hm["kappa3"], hm["kappa4"], g["var"], g["sbar"], g["gap"]
     he2, he3, he5 = p * p - 1.0, p ** 3 - 3.0 * p, p ** 5 - 10.0 * p ** 3 + 15.0 * p
     dc2 = 2.0 * s * gap
     dk3 = 3.0 * s * (gap * gap - c2) / np.power(c2, 1.5) - 1.5 * k3 * dc2 / c2

@@ -48,29 +48,6 @@ from .numerics import log_spaced_grid
 
 
 @dataclass(frozen=True)
-class TruncatedMoments:
-    """Capped and excess moments of a severity model at retention d."""
-
-    d: float
-    sbar: float
-    mu1: float
-    mu2: float
-    gap: float
-    nu1: float
-    nu2: float
-    var: float
-
-
-@dataclass(frozen=True)
-class HigherTruncatedMoments:
-    """Skewness and excess kurtosis of min(X, d), at one d or an array."""
-
-    d: float
-    kappa3: float
-    kappa4: float
-
-
-@dataclass(frozen=True)
 class LossSummary:
     count: int
     mean: float
@@ -246,18 +223,12 @@ class SeverityModel:
     def second_moment(self) -> float:
         raise NotImplementedError
 
-    def truncated_moments(self, d: float) -> TruncatedMoments:
-        """The moments at one retention d >= 0, as floats: `moment_grid`
-        at float(d).  DomainError for an array, which `moment_grid` reads."""
-        d, scalar = _retentions(d)
-        if not scalar:
-            raise DomainError(f"truncated_moments takes one retention, got an array of "
-                              f"shape {d.shape}; moment_grid reads arrays")
-        return TruncatedMoments(d=d, **{k: float(v) for k, v in self.moment_grid(d).items()})
-
     def moment_grid(self, d) -> dict:
-        """Truncated moments at retentions d: arrays for an array, and
-        floats for a float, with the same arithmetic for both.
+        """Truncated moments at retentions d, by name (`sbar`, `mu1`, `mu2`,
+        `gap`, `nu1`, `nu2`, `var`): arrays for an array, and floats for a
+        float, with the same arithmetic for both.  The floats are mostly
+        NumPy float64 scalars, whose comparisons give numpy.bool_, so a
+        caller that needs a Python bool or float converts them.
         DomainError for a negative or NaN retention."""
         raise NotImplementedError
 
@@ -303,8 +274,10 @@ class SeverityModel:
     def _build_knots(self) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
-    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
-        """Skewness and excess kurtosis of min(X, d), at d > 0 or an array."""
+    def higher_truncated_moments(self, d) -> dict:
+        """Skewness and excess kurtosis of min(X, d), as `kappa3` and
+        `kappa4`: Python floats for d > 0, and arrays of the grid's shape
+        for an array.  DomainError unless every retention is positive."""
         raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -396,7 +369,7 @@ class ParetoII(SeverityModel):
         g = self.moment_grid(grid)
         return {"knots": grid, "below": grid, **g, "sbar_left": g["sbar"]}
 
-    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
+    def higher_truncated_moments(self, d) -> dict:
         if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
         a = self.shape
@@ -524,7 +497,7 @@ class EmpiricalLosses(SeverityModel):
         return {"knots": claims, "below": np.nextafter(claims, 0.0),
                 **self.cell_moments(claims, k), "sbar_left": (self.n - k_left) / self.n}
 
-    def higher_truncated_moments(self, d) -> HigherTruncatedMoments:
+    def higher_truncated_moments(self, d) -> dict:
         if not np.all(np.asarray(d) > 0.0):
             raise DomainError(f"retention must be positive, got {d}")
         grid = np.asarray(d, dtype=float)
@@ -544,7 +517,7 @@ class EmpiricalLosses(SeverityModel):
         return self.losses[idx]
 
 
-def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
+def _standardised(d, var, third, fourth) -> dict:
     """Skewness and excess kurtosis from the central moments of min(X, d).
 
     A retention without capped variance raises DegenerateVariance, which
@@ -560,12 +533,13 @@ def _standardised(d, var, third, fourth) -> HigherTruncatedMoments:
         )
     kappa3, kappa4 = third / np.power(var, 1.5), fourth / (var * var) - 3.0
     if np.ndim(d) == 0:
-        d, kappa3, kappa4 = float(d), float(kappa3), float(kappa4)
-    return HigherTruncatedMoments(d, kappa3, kappa4)
+        kappa3, kappa4 = float(kappa3), float(kappa4)
+    return {"kappa3": kappa3, "kappa4": kappa4}
 
 
 def kde_density(losses, x):
-    """Gaussian kernel density estimate of the loss density at x >= 0.
+    """Gaussian kernel density estimate of the loss density at x >= 0;
+    DomainError for a negative or NaN point.
 
     losses is an `EmpiricalLosses` model or a loss sample.  The bandwidth is
     the sample's own, Silverman's rule (Density Estimation, 1986, eq. 3.31):
@@ -578,13 +552,15 @@ def kde_density(losses, x):
     not depend on the others.
     """
     emp = losses if isinstance(losses, EmpiricalLosses) else EmpiricalLosses(losses)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs >= 0.0):
+        raise DomainError(f"density point must be nonnegative, got {xs[~(xs >= 0.0)][0]}")
     claims = emp.losses
     if claims[0] == claims[-1]:
         raise DegenerateVariance("a sample without spread has no density bandwidth")
     dev = claims - emp.mean()
     sd, iqr = math.sqrt(dev @ dev / emp.n), emp.quantile(0.75) - emp.quantile(0.25)
     h = 0.9 * (min(sd, iqr / 1.34) if iqr > 0.0 else sd) * emp.n ** -0.2
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     cut = 9.0 * h
     lo, hi, mirrored = (np.searchsorted(claims, v) for v in (xs - cut, xs + cut, cut - xs))
     sums = np.empty(xs.shape)
@@ -607,6 +583,8 @@ def summary_and_lorenz(losses) -> LossSummary:
     x = np.sort(np.asarray(losses, dtype=float).ravel())
     if x.size == 0:
         raise DomainError("empty loss sample")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("losses must be finite")
     if np.any(x < 0.0):
         raise DomainError("losses must be nonnegative")
     total = x.sum()

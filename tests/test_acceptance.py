@@ -197,23 +197,23 @@ def test_criterion_6_structural_properties(capsys):
     worst = 0.0
     for model in (ParetoII(9.0, 8.0), ParetoII(2.5, 3.0)):
         for d in (0.3, 1.0, 4.0):
-            tm = model.truncated_moments(d)
+            g = model.moment_grid(d)
             worst = max(
                 worst,
-                abs(tm.mu1 - integrate_finite(model.survival, 0.0, d)),
-                abs(tm.nu1 - integrate_tail(model.survival, d)),
-                abs(tm.mu2 - 2.0 * integrate_finite(lambda x: x * model.survival(x), 0.0, d)),
-                abs(tm.nu2 - 2.0 * integrate_tail(lambda x: model.survival(x) * (x - d), d)),
+                abs(g["mu1"] - integrate_finite(model.survival, 0.0, d)),
+                abs(g["nu1"] - integrate_tail(model.survival, d)),
+                abs(g["mu2"] - 2.0 * integrate_finite(lambda x: x * model.survival(x), 0.0, d)),
+                abs(g["nu2"] - 2.0 * integrate_tail(lambda x: model.survival(x) * (x - d), d)),
             )
     checks["moments vs quadrature"] = worst < 1e-8
 
     h = 1e-5
     d0 = 1.0
-    lo, hi = MODEL.truncated_moments(d0 - h), MODEL.truncated_moments(d0 + h)
-    tm0 = MODEL.truncated_moments(d0)
+    lo, hi = MODEL.moment_grid(d0 - h), MODEL.moment_grid(d0 + h)
+    g0 = MODEL.moment_grid(d0)
     checks["derivative identities"] = (
-        abs((hi.mu1 - lo.mu1) / (2 * h) - MODEL.survival(d0)) < 1e-4
-        and abs((hi.nu2 - lo.nu2) / (2 * h) + 2.0 * tm0.nu1) < 1e-4
+        abs((hi["mu1"] - lo["mu1"]) / (2 * h) - MODEL.survival(d0)) < 1e-4
+        and abs((hi["nu2"] - lo["nu2"]) / (2 * h) + 2.0 * g0["nu1"]) < 1e-4
     )
 
     doubled = ParetoII(9.0, 16.0)

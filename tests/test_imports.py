@@ -286,7 +286,7 @@ EXPORTS_SCRIPT = textwrap.dedent(
 
 def test_every_export_is_its_modules_object(tmp_path):
     report = _report(tmp_path, EXPORTS_SCRIPT)
-    assert len(report["all"]) == 57
+    assert len(report["all"]) == 55
     assert report["wrong"] == []
     assert report["star"] == report["all"]
     assert report["dir"] == []
@@ -321,7 +321,10 @@ OPTIMIZE = ["optimize", "--model", "pareto", "--alpha", "9", "--lambda", "8",
      {"xolopt.montecarlo", "xolopt.plots"}),
     (["analyze", "--synthetic", "--sweep", "rho", "--out", "ana"],
      {"xolopt.montecarlo", "xolopt.plots"}),
-], ids=["optimize", "estimate", "analyze"])
+    (["selfcheck"], {"xolopt.inference", "xolopt.plots"}),
+    (["simulate", "insolvency", "--N", "2", "--B", "1000", "--out", "sim"],
+     {"xolopt.inference", "xolopt.plots"}),
+], ids=["optimize", "estimate", "analyze", "selfcheck", "insolvency"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     report = _report(tmp_path, COMMAND_SCRIPT, json.dumps(argv))
     assert report["exit"] == 0

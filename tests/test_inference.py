@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -521,7 +521,7 @@ class TestRetentionCurve:
 
             return spy
 
-        for method in ("moment_grid", "cell_moments", "truncated_moments"):
+        for method in ("moment_grid", "cell_moments"):
             monkeypatch.setattr(EmpiricalLosses, method,
                                 reader(method, getattr(EmpiricalLosses, method)))
         monkeypatch.setattr(inference, "effective_rho",
@@ -580,7 +580,7 @@ class TestEstimateReusesTheSolve:
     @pytest.mark.parametrize("name,rule,theta,measure", REUSE_CASES)
     def test_no_moment_is_read_after_the_solve(self, monkeypatch, name, rule, theta, measure):
         events = []
-        for method in ("moment_grid", "cell_moments", "truncated_moments"):
+        for method in ("moment_grid", "cell_moments"):
             def spy(self, *args, _read=getattr(EmpiricalLosses, method), _name=method):
                 events.append(_name)
                 return _read(self, *args)
@@ -603,10 +603,10 @@ class TestEstimateReusesTheSolve:
         emp = EmpiricalLosses(_sample(name))
         rule = _RULES[rule](theta)
         sol = inference.solve_retention(emp, rule, measure, emp.n)
-        tm = emp.truncated_moments(sol.d_star)
+        g = emp.moment_grid(sol.d_star)
         assert [float(sol.moments[k]).hex() for k in sol.moments] == \
-            [getattr(tm, k).hex() for k in sol.moments]
-        fresh = replace(sol, moments=asdict(tm))
+            [float(g[k]).hex() for k in sol.moments]
+        fresh = replace(sol, moments=g)
         got, want = (inference._linearise(emp, s, 0.95) for s in (sol, fresh))
         assert (got.std_error.hex(), got.ci) == (want.std_error.hex(), want.ci)
         assert got.coefficients == want.coefficients

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xolopt import montecarlo
+from xolopt import inference, montecarlo
 from xolopt.errors import DegenerateVariance, DomainError, NoRootFound
 from xolopt.montecarlo import (
     _VAR_BATCHES,
@@ -475,7 +475,7 @@ class TestReplicateTable2:
         assert table[1] == alone
 
     def test_failures_are_counted_by_kind(self, monkeypatch):
-        estimate = montecarlo.estimate
+        estimate = inference.estimate
         raising = {3: NoRootFound, 7: NoRootFound, 11: DegenerateVariance}
         calls = []
 
@@ -486,7 +486,7 @@ class TestReplicateTable2:
                 raise kind("chosen to fail")
             return estimate(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "estimate", flaky)
+        monkeypatch.setattr(inference, "estimate", flaky)
         (row,) = replicate_table2(MODEL, SMALL, n_values=(500,), only="decreasing")
         assert len(calls) == SMALL.m
         assert row.failures == 3

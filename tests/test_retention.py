@@ -220,19 +220,19 @@ class TestStationarity:
 class TestObjective:
     def test_decreasing_matches_moment_arithmetic(self, model):
         """Mean cost plus loaded premium plus the volatility term."""
-        tm = model.truncated_moments(1.0)
+        g = model.moment_grid(1.0)
         n = 100
-        sigma = np.sqrt(tm.mu2 - tm.mu1**2)
+        sigma = np.sqrt(g["mu2"] - g["mu1"]**2)
         expected = (
             n * model.mean()
-            + np.sqrt(n) * 0.5 * tm.nu1
+            + np.sqrt(n) * 0.5 * g["nu1"]
             + np.sqrt(n) * sigma * PHI75
         )
         got = objective(model, DecreasingLoading(0.5), VAR75, n, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)
         # bit for bit: a flat load is c(N) nu1, with no spread term
         phi = VAR75.phi_normal()
-        assert got == n * model.mean() + math.sqrt(n) * (phi * math.sqrt(tm.var) + 0.5 * tm.nu1)
+        assert got == n * model.mean() + math.sqrt(n) * (phi * math.sqrt(g["var"]) + 0.5 * g["nu1"])
 
     def test_value_at_optimum_is_minimal(self, model):
         sol = solve_retention(model, StdDevLoading(0.5), VAR75, 50)
@@ -474,9 +474,9 @@ class TestLoadShapeColumns:
                 want = _unfactored_marginal_load(rule, n, g["sbar"], g["nu1"], g["nu2"])
                 assert got.tobytes() == want.tobytes()
                 for x in d:
-                    tm = model.truncated_moments(float(x))
-                    got = rule.marginal_load(n, tm.sbar, tm.nu1, tm.nu2)
-                    want = _unfactored_marginal_load(rule, n, tm.sbar, tm.nu1, tm.nu2)
+                    g = model.moment_grid(float(x))
+                    got = rule.marginal_load(n, g["sbar"], g["nu1"], g["nu2"])
+                    want = _unfactored_marginal_load(rule, n, g["sbar"], g["nu1"], g["nu2"])
                     assert float(got).hex() == float(want).hex()
 
     @pytest.mark.parametrize("reuse", [True, False], ids=["reused", "fresh"])
@@ -566,6 +566,12 @@ class TestEffectiveRho:
         # a layer with claims but no spread has no spread-dependent rate
         with pytest.raises(DomainError, match="no spread"):
             effective_rho(EmpiricalLosses([3.0, 3.0]), rule, 10, 1.0)
+        # nor has an array or a list of retentions one rate
+        for model in (emp, ParetoII(9.0, 8.0)):
+            for d in (np.array([0.0, 0.3, 2.0]), [0.0, 0.3, 2.0]):
+                with pytest.raises(DomainError, match=r"^effective_rho takes one retention, "
+                                                      r"got an array of shape \(3,\)$"):
+                    effective_rho(model, rule, 10, d)
 
 
 class TestConditionReport:
@@ -892,35 +898,35 @@ class TestLoadingFamily:
     @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
     def test_rate_is_the_load_per_unit_ceded_mean(self, model, rule, d):
         """The rates of the README table, and the load sqrt(N) * rate * nu1."""
-        tm = model.truncated_moments(d)
-        spread = math.sqrt(tm.nu2 - tm.nu1 ** 2)
+        g = model.moment_grid(d)
+        spread = math.sqrt(g["nu2"] - g["nu1"] ** 2)
         root_n = math.sqrt(self.N)
         expected = {"constant": 0.3, "decreasing": 0.5 / root_n,
                     "stddev": 0.5 * spread / root_n, "sharpe": 0.5 / (spread * root_n)}
         assert effective_rho(model, rule, self.N, d) == pytest.approx(
             expected[rule.name], rel=1e-14)
-        assert rule.load(self.N, tm.nu1, spread) == pytest.approx(
-            root_n * expected[rule.name] * tm.nu1, rel=1e-14)
+        assert rule.load(self.N, g["nu1"], spread) == pytest.approx(
+            root_n * expected[rule.name] * g["nu1"], rel=1e-14)
         if not rule.spread_dependent:  # reads no spread
-            assert rule.load(self.N, tm.nu1, math.nan) == rule.scale(self.N) * tm.nu1
+            assert rule.load(self.N, g["nu1"], math.nan) == rule.scale(self.N) * g["nu1"]
         assert rule.load(self.N, np.float64(0.0), np.float64(0.0)) == 0.0  # no claim, no load
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
     def test_marginal_load_is_the_derivative_of_the_load(self, model, rule, d):
         def load(x):
-            tm = model.truncated_moments(x)
-            return rule.load(self.N, tm.nu1, math.sqrt(tm.nu2 - tm.nu1 ** 2))
+            g = model.moment_grid(x)
+            return rule.load(self.N, g["nu1"], math.sqrt(g["nu2"] - g["nu1"] ** 2))
 
         h = 1e-5 * d
         numeric = (load(d + h) - load(d - h)) / (2.0 * h)
-        tm = model.truncated_moments(d)
-        got = rule.marginal_load(self.N, tm.sbar, tm.nu1, tm.nu2)
+        g = model.moment_grid(d)
+        got = rule.marginal_load(self.N, g["sbar"], g["nu1"], g["nu2"])
         assert got == pytest.approx(numeric, rel=1e-7)
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 4.0])
     def test_load_gradient_is_the_gradient_of_the_marginal_load(self, model, rule, d):
-        tm = model.truncated_moments(d)
-        point = np.array([tm.sbar, tm.nu1, tm.nu2])
+        g = model.moment_grid(d)
+        point = np.array([g["sbar"], g["nu1"], g["nu2"]])
         grad = rule.load_gradient(self.N, *point)
         scale = abs(rule.marginal_load(self.N, *point))
         for j in range(3):

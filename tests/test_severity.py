@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from xolopt import severity
 from xolopt.errors import AllZero, DegenerateVariance, DomainError, NonfiniteMoment
+from xolopt.retention import StdDevLoading, effective_rho
 from xolopt.severity import (
     EmpiricalLosses,
     ParetoII,
@@ -41,13 +43,13 @@ class TestParetoII:
         assert self.model.mean() == pytest.approx(1.0, abs=1e-14)
         assert self.model.second_moment() == pytest.approx(16.0 / 7.0, abs=1e-13)
 
-    def test_truncated_moments_closed_form(self):
-        tm = self.model.truncated_moments(1.0)
-        assert tm.sbar == pytest.approx(SBAR_1, abs=1e-10)
-        assert tm.mu1 == pytest.approx(MU1_1, abs=1e-10)
-        assert tm.mu2 == pytest.approx(MU2_1, abs=1e-10)
-        assert tm.nu1 == pytest.approx(NU1_1, abs=1e-10)
-        assert tm.nu2 == pytest.approx(NU2_1, abs=1e-10)
+    def test_moments_closed_form(self):
+        g = self.model.moment_grid(1.0)
+        assert g["sbar"] == pytest.approx(SBAR_1, abs=1e-10)
+        assert g["mu1"] == pytest.approx(MU1_1, abs=1e-10)
+        assert g["mu2"] == pytest.approx(MU2_1, abs=1e-10)
+        assert g["nu1"] == pytest.approx(NU1_1, abs=1e-10)
+        assert g["nu2"] == pytest.approx(NU2_1, abs=1e-10)
 
     @pytest.mark.parametrize("alpha,lam", [(9.0, 8.0), (2.5, 3.0), (5.0, 1.0)])
     @pytest.mark.parametrize("d", [0.3, 1.0, 4.0])
@@ -55,29 +57,29 @@ class TestParetoII:
         """Survival-integral quadrature agrees with closed forms to 1e-8."""
         integrate = pytest.importorskip("scipy.integrate")
         model = ParetoII(alpha, lam)
-        tm = model.truncated_moments(d)
+        g = model.moment_grid(d)
         mu1, _ = integrate.quad(model.survival, 0.0, d)
         nu1, _ = integrate.quad(model.survival, d, np.inf)
         mu2, _ = integrate.quad(lambda x: 2.0 * x * model.survival(x), 0.0, d)
         nu2, _ = integrate.quad(lambda x: 2.0 * (x - d) * model.survival(x), d, np.inf)
-        assert tm.mu1 == pytest.approx(mu1, abs=1e-8)
-        assert tm.nu1 == pytest.approx(nu1, abs=1e-8)
-        assert tm.mu2 == pytest.approx(mu2, abs=1e-8)
-        assert tm.nu2 == pytest.approx(nu2, abs=1e-8)
+        assert g["mu1"] == pytest.approx(mu1, abs=1e-8)
+        assert g["nu1"] == pytest.approx(nu1, abs=1e-8)
+        assert g["mu2"] == pytest.approx(mu2, abs=1e-8)
+        assert g["nu2"] == pytest.approx(nu2, abs=1e-8)
 
     @pytest.mark.parametrize("d", [0.2, 1.0, 3.0])
     def test_moment_derivatives_by_finite_difference(self, d):
         """mu1' = survival and nu2' = -2 nu1, central difference at 1e-4."""
         h = 1e-5
-        lo = self.model.truncated_moments(d - h)
-        hi = self.model.truncated_moments(d + h)
-        mid = self.model.truncated_moments(d)
-        assert (hi.mu1 - lo.mu1) / (2 * h) == pytest.approx(mid.sbar, abs=1e-4)
-        assert (hi.nu2 - lo.nu2) / (2 * h) == pytest.approx(-2.0 * mid.nu1, abs=1e-4)
-        assert (hi.mu2 - lo.mu2) / (2 * h) == pytest.approx(
-            2.0 * d * mid.sbar, abs=1e-4
+        lo = self.model.moment_grid(d - h)
+        hi = self.model.moment_grid(d + h)
+        mid = self.model.moment_grid(d)
+        assert (hi["mu1"] - lo["mu1"]) / (2 * h) == pytest.approx(mid["sbar"], abs=1e-4)
+        assert (hi["nu2"] - lo["nu2"]) / (2 * h) == pytest.approx(-2.0 * mid["nu1"], abs=1e-4)
+        assert (hi["mu2"] - lo["mu2"]) / (2 * h) == pytest.approx(
+            2.0 * d * mid["sbar"], abs=1e-4
         )
-        assert (hi.nu1 - lo.nu1) / (2 * h) == pytest.approx(-mid.sbar, abs=1e-4)
+        assert (hi["nu1"] - lo["nu1"]) / (2 * h) == pytest.approx(-mid["sbar"], abs=1e-4)
 
     @given(
         d=st.floats(0.05, 50.0),
@@ -87,12 +89,12 @@ class TestParetoII:
     def test_moment_identities(self, d, alpha, lam):
         """Capped plus excess pieces recombine into the full moments."""
         model = ParetoII(alpha, lam)
-        tm = model.truncated_moments(d)
-        assert tm.mu1 + tm.nu1 == pytest.approx(model.mean(), rel=1e-10)
+        g = model.moment_grid(d)
+        assert g["mu1"] + g["nu1"] == pytest.approx(model.mean(), rel=1e-10)
         full_m2 = model.second_moment()
-        assert tm.mu2 + tm.nu2 + 2.0 * d * tm.nu1 == pytest.approx(full_m2, rel=1e-9)
-        assert 0.0 < tm.sbar < 1.0
-        assert tm.mu2 <= d * tm.mu1 + 1e-12
+        assert g["mu2"] + g["nu2"] + 2.0 * d * g["nu1"] == pytest.approx(full_m2, rel=1e-9)
+        assert 0.0 < g["sbar"] < 1.0
+        assert g["mu2"] <= d * g["mu1"] + 1e-12
 
     @pytest.mark.parametrize(
         "alpha,lam", [(9.0, 8.0), (2.5, 3.0), (50.0, 2.0), (0.7, 1.0)]
@@ -118,7 +120,7 @@ class TestParetoII:
                 mu1 = mp.quad(surv, [0, d_mp])
                 mu2 = 2 * mp.quad(lambda x: x * surv(x), [0, d_mp])
                 exact = mu2 - mu1 ** 2
-                for value in (from_grid, model.truncated_moments(float(d)).var):
+                for value in (from_grid, model.moment_grid(float(d))["var"]):
                     assert abs(value - exact) / exact <= 1e-12, (d, value)
 
     @pytest.mark.parametrize(
@@ -162,14 +164,14 @@ class TestParetoII:
                     "kappa3": (m3 - 3 * m1 * m2 + 2 * m1 ** 3) / var ** 1.5,
                     "kappa4": (m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4) / var ** 2 - 3,
                 }
-                tm = model.truncated_moments(float(d))
+                alone = model.moment_grid(float(d))
                 for key in ("gap", "mu1", "mu2"):
-                    for value in (grid[key][i], getattr(tm, key)):
+                    for value in (grid[key][i], alone[key]):
                         assert abs(value - exact[key]) <= 1e-12 * exact[key], (key, d, value)
                 hm = model.higher_truncated_moments(float(d))
                 for key in ("kappa3", "kappa4"):
                     bound = 1e-9 * max(1, abs(exact[key]))
-                    for value in (getattr(higher, key)[i], getattr(hm, key)):
+                    for value in (higher[key][i], hm[key]):
                         assert abs(value - exact[key]) <= bound, (key, d, value)
 
     @given(d=st.floats(1e-8, 50.0), alpha=st.floats(0.5, 60.0))
@@ -177,13 +179,13 @@ class TestParetoII:
         model = ParetoII(alpha, 2.0)
         ds = np.array([1e-9, d, 0.5 * d, 100.0])
         grid = model.moment_grid(ds)
-        tm = model.truncated_moments(d)
+        alone = model.moment_grid(d)
         for key in ("var", "gap", "mu2"):
-            assert grid[key][1] == getattr(tm, key)
+            assert grid[key][1] == alone[key]
         assert 0.0 < grid["var"][1] <= 0.25 * d * d  # a variable on [0, d]
         higher, hm = model.higher_truncated_moments(ds), model.higher_truncated_moments(d)
         for key in ("kappa3", "kappa4"):
-            assert getattr(higher, key)[1] == getattr(hm, key)
+            assert higher[key][1] == hm[key]
 
     def test_infinite_mean_rejected(self):
         with pytest.raises((DomainError, NonfiniteMoment)):
@@ -208,16 +210,16 @@ class TestParetoII:
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
-class TestHigherTruncatedMoments:
+class TestHigherMoments:
     def test_skewness_approaches_untruncated_value(self):
         """At a huge cap the capped skewness equals the full skewness."""
         hm = ParetoII(9.0, 8.0).higher_truncated_moments(1e6)
-        assert hm.kappa3 == pytest.approx(2.93960, abs=1e-3)
+        assert hm["kappa3"] == pytest.approx(2.93960, abs=1e-3)
 
     def test_kappa_positive_for_right_skewed(self):
         hm = ParetoII(9.0, 8.0).higher_truncated_moments(2.0)
-        assert hm.kappa3 > 0.0
-        assert np.isfinite(hm.kappa4)
+        assert hm["kappa3"] > 0.0
+        assert np.isfinite(hm["kappa4"])
 
     def test_empirical_grid_is_read_in_chunks_with_the_bits_of_float_reads(self):
         """The (retentions x losses) matrices are built a chunk of retentions
@@ -237,11 +239,11 @@ class TestHigherTruncatedMoments:
         for i in range(0, knots.size, 10):
             d = knots[i]
             alone = emp.higher_truncated_moments(float(d))
-            assert (alone.kappa3.hex(), alone.kappa4.hex()) == (
-                float(hm.kappa3[i]).hex(), float(hm.kappa4[i]).hex()), d
+            assert (alone["kappa3"].hex(), alone["kappa4"].hex()) == (
+                float(hm["kappa3"][i]).hex(), float(hm["kappa4"][i]).hex()), d
         square = emp.higher_truncated_moments(knots[:12].reshape(3, 4))
-        assert square.kappa3.tobytes() == hm.kappa3[:12].tobytes()
-        assert square.kappa4.tobytes() == hm.kappa4[:12].tobytes()
+        assert square["kappa3"].tobytes() == hm["kappa3"][:12].tobytes()
+        assert square["kappa4"].tobytes() == hm["kappa4"][:12].tobytes()
 
 
 class TestEmpiricalLosses:
@@ -286,17 +288,16 @@ class TestEmpiricalLosses:
             capped = np.minimum(x, d)
             dev = capped - capped.mean()
             var = capped.var()
-            assert hm.d == d
-            assert hm.kappa3 == pytest.approx((dev**3).mean() / var**1.5, rel=1e-9)
-            assert hm.kappa4 == pytest.approx((dev**4).mean() / var**2 - 3.0, rel=1e-9)
+            assert hm["kappa3"] == pytest.approx((dev**3).mean() / var**1.5, rel=1e-9)
+            assert hm["kappa4"] == pytest.approx((dev**4).mean() / var**2 - 3.0, rel=1e-9)
 
-    def test_truncated_moments_agree_with_grid(self):
+    def test_a_float_read_agrees_with_the_grid(self):
         x = np.array([0.2, 0.9, 1.4, 2.2, 7.0])
         emp = EmpiricalLosses(x)
-        tm = emp.truncated_moments(1.0)
+        alone = emp.moment_grid(1.0)
         g = emp.moment_grid(np.array([1.0]))
-        assert tm.mu1 == pytest.approx(g["mu1"][0], rel=1e-14)
-        assert tm.nu2 == pytest.approx(g["nu2"][0], rel=1e-14)
+        assert alone["mu1"] == pytest.approx(g["mu1"][0], rel=1e-14)
+        assert alone["nu2"] == pytest.approx(g["nu2"][0], rel=1e-14)
 
     def test_bootstrap_resampling_determinism(self):
         emp = EmpiricalLosses(np.arange(1.0, 51.0))
@@ -364,9 +365,9 @@ class TestKnots:
             higher = model.higher_truncated_moments(positive)
             for i, d in enumerate(positive):
                 hm = model.higher_truncated_moments(float(d))
-                assert isinstance(hm.kappa3, float) and isinstance(hm.kappa4, float)
-                assert bits([hm.kappa3, hm.kappa4]).tolist() == bits(
-                    [higher.kappa3[i], higher.kappa4[i]]).tolist(), d
+                assert isinstance(hm["kappa3"], float) and isinstance(hm["kappa4"], float)
+                assert bits([hm["kappa3"], hm["kappa4"]]).tolist() == bits(
+                    [higher["kappa3"][i], higher["kappa4"][i]]).tolist(), d
         # the capped variance underflows to 0 at 1e-300, alone or in a grid
         for d in (1e-300, np.array([1.0, 1e-300])):
             with pytest.raises(DegenerateVariance):
@@ -443,18 +444,9 @@ class TestKnots:
                                        (np.array([1.0, math.nan]), "nan")],
                              ids=["negative", "nan", "negative-entry", "nan-entry"])
     def test_a_negative_or_nan_retention_is_a_domain_error(self, model, d, bad):
-        for read in (model.moment_grid, model.truncated_moments):
+        for read in (model.moment_grid, partial(effective_rho, model, StdDevLoading(0.5), 10)):
             with pytest.raises(DomainError, match=rf"^retention must be nonnegative, got {bad}$"):
                 read(d)
-
-    @pytest.mark.parametrize("model", [ParetoII(9.0, 8.0), EmpiricalLosses([0.0, 0.5, 2.0, 3.0])],
-                             ids=["lomax", "empirical"])
-    @pytest.mark.parametrize("d", [np.array([0.0, 0.3, 2.0]), [0.0, 0.3, 2.0]],
-                             ids=["array", "list"])
-    def test_truncated_moments_takes_one_retention(self, model, d):
-        with pytest.raises(DomainError, match=r"takes one retention.*moment_grid reads arrays"):
-            model.truncated_moments(d)
-        assert model.moment_grid(d)["mu1"].shape == (3,)
 
     def test_empirical_knots_need_a_positive_claim(self):
         with pytest.raises(AllZero):
@@ -506,6 +498,14 @@ class TestKdeDensity:
         np.testing.assert_allclose(kde_density(x, at),
                                    expected / (x.size * h * math.sqrt(2 * math.pi)), rtol=1e-12)
 
+    @pytest.mark.parametrize("at,bad", [(-0.5, "-0.5"), (math.nan, "nan"),
+                                        (np.array([0.5, -2.0, math.nan]), "-2.0")],
+                             ids=["negative", "nan", "negative-entry"])
+    def test_a_negative_or_nan_point_is_a_domain_error(self, at, bad):
+        emp = EmpiricalLosses(ParetoII(9.0, 8.0).sample(2000, 1))
+        with pytest.raises(DomainError, match=rf"^density point must be nonnegative, got {bad}$"):
+            kde_density(emp, at)
+
     @pytest.mark.parametrize("x", [np.full(50, 0.1), np.zeros(40)], ids=["equal", "zero"])
     def test_sample_without_spread_has_no_bandwidth(self, x):
         with pytest.raises(DegenerateVariance):
@@ -550,5 +550,8 @@ class TestSummaryAndLorenz:
     def test_degenerate_inputs(self):
         with pytest.raises(DomainError):
             summary_and_lorenz([])
+        for losses in ([1.0, math.nan, 2.0], [1.0, math.inf]):
+            with pytest.raises(DomainError, match="^losses must be finite$"):
+                summary_and_lorenz(losses)
         with pytest.raises(AllZero):
             summary_and_lorenz([0.0, 0.0])
