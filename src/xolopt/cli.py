@@ -44,6 +44,7 @@ from .severity import (
     EmpiricalLosses,
     ParetoII,
     kde_density,
+    linear_quantile,
     summary_and_lorenz,
 )
 
@@ -294,7 +295,7 @@ def cmd_analyze(args, parser: _Parser) -> int:
     # every number before the first file, so that a failure leaves no file
     summary = summary_and_lorenz(losses)
     emp = EmpiricalLosses(losses)
-    xs = np.linspace(0.0, float(np.quantile(losses, 0.99)), 200)
+    xs = np.linspace(0.0, linear_quantile(emp.losses, 0.99), 200)
     dens = kde_density(emp, xs)
     curves = {family: retention_curve(emp, family, args.sweep, grid, fixed, level=args.level)
               for family in args.families}
@@ -317,7 +318,9 @@ def cmd_analyze(args, parser: _Parser) -> int:
             ("param", "d_hat", "ci_lo", "ci_hi", "error"),
             [(pt.param, pt.d_hat, pt.ci_lo, pt.ci_hi, pt.error or "") for pt in points],
         )
-    write_json_atomic(out / "manifest.json", _manifest(args, digest))
+    # each curve point's count of retentions confirmed at its loading
+    roots = {family: [pt.roots for pt in points] for family, points in curves.items()}
+    write_json_atomic(out / "manifest.json", {**_manifest(args, digest), "curve_roots": roots})
     if args.svg:
         _render_analysis_svg(out, summary, xs, dens, curves, args.sweep)
     listing = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".json", ".svg"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 # csv and hashlib load in the functions that use them, none of which a
 # model-based `optimize` calls
 import io
+import itertools
 import json
 import math
 import os
@@ -24,53 +25,63 @@ def read_loss_csv(path) -> np.ndarray:
     lines are skipped; negative, non-numeric, or non-finite values raise
     LossParseError with the offending 1-based line number, and an unreadable
     file raises LossParseError without one.
+
+    One pass converts each record's cell with Python's `float` and keeps
+    only the numbers; the finite and nonnegative checks then run on the
+    whole column at once, and only a failed check reads the file again, for
+    the text of the bad cell.
     """
     import csv
 
-    path = Path(path)
-    values: list[float] = []
-    col = 0
-    header_checked = False
     try:
-        fh = path.open(newline="")
+        fh = Path(path).open(newline="")
     except OSError as exc:
         raise LossParseError(f"cannot read loss file: {exc}") from None
+    col, start, data = 0, 1, []
+    values: list[float] = []
+    blank: list[int] = []  # the line numbers of blank records among the data
     with fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if not header_checked:
-                header_checked = True
-                lowered = [c.lower() for c in cells]
+        records = enumerate(csv.reader(fh), start=1)
+        # the first record that is not blank is a header, or a single-column
+        # record of data
+        for start, row in records:
+            lowered = [c.strip().lower() for c in row]
+            if any(lowered):
                 if "loss" in lowered:
-                    col = lowered.index("loss")
-                    continue
-                if len(cells) > 1:
+                    col, start = lowered.index("loss"), start + 1
+                elif len(lowered) > 1:
                     raise LossParseError(
-                        "multi-column input needs a header with a 'loss' column",
-                        line=line_no,
+                        "multi-column input needs a header with a 'loss' column", line=start
                     )
-                # single column with no header: fall through and parse as data
-            if col >= len(cells):
-                raise LossParseError(
-                    f"row has no column {col + 1}", line=line_no
-                )
-            text = cells[col]
+                else:
+                    data = [(start, row)]
+                break
+        for line_no, row in itertools.chain(data, records):
             try:
-                value = float(text)
-            except ValueError:
-                raise LossParseError(
-                    f"not a number: {text!r}", line=line_no
-                ) from None
-            if not math.isfinite(value):
-                raise LossParseError(f"non-finite loss: {text!r}", line=line_no)
-            if value < 0.0:
-                raise LossParseError(f"negative loss: {text!r}", line=line_no)
-            values.append(value)
+                values.append(float(row[col]))
+            except (IndexError, ValueError):
+                if any(c.strip() for c in row):
+                    raise LossParseError(
+                        f"not a number: {row[col].strip()!r}" if col < len(row)
+                        else f"row has no column {col + 1}", line=line_no
+                    ) from None
+                blank.append(line_no)
     if not values:
         raise LossParseError("no loss records found")
-    return np.asarray(values, dtype=float)
+    losses = np.array(values)
+    bad = ~(np.isfinite(losses) & (losses >= 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        line = start + k  # the line of the k-th value: step over the blank ones before it
+        for skipped in blank:
+            if skipped > line:
+                break
+            line += 1
+        with Path(path).open(newline="") as fh:
+            text = next(itertools.islice(csv.reader(fh), line - 1, None))[col].strip()
+        kind = "non-finite" if not math.isfinite(values[k]) else "negative"
+        raise LossParseError(f"{kind} loss: {text!r}", line=line)
+    return losses
 
 
 def content_digest(path) -> str:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .distortion import DistortionMeasure, normal_quantile
-from .errors import DegenerateVariance, DomainError, XoloptError
-from .numerics import fixed_point
+from .errors import DegenerateVariance, DomainError, NoRootFound, XoloptError
 from .retention import (
     _RULES,
     ESTIMATED_RULES,
@@ -26,12 +26,16 @@ from .retention import (
     RetentionSolution,
     SharpeLoading,
     StdDevLoading,
-    effective_rho,
+    _roots_at_rate,
     solve_retention,
 )
 from .severity import EmpiricalLosses, kde_density
 
 MIN_SAMPLE = 30
+
+# a spread-rule curve point's candidate d0 is confirmed when the solve at its
+# parameter returns d0 to this relative distance
+CURVE_ROOT_RTOL = 1e-8
 
 
 @dataclass
@@ -176,11 +180,15 @@ def _condition_warnings(checks: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One point of a retention curve; `roots` counts the retentions
+    confirmed at its loading (1 for a flat rule, 0 for a gap marker)."""
+
     param: float
     d_hat: float
     ci_lo: float
     ci_hi: float
     error: str | None = None
+    roots: int = 0
 
 
 def retention_curve(
@@ -195,8 +203,9 @@ def retention_curve(
 
     sweep='rho' varies the effective loading at fixed risk level p=fixed;
     sweep='p' varies the risk level at fixed effective loading rho=fixed.
-    Points that fail with a domain error become gap markers carrying the
-    error text.
+    Each point is estimated on its own, so it does not depend on the order
+    of the grid.  Points that fail with a domain error become gap markers
+    carrying the error text.
     """
     if family not in ESTIMATED_RULES:
         raise DomainError(f"unknown rule family {family!r}")
@@ -206,15 +215,13 @@ def retention_curve(
     _check_level(level)
     emp = _as_empirical(losses)
     points: list[CurvePoint] = []
-    param_guess: float | None = None
     for value in np.asarray(grid, dtype=float):
         rho = float(value) if sweep == "rho" else float(fixed)
         p = float(fixed) if sweep == "rho" else float(value)
         try:
             measure = DistortionMeasure.var(p)
-            result, param_guess = _estimate_at_effective_rho(emp, cls, rho, measure, level,
-                                                             param_guess)
-            points.append(CurvePoint(float(value), result.d_hat, *result.ci))
+            result, roots = _estimate_at_effective_rho(emp, cls, rho, measure, level)
+            points.append(CurvePoint(float(value), result.d_hat, *result.ci, roots=roots))
         except XoloptError as exc:  # gap marker, sweep continues
             points.append(
                 CurvePoint(float(value), float("nan"), float("nan"), float("nan"),
@@ -229,32 +236,35 @@ def _estimate_at_effective_rho(
     rho: float,
     measure: DistortionMeasure,
     level: float,
-    param_guess: float | None,
-):
-    """Map a target effective loading to the rule parameter and estimate.
+) -> tuple[EstimationResult, int]:
+    """The estimate under the rule parameter whose rate at the estimate is
+    rho, and the number of retentions confirmed.
 
-    A flat rate maps directly.  A spread-dependent rate depends on the
-    solved retention, so the rule parameter is the fixed point of
-    target(param), the parameter whose rate at the retention solved under
-    param is rho: as every rate is proportional to the parameter, that is
-    param rho over the rate the solve reports, so no step reads the
-    moments again.  `numerics.fixed_point` finds it by safeguarded secant
-    steps, to a relative tolerance of 1e-8, from the previous curve point's
-    parameter or else from the rate at the sample median.  Every point's
-    estimate, with its standard error, linearises a solve at the point's
-    parameter: a spread rate's is the fixed point's last evaluation.
+    A flat rate maps directly to its parameter: one solve, one root.  A
+    spread rate depends on the retention: `retention._roots_at_rate` lists
+    the candidates d0, each with theta(d0), the parameter whose rate at d0
+    is rho.  A candidate is confirmed when `solve_retention` at theta(d0)
+    returns d0 to a relative CURVE_ROOT_RTOL, a test free of the claims'
+    units; a candidate whose solve fails is not.  Of the confirmed solves,
+    the one of lowest objective, each under its own parameter, is
+    linearised; NoRootFound when none is confirmed.
     """
     if rho <= 0.0:
         raise DomainError(f"effective loading must be positive, got {rho}")
     if not cls.spread_dependent:
         sol = solve_retention(emp, cls(rho / cls(1.0).rate(emp.n)), measure, emp.n)
-        return _linearise(emp, sol, level), None
-    solved: dict[float, RetentionSolution] = {}
-
-    def target(param: float) -> float:
-        sol = solved[param] = solve_retention(emp, cls(param), measure, emp.n)
-        return param * rho / sol.diagnostics.effective_rho
-
-    start = param_guess or rho / effective_rho(emp, cls(1.0), emp.n, emp.quantile(0.5))
-    param, _ = fixed_point(target, start)
-    return _linearise(emp, solved[param], level), param
+        return _linearise(emp, sol, level), 1
+    candidates = _roots_at_rate(emp, cls, measure, emp.n, rho)
+    confirmed = []
+    for d0, theta in candidates:
+        try:
+            sol = solve_retention(emp, cls(theta), measure, emp.n)
+        except XoloptError:
+            continue
+        if abs(sol.d_star - d0) <= CURVE_ROOT_RTOL * d0:
+            confirmed.append(sol)
+    if not confirmed:
+        raise NoRootFound(f"none of {len(candidates)} candidate retentions is optimal "
+                          f"at the parameter whose rate there is {rho:g}")
+    best = min(confirmed, key=attrgetter("objective_value"))
+    return _linearise(emp, best, level), len(confirmed)

@@ -1,4 +1,4 @@
-"""Bracketed root finding, fixed points, golden-section refinement and log grids.
+"""Bracketed root finding, golden-section refinement and log grids.
 
 Root finding uses the port of scipy's Brent method below, so this module
 imports no scipy.
@@ -24,11 +24,6 @@ BRENT_MAXITER = 100
 
 # expand_and_solve gives up once its upper end passes EXPAND_CAP
 EXPAND_CAP = 1e12
-
-# fixed_point stops once |g(x) - x| <= FIXED_POINT_RTOL * x and gives up
-# after FIXED_POINT_MAXITER evaluations of g
-FIXED_POINT_RTOL = 1e-8
-FIXED_POINT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -123,36 +118,6 @@ def brentq(
             xcur += delta if sbis > 0.0 else -delta
         fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
-
-
-def fixed_point(g: Callable[[float], float], x0: float) -> tuple[float, int]:
-    """Positive fixed point x = g(x) from x0 > 0; returns (x, evaluations of g).
-
-    Secant steps on h(x) = g(x) - x through the last two points, safeguarded
-    by the damped step x + h(x)/2 = (x + g(x))/2: the first step is damped,
-    and so is any step where h did not change or the secant step is not
-    finite and positive.  A secant step is not clamped between x and g(x):
-    where g rises, the fixed point lies outside that segment, and where g
-    rises faster than x, the damped step moves away from it.  Stops at the
-    first evaluated x with |g(x) - x| <= FIXED_POINT_RTOL * x, a test free
-    of the units of x; raises NumericalFailure after FIXED_POINT_MAXITER
-    evaluations.
-    """
-    # no previous point yet: the NaN secant step gives way to the damped one
-    x, x_prev, h_prev = float(x0), math.nan, math.nan
-    for evaluations in range(1, FIXED_POINT_MAXITER + 1):
-        h = float(g(x)) - x
-        if abs(h) <= FIXED_POINT_RTOL * x:
-            return x, evaluations
-        step = x + 0.5 * h
-        if h != h_prev:
-            secant = x - h * (x - x_prev) / (h - h_prev)
-            if math.isfinite(secant) and secant > 0.0:
-                step = secant
-        x, x_prev, h_prev = step, x, h
-    raise NumericalFailure(
-        f"fixed point did not converge in {FIXED_POINT_MAXITER} evaluations"
-    )
 
 
 def expand_and_solve(

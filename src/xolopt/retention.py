@@ -242,14 +242,15 @@ def _phi_or_raise(measure: DistortionMeasure) -> float:
 
 
 def effective_rho(model: SeverityModel, rule: LoadingRule, n: int, d: float) -> float:
-    """Premium loading actually applied at retention d: 0 for a spread rule
-    on a layer without a claim, which carries no load.  A spread rule reads
-    `model.moment_grid` at d, which must be one retention >= 0."""
-    if not rule.spread_dependent:
-        return rule.rate(n)
+    """Premium loading actually applied at retention d, which must be one
+    retention >= 0 whatever the rule: 0 for a spread rule on a layer without
+    a claim, which carries no load.  A spread rule reads `model.moment_grid`
+    at d; a flat rate does not depend on it."""
     d, scalar = _retentions(d)
     if not scalar:
         raise DomainError(f"effective_rho takes one retention, got an array of shape {d.shape}")
+    if not rule.spread_dependent:
+        return rule.rate(n)
     g = model.moment_grid(d)
     return _spread_rate(rule, n, d, g["nu1"], g["nu2"])
 
@@ -577,19 +578,20 @@ def _flat_root_on_claims(emp: EmpiricalLosses, q: float, d2: float) -> tuple[Roo
 
 
 def _knot_sides(
-    model: SeverityModel, rule: LoadingRule, phi: float, n: int,
+    model: SeverityModel, rule: LoadingRule, phi: float, n: int, scale=None,
 ) -> tuple[dict, np.ndarray, np.ndarray]:
     """The model's knot table, and the derivative's limits from the left and
     from the right at each knot: the capped slope plus -c(N) times the
     model's `knot_shapes`, which every solve of the rule's spread power
-    shares."""
+    shares.  c(N) is the rule's, unless `scale` gives it, one value per
+    knot (rule may then be the rule's class)."""
     t = model.knots()
     shape_left, shape_right = model.knot_shapes(rule.spread_power)
     # a layer without a claim carries no load; from below, the ceded spread
     # falls with the ceded mean, so the marginal load tends to 0 too (the
     # formula reads 0 * inf at the largest loss of an empirical model)
     empty = t["nu1"] == 0.0
-    c = -rule.scale(n)
+    c = -(rule.scale(n) if scale is None else scale)
 
     def limit(sbar, shape):
         return _capped_slope(phi, sbar, t) + np.where(empty, 0.0, c * shape)
@@ -599,6 +601,42 @@ def _knot_sides(
         # where sbar does not jump (the Lomax table), the two limits agree
         left = right if t["sbar_left"] is t["sbar"] else limit(t["sbar_left"], shape_left)
     return t, left, right
+
+
+def _roots_at_rate(
+    model: SeverityModel, cls: type, measure: DistortionMeasure, n: int, rho: float,
+) -> list[tuple[float, float]]:
+    """The candidate optima of a spread rule whose rate at the optimum is
+    rho, each as (d0, theta(d0)).
+
+    theta(d) = rho sqrt(N) / sigma(d)^k is the parameter whose rate at d is
+    rho, so a candidate is a point where the derivative at parameter
+    theta(d), capped_slope(d) - theta(d) load_shape_k(d), a function of d
+    alone, rises through zero (`_rising_roots`).  Its limits at the knots
+    are `_knot_sides` with theta read off the table's ceded moments, which
+    do not jump at a claim.  A candidate is the optimum at theta(d0) only if
+    `solve_retention` there returns d0: the caller confirms it.
+    """
+    phi = _phi_or_raise(measure)
+    k, t = cls.spread_power, model.knots()
+    root_n_rho = rho * math.sqrt(n)
+
+    def theta(g):
+        return root_n_rho / np.power(np.sqrt(g["nu2"] - g["nu1"] * g["nu1"]), k)
+
+    read = {}
+
+    def derivative(d):
+        g = read[d] = model.moment_grid(d)
+        shape = load_shape(k, g["sbar"], g["nu1"], g["nu2"])
+        return float(_capped_slope(phi, g["sbar"], g) - theta(g) * shape)
+
+    # theta is infinite (k = 1) or 0 (k = -1) where the layer has no spread,
+    # which the confirming solve refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, left, right = _knot_sides(model, cls, phi, n, theta(t))
+        roots, _ = _rising_roots(t, left, right, derivative)
+        return [(r.root, float(theta(_moments_at(model, t, read, r.root)))) for r in roots]
 
 
 def _rising_roots(

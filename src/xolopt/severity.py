@@ -596,7 +596,25 @@ def summary_and_lorenz(losses) -> LossSummary:
     return LossSummary(
         count=int(x.size),
         mean=float(x.mean()),
-        median=float(np.median(x)),
+        # np.median's arithmetic, the mean of the middle one or two claims,
+        # without its import of numpy.ma
+        median=float(np.mean(x[(x.size - 1) // 2:x.size // 2 + 1])),
         max=float(x[-1]),
         lorenz=np.column_stack([u, cum]),
     )
+
+
+def linear_quantile(sorted_losses: np.ndarray, q: float) -> float:
+    """The q-quantile of a sorted sample by numpy's default 'linear' method,
+    bit for bit, without `np.quantile`'s import of numpy.ma: the virtual
+    index (n - 1) q, and numpy's interpolation between the claims on either
+    side of it (`_lerp`), taken from the upper one from weight 1/2 on."""
+    n = sorted_losses.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(sorted_losses[-1])
+    i = math.floor(virtual)
+    a, b = float(sorted_losses[i]), float(sorted_losses[i + 1])
+    gamma = virtual - i
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma

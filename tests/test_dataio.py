@@ -1,4 +1,4 @@
-"""Tests for the atomic CSV writer."""
+"""Tests for the loss-file reader and the atomic CSV writer."""
 
 import csv
 import math
@@ -6,7 +6,54 @@ import math
 import numpy as np
 import pytest
 
-from xolopt.dataio import write_csv_atomic
+from xolopt.dataio import read_loss_csv, write_csv_atomic
+from xolopt.errors import LossParseError
+
+
+def _read(tmp_path, text):
+    path = tmp_path / "claims.csv"
+    path.write_text(text)
+    return read_loss_csv(path)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1.5\n0\n2e3\n", [1.5, 0.0, 2000.0]),                    # no header
+    ("loss\n1.5\n0.25\n", [1.5, 0.25]),                        # a header alone
+    ("id,LOSS,region\n7,1.5,north\n8,2.5,south\n", [1.5, 2.5]),  # among several
+    ("\n\nloss\n\n1.5\n ,\n2.5\n\n", [1.5, 2.5]),           # blank lines
+    ('loss\n"1.5"\n" 2.5 "\n', [1.5, 2.5]),                     # quoted cells
+    ("id,loss\n1,1_000.5\n2, -0.0 \n", [1000.5, -0.0]),         # what float() takes
+])
+def test_reader_returns_the_loss_column(tmp_path, text, expected):
+    got = _read(tmp_path, text)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("loss\n1.5\nabc\n2\n", 3, "not a number: 'abc'"),
+    ("loss\n1.5\n\n-2\n", 4, "negative loss: '-2'"),
+    ("1.5\n2\ninf\n", 3, "non-finite loss: 'inf'"),
+    ("loss\n1\nnan\n-1\n", 3, "non-finite loss: 'nan'"),
+    ("loss\n1\n-inf\n", 3, "non-finite loss: '-inf'"),
+    ("loss\n1\n-3\nnan\n", 3, "negative loss: '-3'"),
+    ("id,loss\n1,2\n3\n", 3, "row has no column 2"),
+    ("id,loss\n1,2\n2,\n", 3, "not a number: ''"),
+    ("1.5,2.5\n3,4\n", 1, "multi-column input needs a header with a 'loss' column"),
+    ("\namount\n1\n", 2, "not a number: 'amount'"),
+])
+def test_reader_names_the_line_of_a_bad_record(tmp_path, text, line, message):
+    with pytest.raises(LossParseError) as info:
+        _read(tmp_path, text)
+    assert str(info.value) == message
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "loss\n", "loss\n\n , \n"])
+def test_reader_refuses_a_file_without_records(tmp_path, text):
+    with pytest.raises(LossParseError, match="^no loss records found$") as info:
+        _read(tmp_path, text)
+    assert info.value.line == 0
 
 
 def test_numeric_rows_keep_their_plain_format(tmp_path):

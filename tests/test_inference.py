@@ -441,101 +441,104 @@ class TestRetentionCurve:
         assert points[0].d_hat == pytest.approx(direct.d_hat, rel=1e-5)
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
-    def test_fixed_point_takes_few_solves_to_a_relative_tolerance(
-        self, big_sample, family, monkeypatch
-    ):
-        """On the default grid a spread-rule point costs at most 8 solves on
-        average, the final estimate included, and the parameter it returns
-        satisfies |target(param) - param| <= 1e-8 param."""
-        from xolopt import inference
+    def test_grid_order_does_not_move_a_point(self, big_sample, family):
+        """No point starts from another: a grid and its reverse give the
+        same points, bit for bit."""
+        x = big_sample[:2000]
+        forward = retention_curve(x, family, "rho", RHO_GRID, 0.9)
+        backward = retention_curve(x, family, "rho", RHO_GRID[::-1], 0.9)
+        assert sum(pt.error is None for pt in forward) >= 6
+        assert [repr(pt) for pt in forward] == [repr(pt) for pt in backward[::-1]]
 
-        solve = inference.solve_retention
-        estimate_at = inference._estimate_at_effective_rho
-        calls, points = [0], []
+    def test_two_confirmed_roots_keep_the_lower_objective(self):
+        """On the bundled sample, stddev at rho = 0.05 and p = 0.9 has two
+        retentions whose solve at their own parameter returns them; the
+        point reports both and keeps the one of lower objective, 4.852132
+        (the other is 4.863495).  The curve stays increasing."""
+        from xolopt.retention import _roots_at_rate, solve_retention
 
-        def counting(*args):
-            calls[0] += 1
-            return solve(*args)
-
-        def recording(emp, cls, rho, measure, *rest):
-            before = calls[0]
-            result, param = estimate_at(emp, cls, rho, measure, *rest)
-            d_hat = solve(emp, cls(param), measure, emp.n).d_star
-            target = rho / inference.effective_rho(emp, cls(1.0), emp.n, d_hat)
-            points.append((calls[0] - before, param, target))
-            return result, param
-
-        monkeypatch.setattr(inference, "solve_retention", counting)
-        monkeypatch.setattr(inference, "_estimate_at_effective_rho", recording)
-        retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
-        assert len(points) >= 6
-        assert np.mean([solves for solves, _, _ in points]) <= 8.0
-        for _, param, target in points:
-            assert abs(target - param) <= 1e-8 * param
+        x = make_synthetic_losses()
+        emp, measure = EmpiricalLosses(x), DistortionMeasure.var(0.9)
+        solves = [solve_retention(emp, StdDevLoading(theta), measure, emp.n)
+                  for _, theta in _roots_at_rate(emp, StdDevLoading, measure, emp.n, 0.05)]
+        assert [sol.d_star for sol in solves] == pytest.approx([4.852132, 4.863495], abs=1e-6)
+        assert solves[0].objective_value < solves[1].objective_value
+        points = retention_curve(x, "stddev", "rho", RHO_GRID, 0.9)
+        assert all(pt.error is None for pt in points)
+        # at rho = 0.035 two of the three candidates are not confirmed
+        assert [pt.roots for pt in points] == [1] * 11 + [2]
+        assert points[-1].d_hat == solves[0].d_star
+        d_hat = [pt.d_hat for pt in points]
+        assert all(a < b for a, b in zip(d_hat, d_hat[1:]))
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
-    def test_point_solves_only_inside_the_fixed_point(self, big_sample, family, monkeypatch):
-        """The estimate at the converged parameter reuses the fixed point's
-        last solve, so a point costs exactly its evaluations of target."""
+    @pytest.mark.parametrize("sweep,fixed,grid", [("rho", 0.9, RHO_GRID),
+                                                  ("p", 0.005, np.linspace(0.8, 0.99, 12))])
+    def test_a_point_costs_one_solve_per_candidate(self, big_sample, family, sweep, fixed,
+                                                   grid, monkeypatch):
+        """Each candidate retention is confirmed by one solve, whose solution
+        is the one linearised: a point makes no other solve, and reports
+        at most as many roots as it had candidates."""
         from xolopt import inference
 
-        solve, fixed = inference.solve_retention, inference.fixed_point
-        estimate_at = inference._estimate_at_effective_rho
-        calls, evaluations, points = [0], [], []
+        solve, roots_at_rate = inference.solve_retention, inference._roots_at_rate
+        counts = []
 
         def counting(*args):
-            calls[0] += 1
+            counts[-1][1] += 1
             return solve(*args)
-
-        def recording_fixed(g, x0):
-            param, n = fixed(g, x0)
-            evaluations.append(n)
-            return param, n
 
         def recording(*args):
-            before = calls[0]
-            result = estimate_at(*args)
-            points.append((calls[0] - before, evaluations[-1]))
-            return result
+            candidates = roots_at_rate(*args)
+            counts.append([len(candidates), 0])
+            return candidates
 
         monkeypatch.setattr(inference, "solve_retention", counting)
-        monkeypatch.setattr(inference, "fixed_point", recording_fixed)
-        monkeypatch.setattr(inference, "_estimate_at_effective_rho", recording)
-        retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
-        assert len(points) >= 6
-        assert all(solves == n for solves, n in points)
+        monkeypatch.setattr(inference, "_roots_at_rate", recording)
+        points = retention_curve(big_sample[:2000], family, sweep, grid, fixed)
+        assert len(counts) == len(points)
+        assert sum(pt.error is None for pt in points) >= 6
+        for (candidates, solves), pt in zip(counts, points):
+            assert solves == candidates
+            assert pt.roots <= candidates
+            assert (pt.roots == 0) == (pt.error is not None)
 
     @pytest.mark.parametrize("family", ["stddev", "sharpe"])
-    def test_no_moment_is_read_between_a_curves_solves(self, big_sample, family, monkeypatch):
-        """Each fixed-point step takes the rate from the solve it made, so
-        once the curve's first solve has begun, every moment read happens
-        inside a solve, and no `effective_rho` runs at all."""
-        state = {"solving": False, "begun": False}
+    def test_every_moment_read_is_in_the_search_or_a_solve(self, big_sample, family,
+                                                          monkeypatch):
+        """A point reads the moments only inside its candidate search and
+        its confirming solves: the linearisation takes the solve's moments,
+        and no `effective_rho` runs."""
+        from xolopt import retention
+
+        state = {"inside": 0}
         outside = []
 
         def reader(name, read):
             def spy(*args, **kwargs):
-                if state["begun"] and not state["solving"]:
+                if not state["inside"]:
                     outside.append(name)
                 return read(*args, **kwargs)
 
             return spy
 
+        def inside(fn):
+            def wrapped(*args):
+                state["inside"] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    state["inside"] -= 1
+
+            return wrapped
+
         for method in ("moment_grid", "cell_moments"):
             monkeypatch.setattr(EmpiricalLosses, method,
                                 reader(method, getattr(EmpiricalLosses, method)))
-        monkeypatch.setattr(inference, "effective_rho",
-                            reader("effective_rho", inference.effective_rho))
-        solve = inference.solve_retention
-
-        def solve_spy(*args):
-            state["solving"] = state["begun"] = True
-            try:
-                return solve(*args)
-            finally:
-                state["solving"] = False
-
-        monkeypatch.setattr(inference, "solve_retention", solve_spy)
+        monkeypatch.setattr(retention, "effective_rho",
+                            reader("effective_rho", retention.effective_rho))
+        for name in ("solve_retention", "_roots_at_rate"):
+            monkeypatch.setattr(inference, name, inside(getattr(inference, name)))
         points = retention_curve(big_sample[:2000], family, "rho", RHO_GRID, 0.9)
         assert sum(pt.error is None for pt in points) >= 6
         assert outside == []

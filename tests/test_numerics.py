@@ -1,5 +1,5 @@
 """The Brent root finder in xolopt.numerics against scipy.optimize.brentq,
-the safeguarded secant fixed point, and the golden-section refinement.
+and the golden-section refinement.
 
 The port must reproduce scipy's roots and iteration counts exactly, whether
 it reads f at the bracket ends itself or is handed the values there, return
@@ -26,13 +26,9 @@ from xolopt import (
     stationarity_function,
 )
 from xolopt import numerics
-from xolopt.errors import NumericalFailure
 from xolopt.numerics import (
-    FIXED_POINT_MAXITER,
-    FIXED_POINT_RTOL,
     brentq,
     expand_and_solve,
-    fixed_point,
     golden_refine,
 )
 
@@ -265,70 +261,3 @@ def test_golden_refine_rejects_an_index_off_the_interior(i):
     grid = np.linspace(1.0, 2.0, 5)
     with pytest.raises(ValueError):
         golden_refine(lambda x: x, grid, grid, i)
-
-
-def _recording(g):
-    """g, plus the list of points it is evaluated at."""
-    seen = []
-
-    def wrapped(x):
-        seen.append(x)
-        return g(x)
-
-    return wrapped, seen
-
-
-def test_fixed_point_of_a_contraction_with_negative_slope():
-    """cos has slope -0.67 at its fixed point, where the damped step also
-    contracts; the secant steps get there in a handful of evaluations."""
-    x, evaluations = fixed_point(math.cos, 1.0)
-    assert abs(math.cos(x) - x) <= FIXED_POINT_RTOL * x
-    assert x == pytest.approx(0.7390851332151607, rel=1e-8)
-    assert evaluations <= 6
-
-
-def test_fixed_point_where_the_damped_step_diverges():
-    """At slope 1.5 the damped step (x + g(x))/2 has slope 1.25 and walks
-    away from the fixed point 2; the secant step through two points of the
-    linear map lands on it."""
-    g = lambda x: 1.5 * x - 1.0
-    damped = 1.0
-    for _ in range(20):
-        damped = 0.5 * (damped + g(damped))
-    assert abs(damped - 2.0) == pytest.approx(1.25 ** 20)
-    x, evaluations = fixed_point(g, 1.0)
-    assert x == pytest.approx(2.0, rel=1e-15)
-    assert evaluations == 3
-
-
-def test_fixed_point_of_a_locally_constant_map():
-    """A kink: g is flat near its fixed point 0.25, so h = g - x has slope -1
-    there and the secant step from the second evaluation is exact; the third
-    evaluation confirms it."""
-    g, seen = _recording(lambda x: 0.25 if x < 1.0 else 0.25 + (x - 1.0) ** 2)
-    x, evaluations = fixed_point(g, 0.75)
-    assert seen == [0.75, 0.5, 0.25]
-    assert (x, evaluations) == (0.25, 3)
-
-
-def test_fixed_point_falls_back_to_the_damped_step_inside_the_positive_axis():
-    """h = 1/x - 1 is nearly flat far from its root 1, so the secant line
-    through two early points crosses zero below x = 0; the damped step is
-    taken instead and every evaluated point stays positive."""
-    g, seen = _recording(lambda x: x - 1.0 + 1.0 / x)
-    x, evaluations = fixed_point(g, 10.0)
-    h0, h1 = 1.0 / seen[0] - 1.0, 1.0 / seen[1] - 1.0
-    assert seen[1] - h1 * (seen[1] - seen[0]) / (h1 - h0) < 0.0
-    assert seen[2] == seen[1] + 0.5 * h1
-    assert min(seen) > 0.0
-    assert x == pytest.approx(1.0, rel=1e-8)
-    assert evaluations == len(seen) < FIXED_POINT_MAXITER
-
-
-def test_fixed_point_gives_up_at_the_cap():
-    """g(x) = x + 1 has no fixed point; h never changes, so every step is
-    damped, until the cap."""
-    g, seen = _recording(lambda x: x + 1.0)
-    with pytest.raises(NumericalFailure):
-        fixed_point(g, 1.0)
-    assert len(seen) == FIXED_POINT_MAXITER

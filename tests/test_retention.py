@@ -573,6 +573,21 @@ class TestEffectiveRho:
                                                       r"got an array of shape \(3,\)$"):
                     effective_rho(model, rule, 10, d)
 
+    @pytest.mark.parametrize("rule", [ConstantLoading(0.3), DecreasingLoading(0.5),
+                                      StdDevLoading(0.5), SharpeLoading(0.5)],
+                             ids=lambda r: r.name)
+    def test_every_rule_refuses_a_retention_that_is_not_one_number_at_least_0(self, rule):
+        """A flat rate does not read d, yet a negative, NaN or array
+        retention is refused as for the spread rules."""
+        for model in (ParetoII(9.0, 8.0), EmpiricalLosses(ParetoII(9.0, 8.0).sample(500, 3))):
+            for d in (-1.0, math.nan, np.float64(-0.5)):
+                with pytest.raises(DomainError, match="^retention must be nonnegative, got"):
+                    effective_rho(model, rule, 10, d)
+            with pytest.raises(DomainError, match=r"^effective_rho takes one retention, "
+                                                  r"got an array of shape \(2,\)$"):
+                effective_rho(model, rule, 10, np.array([1.0, 2.0]))
+            assert effective_rho(model, rule, 10, 0.0) >= 0.0
+
 
 class TestConditionReport:
     def test_pareto_all_pass(self, model):

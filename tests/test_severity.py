@@ -16,6 +16,7 @@ from xolopt.severity import (
     EmpiricalLosses,
     ParetoII,
     kde_density,
+    linear_quantile,
     summary_and_lorenz,
 )
 
@@ -546,6 +547,22 @@ class TestSummaryAndLorenz:
         # convexity: ordered claims make increments nondecreasing
         assert np.all(np.diff(shares) >= -1e-12)
         assert np.all(lor[:, 1] <= lor[:, 0] + 1e-12)
+
+    @pytest.mark.parametrize("sample", ["odd", "even", "tied", "one", "two"])
+    def test_median_and_quantile_are_numpys_bit_for_bit(self, sample):
+        """The summary's median is np.median's and `linear_quantile` is
+        np.quantile's default method, bit for bit, on odd, even and tied
+        samples."""
+        rng = np.random.default_rng(31)
+        x = {"odd": rng.pareto(2.6, 10001) + 1e-3, "even": rng.pareto(2.6, 10000) * 7.3,
+             "tied": np.round(rng.pareto(2.6, 4000), 1), "one": np.array([0.3]),
+             # the mean of the two, 0.6549999999999999, is not the
+             # quantile's interpolation at 1/2, 0.655
+             "two": np.array([1.15, 0.16])}[sample]
+        assert summary_and_lorenz(x).median.hex() == float(np.median(x)).hex()
+        claims = np.sort(x)
+        for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0, 1.0 / 3.0):
+            assert linear_quantile(claims, q).hex() == float(np.quantile(x, q)).hex()
 
     def test_degenerate_inputs(self):
         with pytest.raises(DomainError):
